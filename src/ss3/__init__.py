@@ -19,11 +19,9 @@ from .classify import (
 )
 from .count import (
     CountResult,
+    count_class,
     count_general,
     count_supersingular,
-    count_trivial,
-    count_type_I,
-    count_type_II,
     s_brute,
     s_closed,
 )
@@ -33,7 +31,6 @@ from .curve import (
     ReductionResult,
     ShortCurve,
     add,
-    affine_points,
     count_points_by_enumeration,
     double,
     is_supersingular,
@@ -52,6 +49,7 @@ from .errors import (
     DivisionByZero,
     DParityError,
     FactorizationFailure,
+    InvalidArgument,
     InvalidCurve,
     ModulusReducible,
     NotANonSquare,
@@ -69,7 +67,6 @@ from .field import (
     chi,
     context_to_json,
     decode_element,
-    encode_element,
     fourth_roots,
     is_fourth_power,
     is_irreducible,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .curve import Point, ShortCurve
 from .errors import InvalidCurve, NotANonSquare
@@ -109,28 +109,42 @@ class IsomorphismWitness:
         return {"u": str(self.u), "r": str(self.r)}
 
 
+def _dispatch(e: ShortCurve) -> tuple[CurveClass, Callable[[], FieldElement], int]:
+    """Class of e, plus what canonicalize turns into the witness u.
+
+    One sqrt(-a4), one chi and one trace decide the class. With (root,
+    sign) the second and third results and w = root(), the witnesses to
+    the class representative are the u with u^2 = sign*w, or with
+    u^2 = +-w when sign is 0. root is deferred because only canonicalize
+    needs w.
+    """
+    ctx = e.ctx
+    gamma = sqrt(-e.a4)
+    if ctx.d % 2 == 1:
+        if gamma is None:
+            return CurveClass(CurveType.I_PLUS, None), lambda: sqrt(e.a4), 0
+        # -1 is a non-square, so exactly one of +-gamma is a square s,
+        # and u^2 = s gives u^-6 = s^-3
+        s = gamma if chi(gamma) == 1 else -gamma
+        return CurveClass(CurveType.I, str(trace(e.a6 * s ** -3))), lambda: s, 1
+    if gamma is None:
+        # -a4 sits in the beta or beta^3 coset of the fourth powers
+        y = -e.a4 / ctx.beta
+        if is_fourth_power(y):
+            return CurveClass(CurveType.IIIA, None), lambda: sqrt(y), 0
+        return CurveClass(CurveType.IIIB, None), lambda: sqrt(y / (ctx.beta * ctx.beta)), 0
+    # u^2 = +-w sends Tr(a6*u^-6), the trace the representative must
+    # match, to +-t; so a nonzero t fixes the sign of u^2
+    t = trace(e.a6 * gamma ** -3)
+    invariant = INV_ZERO if t == 0 else INV_NONZERO
+    if chi(gamma) == 1:
+        return CurveClass(CurveType.I, invariant), lambda: gamma, t
+    return CurveClass(CurveType.II, invariant), lambda: gamma / ctx.beta, t
+
+
 def curve_type(e: ShortCurve) -> CurveType:
     """Assign the fourth-power-coset type of -a4."""
-    ctx = e.ctx
-    neg_a4 = -e.a4
-    if ctx.d % 2 == 1:
-        return CurveType.I if chi(neg_a4) == 1 else CurveType.I_PLUS
-    if is_fourth_power(neg_a4):
-        return CurveType.I
-    if chi(neg_a4) == 1:
-        return CurveType.II
-    # -a4 sits in the beta or beta^3 coset of the fourth powers
-    if is_fourth_power(neg_a4 / ctx.beta):
-        return CurveType.IIIA
-    return CurveType.IIIB
-
-
-def _fourth_root(x: FieldElement) -> FieldElement:
-    """Deterministic v with v^4 = x; caller guarantees existence."""
-    roots = fourth_roots(x)
-    if not roots:
-        raise InvalidCurve(f"{x} has no fourth root")
-    return roots[0]
+    return _dispatch(e)[0].ctype
 
 
 def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
@@ -156,23 +170,6 @@ def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
     return ShortCurve(-beta * beta * beta, ctx.zero)
 
 
-def _classify(e: ShortCurve) -> CurveClass:
-    ctx = e.ctx
-    ctype = curve_type(e)
-    if ctype == CurveType.I:
-        v = _fourth_root(-e.a4)
-        b = e.a6 * v ** -6
-        t = trace(b)
-        if ctx.d % 2 == 1:
-            return CurveClass(ctype, str(t))
-        return CurveClass(ctype, INV_ZERO if t == 0 else INV_NONZERO)
-    if ctype == CurveType.II:
-        gamma = sqrt(-e.a4)
-        t = trace(e.a6 * gamma ** -3)
-        return CurveClass(ctype, INV_ZERO if t == 0 else INV_NONZERO)
-    return CurveClass(ctype, None)
-
-
 def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
     """Explicit witness e1 -> e2, or None when no isomorphism exists.
 
@@ -191,13 +188,32 @@ def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
 
 
 def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitness]:
-    """Class representative, class label, and a witness from e to it."""
-    cls = _classify(e)
+    """Class representative, class label, and a witness from e to it.
+
+    The witness is the one isomorphic(e, rep) returns: the smallest-encoding
+    u that admits some r, and the smallest-encoding r for that u. Setting
+    r = u^2*x turns the witness equation into x^3 + a4'*x = a6' - a6*u^-6,
+    so whether u admits an r depends only on u^2, as _dispatch reports.
+    For I+, IIIa and IIIb the map x -> x^3 + a4'*x is a bijection, so
+    every u with u^4 = a4/a4' admits one.
+    """
+    cls, root, sign = _dispatch(e)
     rep = class_representative(e.ctx, cls)
-    witness = isomorphic(e, rep)
-    if witness is None:  # pragma: no cover - classification guarantees one
+    w = root()
+    tau = e.ctx.tau
+    if sign:
+        u = sqrt(w if sign == 1 else -w)
+    elif tau is None:  # odd d: exactly one of +-w is a square
+        u = sqrt(w)
+        if u is None:
+            u = sqrt(-w)
+    else:  # even d: the roots of -w are +-tau*v; sqrt(w) gave the smaller v
+        v = sqrt(w)
+        u = min(v, tau * v, -(tau * v), key=FieldElement.encoding)
+    r = solve_linearized(e.a4, e.a6 - u ** 6 * rep.a6)
+    if r is None:  # pragma: no cover - the class guarantees a solution
         raise InvalidCurve(f"no witness from {e} to its representative {rep}")
-    return rep, cls, witness
+    return rep, cls, IsomorphismWitness(u, r)
 
 
 def quadratic_twist(e: ShortCurve, g: FieldElement) -> ShortCurve:
@@ -223,26 +239,9 @@ def list_classes(ctx: FieldContext) -> list[ClassEntry]:
     Order is fixed: type I (invariant 0, then 1/nonzero, then -1), I+,
     II (0 then nonzero), IIIa, IIIb.
     """
-    from .count import count_supersingular
+    from .count import _class_orders, count_class
 
-    if ctx.d % 2 == 1:
-        labels = [
-            CurveClass(CurveType.I, "0"),
-            CurveClass(CurveType.I, "1"),
-            CurveClass(CurveType.I, "-1"),
-            CurveClass(CurveType.I_PLUS, None),
-        ]
-    else:
-        labels = [
-            CurveClass(CurveType.I, INV_ZERO),
-            CurveClass(CurveType.I, INV_NONZERO),
-            CurveClass(CurveType.II, INV_ZERO),
-            CurveClass(CurveType.II, INV_NONZERO),
-            CurveClass(CurveType.IIIA, None),
-            CurveClass(CurveType.IIIB, None),
-        ]
-    entries = []
-    for cls in labels:
-        rep = class_representative(ctx, cls)
-        entries.append(ClassEntry(rep=rep, cls=cls, result=count_supersingular(rep)))
-    return entries
+    return [
+        ClassEntry(rep=class_representative(ctx, cls), cls=cls, result=count_class(ctx.d, cls))
+        for cls in _class_orders(ctx.d)
+    ]

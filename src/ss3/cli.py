@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: field-info, classify, count, enumerate, verify, export.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(including a file that cannot be written).
 JSON output is compact; tables are plain ASCII. Elements are accepted as
 base-3 integer encodings or comma-separated coefficient lists and always
 printed in coefficient-list form.
@@ -228,7 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except SS3Error as exc:
+    except (SS3Error, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

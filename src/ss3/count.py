@@ -5,17 +5,19 @@ The engine is the character sum over a trace fiber,
     S_d(a) = sum of chi(x) over x with Tr(x) = a,
 
 whose value is an explicit signed power of 3 depending only on d mod 4
-and a. Orders follow as q + 1 + 3*S_d(Tr(b)) for the type-I family and
-q + 1 for the bijective-map types; everything is exact integer
-arithmetic (the square roots of q and 3q are integer powers of 3).
+and a. Orders follow as q + 1 + 3*S_d(t) for type I, q + 1 - 3*S_d(t) for
+its twist type II, and q + 1 for the bijective-map types, with t the
+class's trace invariant; everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .classify import CurveClass, CurveType, INV_NONZERO, INV_ZERO
+from .classify import CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch
 from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
 from .errors import DParityError, NotSupersingularError, OracleTooLarge
 from .field import (
@@ -23,10 +25,7 @@ from .field import (
     FieldContext,
     FieldElement,
     chi,
-    is_fourth_power,
     oracle_cap,
-    sqrt,
-    trace,
 )
 
 
@@ -98,79 +97,51 @@ def s_brute(ctx: FieldContext, a: int, cap: Optional[int] = None) -> int:
     return total
 
 
-def count_type_I(d: int, trace_b: int) -> CountResult:
-    """Order of y^2 = x^3 - x + b from Tr(b); equals q + 1 + 3*S_d(Tr(b))."""
-    if trace_b not in (0, 1, -1):
-        raise ValueError(f"trace must be 0, 1 or -1, got {trace_b}")
-    q = 3**d
-    if d % 2 == 1:
-        cls = CurveClass(CurveType.I, str(trace_b))
-        if trace_b == 0:
-            return _result(q, q + 1, cls)
-        root = 3 ** ((d + 1) // 2)  # sqrt(3q), exact
-        sign = -1 if ((d - 1) // 2) % 2 else 1
-        return _result(q, q + 1 + sign * root * trace_b, cls)
-    cls = CurveClass(CurveType.I, INV_ZERO if trace_b == 0 else INV_NONZERO)
-    root = 3 ** (d // 2)  # sqrt(q), exact
-    sign = -1 if (d // 2) % 2 else 1
-    if trace_b == 0:
-        return _result(q, q + 1 - 2 * sign * root, cls)
-    return _result(q, q + 1 + sign * root, cls)
+@functools.lru_cache(maxsize=64)
+def _class_orders(d: int) -> Mapping[CurveClass, int]:
+    """Order of every isomorphism class over GF(3^d), in census order.
 
-
-def count_type_II(d: int, trace_b_gamma: int) -> CountResult:
-    """Order of the quadratic twist family; even d only.
-
-    The invariant is Tr(b * gamma^-3) for the non-square gamma with
-    gamma^2 = -a4. Together with the type-I count at the same invariant
-    this sums to 2(q + 1).
+    Type I has order q + 1 + 3*S_d(t) for its trace invariant t, its
+    quadratic twist type II has q + 1 - 3*S_d(t), and the bijective types
+    have q + 1. Even d keys on t = 0 or not, as S_d(1) = S_d(-1) there.
+    The mapping is read-only because every caller shares it.
     """
+    q = 3**d
+    orders = {}
     if d % 2 == 1:
-        raise DParityError("type II curves only exist for even d")
-    if trace_b_gamma not in (0, 1, -1):
-        raise ValueError(f"trace must be 0, 1 or -1, got {trace_b_gamma}")
-    q = 3**d
-    cls = CurveClass(CurveType.II, INV_ZERO if trace_b_gamma == 0 else INV_NONZERO)
-    root = 3 ** (d // 2)
-    sign = -1 if (d // 2) % 2 else 1
-    if trace_b_gamma == 0:
-        return _result(q, q + 1 + 2 * sign * root, cls)
-    return _result(q, q + 1 - sign * root, cls)
+        for t in (0, 1, -1):
+            orders[CurveClass(CurveType.I, str(t))] = q + 1 + 3 * s_closed(d, t)
+        orders[CurveClass(CurveType.I_PLUS, None)] = q + 1
+    else:
+        for ctype, sign in ((CurveType.I, 1), (CurveType.II, -1)):
+            for invariant, t in ((INV_ZERO, 0), (INV_NONZERO, 1)):
+                orders[CurveClass(ctype, invariant)] = q + 1 + sign * 3 * s_closed(d, t)
+        orders[CurveClass(CurveType.IIIA, None)] = q + 1
+        orders[CurveClass(CurveType.IIIB, None)] = q + 1
+    return MappingProxyType(orders)
 
 
-def count_trivial(d: int, ctype: CurveType) -> CountResult:
-    """Types with a bijective linearized map: order exactly q + 1."""
-    if ctype not in (CurveType.I_PLUS, CurveType.IIIA, CurveType.IIIB):
-        raise ValueError(f"{ctype} is not one of the order-(q+1) types")
-    q = 3**d
-    return _result(q, q + 1, CurveClass(ctype, None))
+def count_class(d: int, cls: CurveClass) -> CountResult:
+    """Order shared by every curve of the class cls over GF(3^d).
+
+    Raises DParityError for a type that does not exist at d's parity, and
+    ValueError for d < 1 or an invariant the type does not take.
+    """
+    orders = _class_orders(d)
+    if cls not in orders:
+        if cls.ctype != CurveType.I and (cls.ctype == CurveType.I_PLUS) != (d % 2 == 1):
+            raise DParityError(f"type {cls.ctype.value} curves do not exist for d = {d}")
+        raise ValueError(f"invariant {cls.invariant!r} is not valid for type {cls.ctype.value}")
+    return _result(3**d, orders[cls], cls)
 
 
 def count_supersingular(e: ShortCurve) -> CountResult:
     """Closed-form order of a canonical supersingular curve.
 
-    Dispatch: for odd d, test whether -a4 has a fourth root v and key on
-    Tr(a6 * v^-6); for even d, extract gamma with gamma^2 = -a4 and key on
-    Tr(a6 * gamma^-3) and on whether gamma itself is a square. Curves whose
-    -a4 is outside the relevant coset have order exactly q + 1. The result
-    does not depend on which root the extraction yields.
+    The classification dispatch names the class, and the class names the
+    order; no witness is computed.
     """
-    ctx = e.ctx
-    d = ctx.d
-    if d % 2 == 1:
-        s = sqrt(-e.a4)
-        if s is None:
-            return count_trivial(d, CurveType.I_PLUS)
-        v = sqrt(s) if chi(s) == 1 else sqrt(-s)
-        return count_type_I(d, trace(e.a6 * v ** -6))
-    gamma = sqrt(-e.a4)
-    if gamma is None:
-        sub = CurveType.IIIA if is_fourth_power(-e.a4 / ctx.beta) else CurveType.IIIB
-        return count_trivial(d, sub)
-    t = trace(e.a6 * gamma ** -3)
-    if chi(gamma) == 1:
-        return count_type_I(d, t)
-    return count_type_II(d, t)
+    return count_class(e.ctx.d, _dispatch(e)[0])
 
 
 def count_general(

@@ -10,7 +10,7 @@ ordinary (j != 0) and outside this library's counting scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
     ContextMismatch,
@@ -298,20 +298,6 @@ def count_points_by_enumeration(e: ShortCurve, cap: Optional[int] = None) -> int
     return total
 
 
-def affine_points(e: ShortCurve) -> Iterator[Point]:
-    """All affine points, in x-encoding order (y with smaller encoding first)."""
-    ctx = e.ctx
-    for x in ctx.elements():
-        f = e.rhs(x)
-        c = chi(f)
-        if c == 0:
-            yield Point(e, x, ctx.zero)
-        elif c == 1:
-            y = sqrt(f)
-            yield Point(e, x, y)
-            yield Point(e, x, -y)
-
-
 def random_point(e: ShortCurve, rng) -> Point:
     """Uniformly-flavored affine point: random x until the rhs is a square.
 
@@ -342,10 +328,6 @@ def random_supersingular_curve(ctx: FieldContext, rng) -> ShortCurve:
 # ----------------------------------------------------------------------
 # Text forms
 # ----------------------------------------------------------------------
-
-
-def short_curve_text(e: ShortCurve) -> str:
-    return str(e)
 
 
 def parse_short_curve(ctx: FieldContext, text: str) -> ShortCurve:

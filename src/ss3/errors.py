@@ -29,6 +29,10 @@ class ZeroArgument(SS3Error):
     """Operation requires a nonzero argument."""
 
 
+class InvalidArgument(SS3Error, ValueError):
+    """A numeric argument lies outside the range the operation accepts."""
+
+
 class ParseError(SS3Error, ValueError):
     """Text does not decode to a field element, curve, or modulus."""
 

@@ -509,23 +509,20 @@ def _build_context(d: int, modulus: tuple[int, ...]) -> FieldContext:
 
 
 def make_context(
-    d: int,
-    modulus_override: Optional[Sequence[int]] = None,
-    *,
-    degree_cap: int = DEGREE_CAP,
+    d: int, modulus_override: Optional[Sequence[int]] = None
 ) -> FieldContext:
     """Build (or fetch the cached) GF(3^d) context.
 
     Args:
-        d: extension degree, 1 <= d <= degree_cap.
+        d: extension degree, 1 <= d <= DEGREE_CAP.
         modulus_override: full monic coefficient list (c0, ..., cd) to use
             instead of the deterministic smallest-encoding irreducible.
 
     Raises:
         DegreeOutOfRange, ModulusReducible, FactorizationFailure.
     """
-    if not isinstance(d, int) or not 1 <= d <= degree_cap:
-        raise DegreeOutOfRange(f"d must satisfy 1 <= d <= {degree_cap}, got {d}")
+    if not isinstance(d, int) or not 1 <= d <= DEGREE_CAP:
+        raise DegreeOutOfRange(f"d must satisfy 1 <= d <= {DEGREE_CAP}, got {d}")
     if modulus_override is not None:
         coeffs = tuple(int(c) % 3 for c in modulus_override)
         if len(coeffs) != d + 1 or coeffs[-1] != 1:
@@ -725,11 +722,6 @@ def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]
 # ----------------------------------------------------------------------
 # Text encoding
 # ----------------------------------------------------------------------
-
-
-def encode_element(x: FieldElement) -> str:
-    """Canonical text form: comma-separated coefficients, little-endian."""
-    return str(x)
 
 
 def decode_element(ctx: FieldContext, text: str) -> FieldElement:

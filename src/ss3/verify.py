@@ -14,8 +14,8 @@ from typing import Callable, Optional
 from .classify import canonicalize, isomorphic, list_classes, quadratic_twist
 from .count import CountResult, count_supersingular, s_brute, s_closed
 from .curve import ShortCurve, naive_count, random_point, random_supersingular_curve
-from .errors import PointNotOnCurve
-from .field import FieldContext, make_context, smallest_nonsquare
+from .errors import DegreeOutOfRange, InvalidArgument, OracleTooLarge, PointNotOnCurve
+from .field import DEGREE_CAP, FieldContext, make_context, oracle_cap, smallest_nonsquare
 
 EXHAUSTIVE_MAX_D = 4
 FIBER_SUM_MAX_D = 8
@@ -223,8 +223,16 @@ def run_verification(
     """Run every suite up to d_max and collect a deterministic report.
 
     count_fn exists as a harness hook so tests can inject a corrupted
-    counting formula and watch the oracle suites catch it.
+    counting formula and watch the oracle suites catch it. Arguments that
+    would let a suite pass without checking anything, or fail only after
+    others ran, are rejected before any suite runs.
     """
+    if not 1 <= d_max <= DEGREE_CAP:
+        raise DegreeOutOfRange(f"d-max must satisfy 1 <= d-max <= {DEGREE_CAP}, got {d_max}")
+    if 3**d_max > oracle_cap():
+        raise OracleTooLarge(f"q = 3^{d_max} exceeds the enumeration cap {oracle_cap()}")
+    if samples < 1:
+        raise InvalidArgument(f"samples must be at least 1, got {samples}")
     if count_fn is None:
         count_fn = count_supersingular
     rep = VerifyReport(d_max=d_max, samples=samples, seed=seed)

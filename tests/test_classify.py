@@ -11,6 +11,7 @@ from ss3 import (
     NotANonSquare,
     ShortCurve,
     canonicalize,
+    count_supersingular,
     curve_type,
     fourth_roots,
     isomorphic,
@@ -133,6 +134,31 @@ def test_invariant_independent_of_fourth_root_choice(d):
         if d <= 3:
             _, cls, _ = canonicalize(e)
             assert labels == {cls.invariant}
+
+
+def _witness_cases(d):
+    """Every curve for d <= 3; above that, seeded curves from every class."""
+    ctx = make_context(d)
+    if d <= 3:
+        return list(all_short_curves(ctx))
+    rng = random.Random(d)
+    cases = []
+    for entry in list_classes(ctx):
+        for _ in range(3):
+            u, r = ctx.random_nonzero(rng), ctx.random_element(rng)
+            cases.append(_transform(entry.rep, u, r))
+    return cases
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_canonicalize_witness_equals_isomorphic(d):
+    # canonicalize derives (u, r) from the classification dispatch;
+    # isomorphic scans every fourth root and is the reference
+    for e in _witness_cases(d):
+        rep, cls, w = canonicalize(e)
+        ref = isomorphic(e, rep)
+        assert ref is not None and (w.u, w.r) == (ref.u, ref.r)
+        assert count_supersingular(e).class_used == cls
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ss3 import CountResult, make_context
 from ss3.cli import main
@@ -208,10 +212,19 @@ def test_verify_catches_corrupted_formula(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert main(["no-such-command"]) == 2
-    capsys.readouterr()
-    assert main(["classify", "--d", "1"]) == 2  # missing a4/a6
-    capsys.readouterr()
+    for argv in (
+        ["no-such-command"],
+        ["classify", "--d", "1"],  # missing a4/a6
+        ["verify", "--d-max", "0"],  # no suite would run
+        ["verify", "--d-max", "1", "--samples", "-3"],
+        ["verify", "--d-max", "1", "--samples", "0"],  # a PASS with nothing checked
+        ["verify", "--d-max", "14"],  # beyond the oracle cap, before any suite runs
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "Traceback" not in captured.err
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1, argv
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +267,15 @@ def test_export_to_file(tmp_path, capsys):
     assert obj["context"]["d"] == 1
 
 
+def test_export_to_missing_directory_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "vectors.csv"
+    rc, out, err = run(capsys, "export", "--d", "1", "--format", "csv",
+                       "--out", str(out_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: FileNotFoundError:") and err.count("\n") == 1
+    assert not out_path.parent.exists()
+
+
 def test_export_records_reproducible(capsys):
     # re-running classification/counting on exported inputs reproduces
     # every derived field
@@ -271,3 +293,59 @@ def test_export_records_reproducible(capsys):
         assert str(r.order) == rec["order"]
         assert str(r.frobenius_trace) == rec["trace"]
         assert str(w.u) == rec["u"] and str(w.r) == rec["r"]
+
+
+# ----------------------------------------------------------------------
+# Arbitrary argv
+# ----------------------------------------------------------------------
+
+_DEGREE = st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "-1", "x"])
+_TEXT = st.one_of(
+    st.integers(1, 2).map(str), st.integers(-2, 30).map(str), st.text(max_size=8)
+)
+_MODULUS = st.one_of(st.sampled_from(["1,2,0,1", "2,1,1", "0,1,1", "1,1"]), st.text(max_size=8))
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """argv for any subcommand, kept to d <= 3 and verify --d-max <= 2."""
+    command = draw(st.sampled_from(
+        ["field-info", "classify", "count", "enumerate", "verify", "export"]
+    ))
+    if command == "field-info":
+        argv = [command, draw(_DEGREE)]
+    elif command == "verify":
+        argv = [command, "--d-max", str(draw(st.integers(-1, 2))),
+                "--samples", str(draw(st.integers(-2, 3))),
+                "--seed", str(draw(st.integers(0, 3)))]
+    else:
+        argv = [command, "--d", draw(_DEGREE)]
+    if command in ("classify", "count"):
+        argv += ["--a4", draw(_TEXT), "--a6", draw(_TEXT)]
+    if command == "count":
+        for flag in ("--a1", "--a2", "--a3"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_TEXT)]
+        if draw(st.booleans()):
+            argv.append("--naive")
+    if command == "export":
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "xml"]))]
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(["v.out", "missing/v.out"]))
+            argv += ["--out", str(out_dir / name)]
+    if command != "verify" and draw(st.booleans()):
+        argv += ["--modulus", draw(_MODULUS)]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_argv_exits_cleanly(tmp_path, data):
+    argv = data.draw(_argv(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import all_short_curves, sample_curves
 from ss3 import (
+    CurveClass,
     CurveType,
     DParityError,
     GeneralCurve,
@@ -13,11 +14,9 @@ from ss3 import (
     OracleTooLarge,
     ShortCurve,
     chi,
+    count_class,
     count_general,
     count_supersingular,
-    count_trivial,
-    count_type_I,
-    count_type_II,
     make_context,
     naive_count,
     random_point,
@@ -88,43 +87,55 @@ def test_s_brute_cap():
 
 
 # ----------------------------------------------------------------------
-# Per-type closed forms
+# Per-class closed forms
 # ----------------------------------------------------------------------
 
 
+def _count(d, ctype, t=None):
+    """count_class for the class of type ctype whose trace value is t.
+
+    The invariant is t itself for odd d and only "zero or not" for even d.
+    """
+    if t is None:
+        return count_class(d, CurveClass(ctype, None))
+    invariant = str(t) if d % 2 else ("0" if t == 0 else "nonzero")
+    return count_class(d, CurveClass(ctype, invariant))
+
+
 def test_count_type_I_vectors():
-    assert count_type_I(1, 1).order == 7
-    assert count_type_I(1, -1).order == 1
-    assert count_type_I(1, 0).order == 4
-    assert count_type_I(2, 0).order == 16
-    assert count_type_I(2, 1).order == 7
+    assert _count(1, CurveType.I, 1).order == 7
+    assert _count(1, CurveType.I, -1).order == 1
+    assert _count(1, CurveType.I, 0).order == 4
+    assert _count(2, CurveType.I, 0).order == 16
+    assert _count(2, CurveType.I, 1).order == 7
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_count_type_I_equals_char_sum_formula(d):
     q = 3**d
     for t in (0, 1, -1):
-        assert count_type_I(d, t).order == q + 1 + 3 * s_closed(d, t)
+        assert _count(d, CurveType.I, t).order == q + 1 + 3 * s_closed(d, t)
 
 
 def test_count_type_II_vectors_and_twist_pairing():
-    assert count_type_II(2, 0).order == 4
-    assert count_type_II(2, 1).order == 13
+    assert _count(2, CurveType.II, 0).order == 4
+    assert _count(2, CurveType.II, 1).order == 13
     for d in (2, 4, 6, 8, 10, 12):
         q = 3**d
         for t in (0, 1, -1):
-            assert count_type_I(d, t).order + count_type_II(d, t).order == 2 * q + 2
+            pair = _count(d, CurveType.I, t).order + _count(d, CurveType.II, t).order
+            assert pair == 2 * q + 2
     with pytest.raises(DParityError):
-        count_type_II(3, 0)
+        _count(3, CurveType.II, 0)
 
 
 def test_count_trivial():
-    assert count_trivial(1, CurveType.I_PLUS).order == 4
-    assert count_trivial(2, CurveType.IIIA).order == 10
-    assert count_trivial(2, CurveType.IIIB).order == 10
-    assert count_trivial(2, CurveType.IIIA).frobenius_trace == 0
+    assert _count(1, CurveType.I_PLUS).order == 4
+    assert _count(2, CurveType.IIIA).order == 10
+    assert _count(2, CurveType.IIIB).order == 10
+    assert _count(2, CurveType.IIIA).frobenius_trace == 0
     with pytest.raises(ValueError):
-        count_trivial(2, CurveType.I)
+        _count(2, CurveType.I)
 
 
 def test_trivial_type_orders_match_oracle():
@@ -175,8 +186,8 @@ def test_gamma_sign_independence(d):
         t_pos = trace(e.a6 * gamma**-3)
         t_neg = trace(e.a6 * (-gamma) ** -3)
         assert t_pos == -t_neg  # trace is odd under negation
-        count = count_type_I if chi(gamma) == 1 else count_type_II
-        assert count(d, t_pos).order == count(d, t_neg).order
+        ctype = CurveType.I if chi(gamma) == 1 else CurveType.II
+        assert _count(d, ctype, t_pos).order == _count(d, ctype, t_neg).order
         checked += 1
 
 
