@@ -26,6 +26,7 @@ from .field import (
     FieldElement,
     chi,
     oracle_cap,
+    trace,
 )
 
 
@@ -80,21 +81,9 @@ def s_brute(ctx: FieldContext, a: int, cap: Optional[int] = None) -> int:
         raise OracleTooLarge(f"q = {ctx.q} exceeds the enumeration cap {limit}")
     if a not in (0, 1, -1):
         raise ValueError(f"a must be 0, 1 or -1, got {a}")
-    table = ctx.chi_table() if ctx.q <= CHI_TABLE_LIMIT else None
-    tb = ctx._trace_coeffs
-    total = 0
-    for enc in range(ctx.q):
-        coeffs = ctx._decode(enc)
-        t = 0
-        for c, w in zip(coeffs, tb):
-            t += c * w
-        t %= 3
-        if (-1 if t == 2 else t) == a:
-            if table is not None:
-                total += table[enc] - 1
-            else:
-                total += chi(FieldElement(ctx, coeffs))
-    return total
+    if ctx.q <= CHI_TABLE_LIMIT:
+        ctx.chi_table()  # chi reads it once built
+    return sum(chi(x) for x in ctx.elements() if trace(x) == a)
 
 
 @functools.lru_cache(maxsize=64)

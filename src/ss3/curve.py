@@ -9,6 +9,7 @@ ordinary (j != 0) and outside this library's counting scope.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -248,28 +249,16 @@ def _chi_sum_cubic(
     """q + 1 + sum of chi(x^3 + c2 x^2 + c1 x + c0) over the field."""
     if ctx.q > _resolve_cap(cap):
         raise OracleTooLarge(f"q = {ctx.q} exceeds the enumeration cap {_resolve_cap(cap)}")
-    table = ctx.chi_table() if ctx.q <= CHI_TABLE_LIMIT else None
-    cubes = ctx.cube_table()
+    if ctx.q <= CHI_TABLE_LIMIT:
+        ctx.chi_table()  # _chi reads it once built
+    mul, char = ctx._mul, ctx._chi
+    c2, c1, c0 = c2.coeffs, c1.coeffs, c0.coeffs
     total = 0
-    c2_zero = c2.is_zero()
-    if cubes is not None and c2_zero:
-        # fast path for small fields and canonical models
-        mul, addc = ctx._mul, ctx._add
-        c1c, c0c = c1.coeffs, c0.coeffs
-        for enc in range(ctx.q):
-            x = ctx._decode(enc)
-            f = addc(addc(cubes[enc], mul(c1c, x)), c0c)
-            fenc = 0
-            for c in reversed(f):
-                fenc = fenc * 3 + c
-            total += table[fenc] - 1
-    else:
-        for x in ctx.elements():
-            f = x * x * x + c2 * x * x + c1 * x + c0
-            if table is not None:
-                total += table[f.encoding()] - 1
-            else:
-                total += chi(f)
+    for x in ctx.elements():
+        x = x.coeffs
+        # Horner on packed ints; each sum stays unreduced (slots <= 4),
+        # which _mul and _chi accept
+        total += char(mul(mul(x + c2, x) + c1, x) + c0)
     return ctx.q + 1 + total
 
 
@@ -288,14 +277,8 @@ def count_points_by_enumeration(e: ShortCurve, cap: Optional[int] = None) -> int
     ctx = e.ctx
     if ctx.q > _resolve_cap(cap):
         raise OracleTooLarge(f"q = {ctx.q} exceeds the enumeration cap")
-    total = 1  # infinity
-    squares = {}
-    for y in ctx.elements():
-        squares.setdefault((y * y).coeffs, 0)
-        squares[(y * y).coeffs] += 1
-    for x in ctx.elements():
-        total += squares.get(e.rhs(x).coeffs, 0)
-    return total
+    squares = Counter(y * y for y in ctx.elements())
+    return 1 + sum(squares[e.rhs(x)] for x in ctx.elements())  # 1 for infinity
 
 
 def random_point(e: ShortCurve, rng) -> Point:

@@ -82,8 +82,6 @@ class VectorRecord:
 
     d: int
     modulus: tuple[int, ...]
-    beta: str
-    alpha: str
     a4: str
     a6: str
     ctype: str
@@ -128,8 +126,6 @@ def _record_for(ctx: FieldContext, e: ShortCurve) -> VectorRecord:
     return VectorRecord(
         d=ctx.d,
         modulus=ctx.modulus,
-        beta=str(ctx.beta),
-        alpha=str(ctx.alpha),
         a4=str(e.a4),
         a6=str(e.a6),
         ctype=cls.ctype.value,

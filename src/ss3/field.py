@@ -1,11 +1,18 @@
 """Exact arithmetic in GF(3^d).
 
-Elements are coefficient vectors over F3 in the power basis of a monic
-irreducible modulus. A FieldContext fixes the modulus together with the
-constants the classification machinery needs: a primitive root beta, a
-trace-one element alpha, and (for even d) a square root tau of -1. All
-constants are chosen deterministically by scanning elements in encoding
-order, where the encoding of (c0, ..., c_{d-1}) is the base-3 integer
+An element is one Kronecker-packed int: byte i holds the coefficient
+c_i in {0, 1, 2} of t^i in the power basis of a monic irreducible modulus.
+Sums and differences are plain integer additions whose bytes are reduced
+mod 3 by one bytes.translate; a product is one big-integer multiply
+followed by polynomial Barrett reduction, the same path for every modulus.
+A product may take one operand unreduced (slots <= 4); its slots then
+hold at most 8d <= 248, which is why d is capped at 31 (DEGREE_CAP).
+
+A FieldContext fixes the modulus together with the constants the
+classification machinery needs: a primitive root beta, a trace-one element
+alpha, and (for even d) a square root tau of -1. All constants are chosen
+deterministically by scanning elements in encoding order, where the
+encoding of (c0, ..., c_{d-1}) is the base-3 integer
 c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}.
 
 Contexts are immutable after construction and safe to share across
@@ -15,8 +22,9 @@ threads; the lazily built character table is filled idempotently.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     ContextMismatch,
@@ -28,6 +36,10 @@ from .errors import (
 )
 from .factor import factorize
 
+# A product slot sums at most d byte products. With one operand unreduced
+# (slots <= 4, as the oracle's Horner loop passes it) and the other reduced,
+# a slot holds at most 8d <= 248, so for d <= 31 no slot carries into the
+# next one.
 DEGREE_CAP = 31
 DEFAULT_ORACLE_CAP = 3**13
 ORACLE_CAP_ENV = "SS3_ORACLE_CAP"
@@ -35,6 +47,15 @@ ORACLE_CAP_ENV = "SS3_ORACLE_CAP"
 # chi tables are cheap to build and worth it only where full sweeps happen
 CHI_TABLE_LIMIT = 3**13
 _CUBE_TABLE_LIMIT = 3**8
+
+# slot value -> slot value mod 3, and -> its ASCII digit mod 3
+_MOD3 = bytes(v % 3 for v in range(256))
+_DIGITS = bytes(ord("0") + v % 3 for v in range(256))
+
+
+def _mod3(x: int, width: int) -> int:
+    """Reduce every byte of a packed int mod 3; width is its length in bytes."""
+    return int.from_bytes(x.to_bytes(width, "little").translate(_MOD3), "little")
 
 
 def oracle_cap() -> int:
@@ -50,7 +71,8 @@ def oracle_cap() -> int:
 
 # ----------------------------------------------------------------------
 # Raw polynomial helpers over F3 (little-endian coefficient lists).
-# Used only for modulus selection; element arithmetic lives on the context.
+# Used only for modulus selection and the Barrett constant; element
+# arithmetic lives on the context.
 # ----------------------------------------------------------------------
 
 
@@ -60,23 +82,25 @@ def _ptrim(p: list[int]) -> list[int]:
     return p
 
 
-def _pmod(a: list[int], m: list[int]) -> list[int]:
+def _pdivmod(a: list[int], m: list[int]) -> tuple[list[int], list[int]]:
     a = a[:]
     dm = len(m) - 1
     inv_lead = 1 if m[-1] == 1 else 2
+    quo = [0] * max(len(a) - dm, 0)
     while len(a) - 1 >= dm and a:
         shift = len(a) - 1 - dm
         factor = (a[-1] * inv_lead) % 3
+        quo[shift] = factor
         for i, c in enumerate(m):
             a[shift + i] = (a[shift + i] - factor * c) % 3
         _ptrim(a)
-    return a
+    return quo, a
 
 
 def _pgcd(a: list[int], b: list[int]) -> list[int]:
     a, b = _ptrim(a[:]), _ptrim(b[:])
     while b:
-        a, b = b, _pmod(a, b)
+        a, b = b, _pdivmod(a, b)[1]
     return a
 
 
@@ -86,7 +110,7 @@ def _pmulmod(a: list[int], b: list[int], m: list[int]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % 3
-    return _pmod(prod, m)
+    return _pdivmod(prod, m)[1]
 
 
 def is_irreducible(coeffs: Sequence[int]) -> bool:
@@ -116,6 +140,29 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
     return True
 
 
+def _barrett_mul(d: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
+    """Packed product mod the modulus, by polynomial Barrett reduction.
+
+    One operand may be unreduced (slots <= 4); see DEGREE_CAP. For a product
+    p of degree <= 2d - 1 the quotient by the modulus is exactly
+    (p // t^d) * mu // t^d with mu = t^(2d) // modulus: unlike integer
+    Barrett reduction, no correction step is needed. The same code serves
+    sparse and dense moduli.
+    """
+    mu = int.from_bytes(bytes(_pdivmod([0] * 2 * d + [1], list(modulus))[0]), "little")
+    neg_m = int.from_bytes(bytes((-c) % 3 for c in modulus), "little")
+    width, shift, from_bytes = 2 * d, 8 * d, int.from_bytes
+
+    def mul(a: int, b: int) -> int:
+        p = from_bytes((a * b).to_bytes(width, "little").translate(_MOD3), "little")
+        quo = (p >> shift) * mu >> shift
+        quo = from_bytes(quo.to_bytes(d, "little").translate(_MOD3), "little")
+        rem = (p + quo * neg_m).to_bytes(width, "little").translate(_MOD3)
+        return from_bytes(rem[:d], "little")
+
+    return mul
+
+
 # ----------------------------------------------------------------------
 # Field elements
 # ----------------------------------------------------------------------
@@ -128,12 +175,13 @@ class FieldElement:
     """An element of GF(3^d), tied to one FieldContext.
 
     Supports +, -, *, /, ** and unary negation. Construct through
-    FieldContext.element(); instances are immutable and hashable.
+    FieldContext.element(); instances are immutable and hashable. The
+    coeffs slot holds the packed int, byte i being the coefficient of t^i.
     """
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: "FieldContext", coeffs: tuple[int, ...]):
+    def __init__(self, ctx: "FieldContext", coeffs: int):
         self.ctx = ctx
         self.coeffs = coeffs
 
@@ -151,26 +199,23 @@ class FieldElement:
 
     def encoding(self) -> int:
         """Base-3 integer whose digits are the coefficients."""
-        enc = 0
-        for c in reversed(self.coeffs):
-            enc = enc * 3 + c
-        return enc
+        return self.ctx._encode(self.coeffs)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.coeffs
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         other = self._peer(other)
-        return FieldElement(self.ctx, self.ctx._add(self.coeffs, other.coeffs))
+        return FieldElement(self.ctx, _mod3(self.coeffs + other.coeffs, self.ctx.d))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         other = self._peer(other)
-        return FieldElement(self.ctx, self.ctx._sub(self.coeffs, other.coeffs))
+        return FieldElement(self.ctx, _mod3(self.coeffs + 2 * other.coeffs, self.ctx.d))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx._neg(self.coeffs))
+        return FieldElement(self.ctx, _mod3(2 * self.coeffs, self.ctx.d))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         other = self._peer(other)
@@ -190,7 +235,9 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx._pow(self.coeffs, n))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx._inv(self.coeffs))
+        if self.is_zero():
+            raise DivisionByZero("cannot invert 0")
+        return FieldElement(self.ctx, self.ctx._pow(self.coeffs, self.ctx.q - 2))
 
     # -- comparisons ---------------------------------------------------
 
@@ -206,7 +253,7 @@ class FieldElement:
         return not self.is_zero()
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(self.coeffs.to_bytes(self.ctx.d, "little").translate(_DIGITS).decode())
 
     def __repr__(self) -> str:
         return f"GF(3^{self.ctx.d})[{self}]"
@@ -237,12 +284,9 @@ class FieldContext:
         "zero",
         "one",
         "minus_one",
-        "_rows",
-        "_rows_packed",
-        "_trace_coeffs",
-        "_cube_basis",
+        "_mul",
+        "_trace_weights",
         "_chi_table",
-        "_cube_table",
         "_nonsquare",
     )
 
@@ -251,18 +295,12 @@ class FieldContext:
         self.q = 3**d
         self.modulus = modulus
         self.key = (d, modulus)
-        low = modulus[:-1]
-        self._rows = self._build_rows(low)
-        self._rows_packed = tuple(
-            int.from_bytes(bytes(row), "little") for row in self._rows
-        )
-        self.zero = FieldElement(self, (0,) * d)
-        self.one = FieldElement(self, (1,) + (0,) * (d - 1))
-        self.minus_one = FieldElement(self, (2,) + (0,) * (d - 1))
-        self._trace_coeffs = self._build_trace_coeffs()
-        self._cube_basis = self._build_cube_basis()
+        self._mul = _barrett_mul(d, modulus)  # packed product mod the modulus
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
+        self.minus_one = FieldElement(self, 2)
+        self._trace_weights = self._build_trace_weights()
         self._chi_table: Optional[bytearray] = None
-        self._cube_table: Optional[list[tuple[int, ...]]] = None
         self._nonsquare: Optional[FieldElement] = None
         # filled in by make_context once arithmetic is available
         self.q_minus_1_factors: tuple[int, ...] = ()
@@ -270,113 +308,44 @@ class FieldContext:
         self.alpha: FieldElement = self.one
         self.tau: Optional[FieldElement] = None
 
-    # -- construction helpers -----------------------------------------
-
-    def _build_rows(self, low: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        # rows[k - d] = coefficients of t^k reduced mod modulus, k = d..2d-2
-        d = self.d
-        if d == 1:
-            return ()
-        base = tuple((-c) % 3 for c in low)
-        rows = [base]
-        cur = base
-        for _ in range(d - 2):
-            top = cur[-1]
-            shifted = (0,) + cur[:-1]
-            if top:
-                cur = tuple((s + top * b) % 3 for s, b in zip(shifted, base))
-            else:
-                cur = shifted
-            rows.append(cur)
-        return tuple(rows)
-
-    def _build_trace_coeffs(self) -> tuple[int, ...]:
-        # trace of each power-basis monomial; trace(x) is then a dot product
-        out = []
+    def _build_trace_weights(self) -> int:
+        # Trace of each power-basis monomial t^i, packed with t^i's weight at
+        # byte d-1-i: byte d-1 of x * weights is then the trace of x. The sum
+        # of the d conjugates lies in F3, so it is their constant byte.
+        weights = []
         for i in range(self.d):
-            mono = tuple(1 if j == i else 0 for j in range(self.d))
-            acc = mono
-            y = mono
+            y = acc = 1 << 8 * i
             for _ in range(self.d - 1):
                 y = self._mul(self._mul(y, y), y)
-                acc = self._add(acc, y)
-            out.append(acc[0])
-        return tuple(out)
+                acc += y  # slots stay <= 2d
+            weights.append(acc % 256 % 3)
+        return int.from_bytes(bytes(weights), "big")
 
-    def _build_cube_basis(self) -> tuple[tuple[int, ...], ...]:
-        # (t^i)^3 reduced mod modulus, for the linearized-equation matrix
-        powers = [self.one.coeffs]
-        cur = self.one.coeffs
-        for _ in range(3 * (self.d - 1)):
-            cur = self._mul_t(cur)
-            powers.append(cur)
-        return tuple(powers[3 * i] for i in range(self.d))
+    # -- packed arithmetic ---------------------------------------------
 
-    # -- raw coefficient arithmetic ------------------------------------
-
-    def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % 3 for x, y in zip(a, b))
-
-    def _sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x - y) % 3 for x, y in zip(a, b))
-
-    def _neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % 3 for x in a)
-
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        # Kronecker substitution: one big-integer multiply with a byte per
-        # coefficient. Slot values stay below 256 for every d <= 31
-        # (product coefficients <= 4d, plus at most 4(d-1) from reduction).
-        d = self.d
-        if d == 1:
-            return ((a[0] * b[0]) % 3,)
-        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-        buf = prod.to_bytes(2 * d, "little")
-        acc = int.from_bytes(buf[:d], "little")
-        rows = self._rows_packed
-        for k in range(d, 2 * d - 1):
-            c = buf[k] % 3
-            if c:
-                acc += c * rows[k - d]
-        out = acc.to_bytes(d + 1, "little")
-        return tuple(out[i] % 3 for i in range(d))
-
-    def _mul_t(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        # multiply by the generator t, reducing the single overflow term
-        top = a[-1]
-        shifted = (0,) + a[:-1]
-        if not top:
-            return shifted
-        if self.d == 1:
-            row = ((-self.modulus[0]) % 3,)
-        else:
-            row = self._rows[0]
-        return tuple((s + top * r) % 3 for s, r in zip(shifted, row))
-
-    def _pow(self, a: tuple[int, ...], n: int) -> tuple[int, ...]:
-        if n == 0:
-            return self.one.coeffs
-        result = self.one.coeffs
-        base = a
+    def _pow(self, a: int, n: int) -> int:
+        mul, result = self._mul, 1
         while n:
             if n & 1:
-                result = self._mul(result, base)
+                result = mul(result, a)
             n >>= 1
             if n:
-                base = self._mul(base, base)
+                a = mul(a, a)
         return result
 
-    def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(a):
-            raise DivisionByZero("cannot invert 0")
-        return self._pow(a, self.q - 2)
+    def _encode(self, a: int) -> int:
+        # slots may be unreduced: the digit table reads each one mod 3
+        return int(a.to_bytes(self.d, "big").translate(_DIGITS), 3)
 
-    def _decode(self, enc: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.d):
-            out.append(enc % 3)
-            enc //= 3
-        return tuple(out)
+    def _chi(self, a: int) -> int:
+        # quadratic character of a packed value whose slots may be unreduced
+        table = self._chi_table
+        if table is not None:
+            return table[self._encode(a)] - 1
+        a = _mod3(a, self.d)
+        if not a:
+            return 0
+        return 1 if self._pow(a, (self.q - 1) // 2) == 1 else -1
 
     # -- public element construction ------------------------------------
 
@@ -393,17 +362,22 @@ class FieldContext:
         coeffs = tuple(int(c) for c in value)
         if len(coeffs) != self.d or any(c not in (0, 1, 2) for c in coeffs):
             raise ParseError(f"need {self.d} coefficients in {{0,1,2}}, got {value!r}")
-        return FieldElement(self, coeffs)
+        return FieldElement(self, int.from_bytes(bytes(coeffs), "little"))
 
     def from_int(self, enc: int) -> FieldElement:
         if not 0 <= enc < self.q:
             raise ParseError(f"encoding {enc} out of range [0, {self.q})")
-        return FieldElement(self, self._decode(enc))
+        packed = 0
+        for i in range(self.d):
+            enc, c = divmod(enc, 3)
+            packed |= c << 8 * i
+        return FieldElement(self, packed)
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in encoding order."""
-        for enc in range(self.q):
-            yield FieldElement(self, self._decode(enc))
+        # product varies its last slot fastest; big-endian puts it at t^0
+        for digits in itertools.product(b"\x00\x01\x02", repeat=self.d):
+            yield FieldElement(self, int.from_bytes(bytes(digits), "big"))
 
     def random_element(self, rng) -> FieldElement:
         return self.from_int(rng.randrange(self.q))
@@ -424,30 +398,21 @@ class FieldContext:
             if self.q > CHI_TABLE_LIMIT:
                 raise OverflowError("chi table limited to q <= 3^13")
             table = bytearray([1]) * self.q
-            cur = self.one.coeffs
-            beta = self.beta.coeffs
+            cur, beta = 1, self.beta.coeffs
             for k in range(self.q - 1):
-                enc = 0
-                for c in reversed(cur):
-                    enc = enc * 3 + c
-                table[enc] = 2 if k % 2 == 0 else 0
+                table[self._encode(cur)] = 2 if k % 2 == 0 else 0
                 cur = self._mul(cur, beta)
-            table[0] = 1
             self._chi_table = table
         return table
 
-    def cube_table(self) -> Optional[list[tuple[int, ...]]]:
-        """Encoding-indexed table of x^3, for small fields only."""
+    def cube_table(self) -> Optional[list[int]]:
+        """Encoding-indexed list of packed x^3, for q <= 3^8 only (else None).
+
+        The library no longer reads it; perfbench still calls it.
+        """
         if self.q > _CUBE_TABLE_LIMIT:
             return None
-        table = self._cube_table
-        if table is None:
-            table = []
-            for enc in range(self.q):
-                x = self._decode(enc)
-                table.append(self._mul(self._mul(x, x), x))
-            self._cube_table = table
-        return table
+        return [self._pow(x.coeffs, 3) for x in self.elements()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldContext):
@@ -470,13 +435,8 @@ class FieldContext:
 def _default_modulus(d: int) -> tuple[int, ...]:
     # monic irreducible whose low-coefficient vector has the smallest
     # base-3 encoding; deterministic across runs
-    for enc in range(3**d):
-        low = []
-        e = enc
-        for _ in range(d):
-            low.append(e % 3)
-            e //= 3
-        coeffs = tuple(low) + (1,)
+    for high_first in itertools.product(range(3), repeat=d):
+        coeffs = high_first[::-1] + (1,)
         if is_irreducible(coeffs):
             return coeffs
     raise DegreeOutOfRange(f"no irreducible polynomial of degree {d} found")
@@ -488,21 +448,19 @@ def _build_context(d: int, modulus: tuple[int, ...]) -> FieldContext:
     ctx.q_minus_1_factors = tuple(factorize(ctx.q - 1))
     primes = sorted(set(ctx.q_minus_1_factors))
     exps = [(ctx.q - 1) // p for p in primes]
-    one = ctx.one.coeffs
     for enc in range(1, ctx.q):
-        cand = ctx._decode(enc)
-        if all(ctx._pow(cand, e) != one for e in exps):
-            ctx.beta = FieldElement(ctx, cand)
+        cand = ctx.from_int(enc)
+        if all(ctx._pow(cand.coeffs, e) != 1 for e in exps):
+            ctx.beta = cand
             break
     # Smallest-encoding trace-1 element, constructed rather than scanned:
     # every digit below the first basis index with nonzero trace contributes
     # nothing, so the minimum is a single digit at that index (the trace
     # basis can be zero on a long prefix, making a raw scan infeasible).
-    i0 = next(i for i, w in enumerate(ctx._trace_coeffs) if w)
-    w = ctx._trace_coeffs[i0]  # w * w = 1 mod 3, so w is its own inverse
-    ctx.alpha = FieldElement(
-        ctx, tuple(w if i == i0 else 0 for i in range(d))
-    )
+    weights = ctx._trace_weights.to_bytes(d, "big")  # weight of t^i at index i
+    i0 = next(i for i, w in enumerate(weights) if w)
+    # w * w = 1 mod 3, so w is its own inverse
+    ctx.alpha = FieldElement(ctx, weights[i0] << 8 * i0)
     if d % 2 == 0:
         ctx.tau = sqrt(ctx.minus_one)
     return ctx
@@ -555,22 +513,13 @@ def context_to_json(ctx: FieldContext) -> dict:
 def trace(x: FieldElement) -> int:
     """Absolute trace GF(3^d) -> F3, reported as 0, 1 or -1."""
     ctx = x.ctx
-    total = 0
-    for c, t in zip(x.coeffs, ctx._trace_coeffs):
-        total += c * t
-    total %= 3
+    total = (x.coeffs * ctx._trace_weights >> 8 * (ctx.d - 1) & 255) % 3
     return -1 if total == 2 else total
 
 
 def chi(x: FieldElement) -> int:
     """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0."""
-    if x.is_zero():
-        return 0
-    ctx = x.ctx
-    table = ctx._chi_table
-    if table is not None:
-        return table[x.encoding()] - 1
-    return 1 if ctx._pow(x.coeffs, (ctx.q - 1) // 2) == ctx.one.coeffs else -1
+    return x.ctx._chi(x.coeffs)
 
 
 def is_fourth_power(x: FieldElement) -> bool:
@@ -581,7 +530,7 @@ def is_fourth_power(x: FieldElement) -> bool:
     if ctx.d % 2 == 1:
         # squares and fourth powers coincide when gcd(q-1, 4) = 2
         return chi(x) == 1
-    return ctx._pow(x.coeffs, (ctx.q - 1) // 4) == ctx.one.coeffs
+    return ctx._pow(x.coeffs, (ctx.q - 1) // 4) == 1
 
 
 def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
@@ -664,7 +613,7 @@ def fourth_roots(x: FieldElement) -> list[FieldElement]:
 def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]:
     """Solve r^3 + c*r + k = 0 for r, or return None when no root exists.
 
-    The map r -> r^3 + c*r is F3-linear, so this reduces to a d x d linear
+    The map L(r) = r^3 + c*r is F3-linear, so this reduces to a d x d linear
     system over F3 in the power basis. When several roots exist (the kernel
     is at most one-dimensional), the one with the smallest encoding is
     returned.
@@ -672,51 +621,46 @@ def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]
     ctx = c.ctx
     if k.ctx.key != ctx.key:
         raise ContextMismatch("c and k live in different contexts")
-    d = ctx.d
-    # column j is the image of the basis monomial t^j
+    d, mul = ctx.d, ctx._mul
+    # Column j packs L(t^j) in its low d bytes and t^j in its high d bytes,
+    # so one integer operation updates the image and the preimage together.
+    t = mul(1, 1 << 8)  # t reduced by the modulus (not t itself at d = 1)
+    t3 = mul(mul(t, t), t)
+    cube, ct = 1, c.coeffs  # t^(3j) and c * t^j
     cols = []
-    w = c.coeffs  # c * t^j, updated incrementally
     for j in range(d):
-        cols.append(ctx._add(ctx._cube_basis[j], w))
-        w = ctx._mul_t(w)
-    rhs = ctx._neg(k.coeffs)
-    aug = [[cols[j][i] for j in range(d)] + [rhs[i]] for i in range(d)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(d):
-        sel = next((i for i in range(row, d) if aug[i][col]), None)
+        cols.append(_mod3(cube + ct, d) | 1 << 8 * (d + j))
+        cube, ct = mul(cube, t3), mul(ct, t)
+    # Column echelon form: the pivot for byte i is eliminated from every
+    # column left, so later pivots are zero at every earlier pivot byte.
+    # Column operations skip the mod-3 reduction: each adds at most 4 to a
+    # slot and a column takes at most d of them, so its slots stay at most
+    # 2 + 4d <= 126, and 252 when a pivot is scaled by 2. A column is
+    # reduced once, when it becomes a pivot; -k below also ends <= 4 + 4d.
+    pivots = []
+    for shift in range(0, 8 * d, 8):
+        sel = next((col for col in cols if (col >> shift & 255) % 3), None)
         if sel is None:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        if aug[row][col] == 2:
-            aug[row] = [(2 * v) % 3 for v in aug[row]]
-        for i in range(d):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(vi - f * vr) % 3 for vi, vr in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, d):
-        if aug[i][d]:
-            return None
-    particular = [0] * d
-    for r_idx, col in enumerate(pivots):
-        particular[col] = aug[r_idx][d]
-    free = [j for j in range(d) if j not in pivots]
-    # kernel of r -> r^3 + c*r has at most 3 elements
-    candidates = [tuple(particular)]
-    for fc in free:
-        vec = [0] * d
-        vec[fc] = 1
-        for r_idx, col in enumerate(pivots):
-            vec[col] = (-aug[r_idx][fc]) % 3
-        extended = []
-        for base in candidates:
-            for lam in (1, 2):
-                extended.append(tuple((b + lam * v) % 3 for b, v in zip(base, vec)))
-        candidates.extend(extended)
-    best = min(candidates, key=lambda cs: FieldElement(ctx, cs).encoding())
-    return FieldElement(ctx, best)
+        cols.remove(sel)
+        sel = _mod3((sel >> shift & 255) % 3 * sel, 2 * d)  # pivot 1, as 2 * 2 = 1
+        cols = [col + (3 - f) * sel if (f := (col >> shift & 255) % 3) else col for col in cols]
+        pivots.append((shift, sel))
+    # Reduce -k by the pivots; the high bytes collect -r with L(r) = -k.
+    v = 2 * k.coeffs
+    for shift, col in pivots:
+        f = (v >> shift & 255) % 3
+        if f:
+            v += (3 - f) * col
+    v = _mod3(v, 2 * d)
+    if v % (1 << 8 * d):  # -k is not in the image
+        return None
+    roots = [_mod3(2 * (v >> 8 * d), d)]
+    # the columns left have L = 0 and span the kernel (at most 3 elements)
+    for col in cols:
+        ker = _mod3(col >> 8 * d, d)
+        roots += [_mod3(r + f * ker, d) for f in (1, 2) for r in roots]
+    return min((FieldElement(ctx, r) for r in roots), key=FieldElement.encoding)
 
 
 # ----------------------------------------------------------------------
@@ -736,7 +680,7 @@ def decode_element(ctx: FieldContext, text: str) -> FieldElement:
             if p not in ("0", "1", "2"):
                 raise ParseError(f"bad coefficient {p!r}, must be 0, 1 or 2")
             coeffs.append(int(p))
-        return FieldElement(ctx, tuple(coeffs))
+        return FieldElement(ctx, int.from_bytes(bytes(coeffs), "little"))
     try:
         enc = int(text)
     except ValueError:

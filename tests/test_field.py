@@ -25,6 +25,7 @@ from ss3 import (
     trace,
 )
 from ss3.factor import is_probable_prime
+from ss3.field import _barrett_mul, _default_modulus, _pmulmod
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +151,44 @@ def test_gf9_multiplication_vectors():
     assert t * t == ctx.element(2)  # t^2 = -1
     b = ctx.element("1,1")
     assert b**4 == ctx.element(2)  # (1+t)^2 = 2t, (2t)^2 = 2
+
+
+def _packed(coeffs):
+    return int.from_bytes(bytes(coeffs), "little")
+
+
+def _dense_modulus(d):
+    # a seeded irreducible whose d low coefficients are all nonzero; one
+    # exists for every d <= 31 within a few dozen draws
+    rng = random.Random(f"dense-{d}")
+    for _ in range(300):
+        low = [rng.choice((1, 2)) for _ in range(d)]
+        if is_irreducible(low + [1]):
+            return tuple(low) + (1,)
+    return None
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_mul_matches_polynomial_reference(d):
+    # the packed Barrett product against schoolbook multiply-and-divide on
+    # coefficient lists, for the default and a dense modulus
+    rng = random.Random(d)
+    dense = _dense_modulus(d)
+    assert dense is not None
+    for modulus in (_default_modulus(d), dense):
+        mul = _barrett_mul(d, modulus)
+        twos, fours = [2] * d, [4] * d
+        # the byte bound's worst cases: all-2 operands, and an unreduced
+        # all-4 operand as the oracle's Horner loop passes it
+        pairs = [(twos, twos), (fours, twos)]
+        for _ in range(240):
+            a = [rng.randrange(3) for _ in range(d)]
+            b = [rng.randrange(3) for _ in range(d)]
+            unreduced = [rng.choice((c, c + 3)) if c < 2 else c for c in a]  # slots <= 4
+            pairs += [(a, b), (unreduced, b)]
+        for a, b in pairs:
+            want = _pmulmod([c % 3 for c in a], b, list(modulus))
+            assert mul(_packed(a), _packed(b)) == _packed(want + [0] * (d - len(want)))
 
 
 @given(st.integers(1, 6), st.data())
@@ -473,7 +512,13 @@ def test_encode_decode_roundtrip(d, data):
     assert decode_element(ctx, str(x.encoding())) == x
 
 
-def test_elements_iterate_in_encoding_order():
-    ctx = make_context(2)
-    encs = [x.encoding() for x in ctx.elements()]
-    assert encs == list(range(9))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_elements_iterate_in_encoding_order(d):
+    # elements() decodes through itertools.product, from_int by divmod and
+    # decode_element from the text; all three must agree
+    ctx = make_context(d)
+    elements = list(ctx.elements())
+    assert [x.encoding() for x in elements] == list(range(ctx.q))
+    for x in elements:
+        assert ctx.from_int(x.encoding()) == x
+        assert decode_element(ctx, str(x)) == x
