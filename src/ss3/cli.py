@@ -11,13 +11,14 @@ printed in coefficient-list form.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from .classify import canonicalize, list_classes
-from .count import CountResult, count_general, count_supersingular, char_sum_order
-from .curve import GeneralCurve, ShortCurve, naive_count, reduce_curve
+from .count import char_sum_order, count_general, count_supersingular
+from .curve import GeneralCurve, ShortCurve, reduce_curve
 from .errors import SS3Error
 from .export import export_csv_text, export_json_text
 from .field import FieldContext, context_to_json, make_context
@@ -102,15 +103,12 @@ def cmd_count(args) -> int:
         a6=ctx.element(args.a6),
     )
     if args.naive:
+        # the order comes from the oracle alone; a supersingular model keeps its class label
         red = reduce_curve(g)
+        result = char_sum_order(red)
         if red.short is not None:
-            order = naive_count(red.short)
             cls = count_supersingular(red.short).class_used
-            result = CountResult(
-                q=ctx.q, order=order, frobenius_trace=ctx.q + 1 - order, class_used=cls
-            )
-        else:
-            result = char_sum_order(red)
+            result = dataclasses.replace(result, class_used=cls)
     else:
         result = count_general(g)
     print(_compact(result.to_json(ctx.beta)))

@@ -19,13 +19,13 @@ from typing import Mapping, Optional
 
 from .classify import CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch
 from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
-from .errors import DParityError, NotSupersingularError, OracleTooLarge
+from .errors import DParityError, NotSupersingularError
 from .field import (
     CHI_TABLE_LIMIT,
     FieldContext,
     FieldElement,
+    check_oracle_cap,
     chi,
-    oracle_cap,
     trace,
 )
 
@@ -74,11 +74,9 @@ def s_closed(d: int, a: int) -> int:
     return sign * half
 
 
-def s_brute(ctx: FieldContext, a: int, cap: Optional[int] = None) -> int:
+def s_brute(ctx: FieldContext, a: int) -> int:
     """Literal sum of chi(x) over the fiber Tr(x) = a."""
-    limit = oracle_cap() if cap is None else cap
-    if ctx.q > limit:
-        raise OracleTooLarge(f"q = {ctx.q} exceeds the enumeration cap {limit}")
+    check_oracle_cap(ctx.q)
     if a not in (0, 1, -1):
         raise ValueError(f"a must be 0, 1 or -1, got {a}")
     if ctx.q <= CHI_TABLE_LIMIT:
@@ -133,28 +131,24 @@ def count_supersingular(e: ShortCurve) -> CountResult:
     return count_class(e.ctx.d, _dispatch(e)[0])
 
 
-def count_general(
-    g: GeneralCurve,
-    *,
-    naive_fallback: bool = False,
-    cap: Optional[int] = None,
-) -> CountResult:
-    """Reduce to canonical form and count.
+def count_general(g: GeneralCurve) -> CountResult:
+    """Reduce to canonical form and count in closed form.
 
-    Ordinary inputs raise NotSupersingularError carrying the j-invariant,
-    unless naive_fallback is set, in which case the character-sum oracle
-    is used (subject to the enumeration cap).
+    Ordinary inputs raise NotSupersingularError carrying the j-invariant;
+    char_sum_order is the oracle order of any reduced model.
     """
     red = reduce_curve(g)
     if red.short is not None:
         return count_supersingular(red.short)
-    if naive_fallback:
-        return char_sum_order(red, cap=cap)
     raise NotSupersingularError(j=red.j)
 
 
-def char_sum_order(red: ReductionResult, cap: Optional[int] = None) -> CountResult:
-    """Oracle order of a reduced model y^2 = x^3 + b2*x^2 - b4*x + b6."""
+def char_sum_order(red: ReductionResult) -> CountResult:
+    """Oracle order of a reduced model y^2 = x^3 + b2*x^2 - b4*x + b6.
+
+    Supersingular or ordinary alike; with b2 = 0 this is naive_count of
+    red.short. No class is attached.
+    """
     ctx = red.b2.ctx
-    order = _chi_sum_cubic(ctx, red.b2, -red.b4, red.b6, cap)
+    order = _chi_sum_cubic(ctx, red.b2, -red.b4, red.b6)
     return _result(ctx.q, order, None)

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     ContextMismatch,
     InvalidCurve,
-    OracleTooLarge,
     ParseError,
     PointNotOnCurve,
     SingularCurve,
 )
-from .field import CHI_TABLE_LIMIT, FieldContext, FieldElement, chi, oracle_cap, sqrt
+from .field import CHI_TABLE_LIMIT, FieldContext, FieldElement, check_oracle_cap, chi, sqrt
 
 
 def _common_ctx(*elements: FieldElement) -> FieldContext:
@@ -79,27 +78,25 @@ class GeneralCurve:
 
     def __post_init__(self):
         _common_ctx(self.a1, self.a2, self.a3, self.a4, self.a6)
-        b2, b4, b6 = self._b_values()
-        delta = -(b2 * b2) * (b2 * b6 - b4 * b4) + b4 * b4 * b4
-        if delta.is_zero():
+        if self._invariants()[3].is_zero():
             raise SingularCurve("discriminant is zero")
 
     @property
     def ctx(self) -> FieldContext:
         return self.a1.ctx
 
-    def _b_values(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+    def _invariants(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
         # b2 = a1^2 + 4a2, b4 = 2a4 + a1a3, b6 = a3^2 + 4a6  (char 3: 4 = 1)
         b2 = self.a1 * self.a1 + self.a2
         b4 = -self.a4 + self.a1 * self.a3
         b6 = self.a3 * self.a3 + self.a6
-        return b2, b4, b6
+        delta = -(b2 * b2) * (b2 * b6 - b4 * b4) + b4 * b4 * b4
+        return b2, b4, b6, delta
 
     def count_points_directly(self) -> int:
         """Literal (x, y) enumeration on this model, plus infinity."""
         ctx = self.ctx
-        if ctx.q > oracle_cap():
-            raise OracleTooLarge(f"q = {ctx.q} exceeds the enumeration cap")
+        check_oracle_cap(ctx.q)
         total = 1
         for x in ctx.elements():
             rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6
@@ -134,12 +131,9 @@ def reduce_curve(g: GeneralCurve) -> ReductionResult:
 
     With b2 = 0 the model is the canonical y^2 = x^3 - b4*x + b6; the
     substitution has u^12 = 1 so point counts and the discriminant carry
-    over unchanged.
+    over unchanged. The discriminant is nonzero, as GeneralCurve checked it.
     """
-    b2, b4, b6 = g._b_values()
-    delta = -(b2 * b2) * (b2 * b6 - b4 * b4) + b4 * b4 * b4
-    if delta.is_zero():
-        raise SingularCurve("discriminant is zero")
+    b2, b4, b6, delta = g._invariants()
     j = (b2 ** 6) / delta
     short = ShortCurve(-b4, b6) if b2.is_zero() else None
     return ReductionResult(b2=b2, b4=b4, b6=b6, short=short, j=j)
@@ -235,8 +229,12 @@ def scalar_mul(n: int, p: Point) -> Point:
 # ----------------------------------------------------------------------
 
 
-def _resolve_cap(cap: Optional[int]) -> int:
-    return oracle_cap() if cap is None else cap
+def all_short_curves(ctx: FieldContext) -> Iterator[ShortCurve]:
+    """Every canonical-form curve (a4 != 0) over ctx, a4 then a6 in encoding order."""
+    for a4e in range(1, ctx.q):
+        a4 = ctx.from_int(a4e)
+        for a6e in range(ctx.q):
+            yield ShortCurve(a4, ctx.from_int(a6e))
 
 
 def _chi_sum_cubic(
@@ -244,11 +242,9 @@ def _chi_sum_cubic(
     c2: FieldElement,
     c1: FieldElement,
     c0: FieldElement,
-    cap: Optional[int] = None,
 ) -> int:
     """q + 1 + sum of chi(x^3 + c2 x^2 + c1 x + c0) over the field."""
-    if ctx.q > _resolve_cap(cap):
-        raise OracleTooLarge(f"q = {ctx.q} exceeds the enumeration cap {_resolve_cap(cap)}")
+    check_oracle_cap(ctx.q)
     if ctx.q <= CHI_TABLE_LIMIT:
         ctx.chi_table()  # _chi reads it once built
     mul, char = ctx._mul, ctx._chi
@@ -262,21 +258,20 @@ def _chi_sum_cubic(
     return ctx.q + 1 + total
 
 
-def naive_count(e: ShortCurve, cap: Optional[int] = None) -> int:
+def naive_count(e: ShortCurve) -> int:
     """Exact order of E(GF(3^d)) by the quadratic-character sum.
 
     Returns q + 1 + sum over x of chi(x^3 + a4*x + a6), which counts the
     projective points directly. Partial sums over any partition of the
     x-range add up to the same integer, so this parallelizes trivially.
     """
-    return _chi_sum_cubic(e.ctx, e.ctx.zero, e.a4, e.a6, cap)
+    return _chi_sum_cubic(e.ctx, e.ctx.zero, e.a4, e.a6)
 
 
-def count_points_by_enumeration(e: ShortCurve, cap: Optional[int] = None) -> int:
+def count_points_by_enumeration(e: ShortCurve) -> int:
     """Cross-check: count solutions (x, y) of the curve equation directly."""
     ctx = e.ctx
-    if ctx.q > _resolve_cap(cap):
-        raise OracleTooLarge(f"q = {ctx.q} exceeds the enumeration cap")
+    check_oracle_cap(ctx.q)
     squares = Counter(y * y for y in ctx.elements())
     return 1 + sum(squares[e.rhs(x)] for x in ctx.elements())  # 1 for infinity
 

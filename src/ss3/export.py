@@ -11,12 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Optional
 
 from .classify import canonicalize
 from .count import count_supersingular
-from .curve import ShortCurve
+from .curve import ShortCurve, all_short_curves
 from .field import FieldContext, context_to_json
 
 CSV_COLUMNS = ["d", "modulus", "a4", "a6", "type", "invariant", "order", "trace", "u", "r"]
@@ -76,91 +74,51 @@ EXPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class VectorRecord:
-    """One exported curve: inputs, class label, order, and witness."""
-
-    d: int
-    modulus: tuple[int, ...]
-    a4: str
-    a6: str
-    ctype: str
-    invariant: Optional[str]
-    order: int
-    trace: int
-    u: str
-    r: str
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "modulus": list(self.modulus),
-            "a4": self.a4,
-            "a6": self.a6,
-            "type": self.ctype,
-            "invariant": self.invariant,
-            "order": str(self.order),
-            "trace": str(self.trace),
-            "u": self.u,
-            "r": self.r,
-        }
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            str(self.d),
-            ",".join(str(c) for c in self.modulus),
-            self.a4,
-            self.a6,
-            self.ctype,
-            "" if self.invariant is None else self.invariant,
-            str(self.order),
-            str(self.trace),
-            self.u,
-            self.r,
-        ]
-
-
-def _record_for(ctx: FieldContext, e: ShortCurve) -> VectorRecord:
+def _record_for(ctx: FieldContext, e: ShortCurve) -> dict:
+    """One exported curve: inputs, class label, order and witness, keyed in CSV_COLUMNS order."""
     _, cls, witness = canonicalize(e)
     result = count_supersingular(e)
-    return VectorRecord(
-        d=ctx.d,
-        modulus=ctx.modulus,
-        a4=str(e.a4),
-        a6=str(e.a6),
-        ctype=cls.ctype.value,
-        invariant=cls.invariant,
-        order=result.order,
-        trace=result.frobenius_trace,
-        u=str(witness.u),
-        r=str(witness.r),
-    )
+    return {
+        "d": ctx.d,
+        "modulus": list(ctx.modulus),
+        "a4": str(e.a4),
+        "a6": str(e.a6),
+        "type": cls.ctype.value,
+        "invariant": cls.invariant,
+        "order": str(result.order),
+        "trace": str(result.frobenius_trace),
+        "u": str(witness.u),
+        "r": str(witness.r),
+    }
 
 
-def class_records(ctx: FieldContext) -> list[VectorRecord]:
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):  # the modulus
+        return ",".join(str(c) for c in value)
+    return str(value)
+
+
+def class_records(ctx: FieldContext) -> list[dict]:
     """One record per isomorphism class, in census order."""
     from .classify import list_classes
 
     return [_record_for(ctx, entry.rep) for entry in list_classes(ctx)]
 
 
-def curve_records(ctx: FieldContext) -> list[VectorRecord]:
+def curve_records(ctx: FieldContext) -> list[dict]:
     """One record per canonical-form curve; empty above d = 3."""
     if ctx.d > CURVE_ROWS_MAX_D:
         return []
-    records = []
-    for a4e in range(1, ctx.q):
-        a4 = ctx.from_int(a4e)
-        for a6e in range(ctx.q):
-            records.append(_record_for(ctx, ShortCurve(a4, ctx.from_int(a6e))))
-    return records
+    return [_record_for(ctx, e) for e in all_short_curves(ctx)]
 
 
 def export_json_obj(ctx: FieldContext) -> dict:
     return {
         "context": context_to_json(ctx),
-        "classes": [r.to_json() for r in class_records(ctx)],
-        "curves": [r.to_json() for r in curve_records(ctx)],
+        "classes": class_records(ctx),
+        "curves": curve_records(ctx),
     }
 
 
@@ -173,5 +131,5 @@ def export_csv_text(ctx: FieldContext) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in class_records(ctx) + curve_records(ctx):
-        writer.writerow(record.to_csv_row())
+        writer.writerow(_csv_cell(record[column]) for column in CSV_COLUMNS)
     return buf.getvalue()

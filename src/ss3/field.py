@@ -31,6 +31,7 @@ from .errors import (
     DegreeOutOfRange,
     DivisionByZero,
     ModulusReducible,
+    OracleTooLarge,
     ParseError,
     ZeroArgument,
 )
@@ -67,6 +68,13 @@ def oracle_cap() -> int:
         return int(raw)
     except ValueError:
         raise ParseError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}")
+
+
+def check_oracle_cap(q: int) -> None:
+    """Raise OracleTooLarge when a brute-force sweep over q elements exceeds the cap."""
+    cap = oracle_cap()
+    if q > cap:
+        raise OracleTooLarge(f"q = {q} exceeds the enumeration cap {cap}")
 
 
 # ----------------------------------------------------------------------
@@ -551,46 +559,33 @@ def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
 def sqrt(x: FieldElement) -> Optional[FieldElement]:
     """Square root with the smaller encoding, or None for non-squares.
 
-    For q = 3 mod 4 (odd d) this is the single exponentiation x^((q+1)/4);
-    for q = 1 mod 4 the generic cyclic-group procedure seeded with the
-    smallest-encoding non-square.
+    Tonelli-Shanks on q - 1 = 2^s * odd, seeded with the smallest-encoding
+    non-square; the first 2-power probe doubles as the square test. For
+    odd d, s = 1 and the root is the single exponentiation x^((q+1)/4).
     """
     ctx = x.ctx
     if x.is_zero():
         return ctx.zero
-    if ctx.q % 4 == 3:
-        r = x ** ((ctx.q + 1) // 4)
-        if r * r != x:
-            return None
-        neg = -r
-        return r if r.encoding() <= neg.encoding() else neg
-    if chi(x) != 1:
-        return None
-    # Tonelli-Shanks in the cyclic unit group
-    q1 = ctx.q - 1
-    s = 0
-    while q1 % 2 == 0:
-        q1 //= 2
-        s += 1
-    z = smallest_nonsquare(ctx)
-    m = s
-    c = z**q1
-    t = x**q1
-    r = x ** ((q1 + 1) // 2)
-    one = ctx.one
-    while t != one:
-        i = 0
-        probe = t
-        while probe != one:
-            probe = probe * probe
-            i += 1
-        b = c ** (1 << (m - i - 1))
-        m = i
-        c = b * b
-        t = t * c
-        r = r * b
-    neg = -r
-    return r if r.encoding() <= neg.encoding() else neg
+    mul, q1 = ctx._mul, ctx.q - 1
+    m = (q1 & -q1).bit_length() - 1  # s
+    odd = q1 >> m
+    w = ctx._pow(x.coeffs, (odd - 1) // 2)
+    r = mul(x.coeffs, w)  # x^((odd+1)/2)
+    t = mul(r, w)  # x^odd, of order dividing 2^m
+    c = None
+    while t != 1:
+        i, probe = 0, t
+        while probe != 1:
+            probe, i = mul(probe, probe), i + 1
+            if i == m:  # only while m = s: x^((q-1)/2) = -1, a non-square
+                return None
+        if c is None:
+            c = ctx._pow(smallest_nonsquare(ctx).coeffs, odd)
+        b = ctx._pow(c, 1 << (m - i - 1))
+        m, c = i, mul(b, b)
+        t, r = mul(t, c), mul(r, b)
+    root = FieldElement(ctx, r)
+    return min(root, -root, key=FieldElement.encoding)
 
 
 def fourth_roots(x: FieldElement) -> list[FieldElement]:

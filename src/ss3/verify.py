@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .classify import canonicalize, isomorphic, list_classes, quadratic_twist
 from .count import CountResult, count_supersingular, s_brute, s_closed
-from .curve import ShortCurve, naive_count, random_point, random_supersingular_curve
-from .errors import DegreeOutOfRange, InvalidArgument, OracleTooLarge, PointNotOnCurve
-from .field import DEGREE_CAP, FieldContext, make_context, oracle_cap, smallest_nonsquare
+from .curve import (
+    ShortCurve,
+    all_short_curves,
+    naive_count,
+    random_point,
+    random_supersingular_curve,
+)
+from .errors import DegreeOutOfRange, InvalidArgument, PointNotOnCurve
+from .field import DEGREE_CAP, FieldContext, check_oracle_cap, make_context, smallest_nonsquare
 
 EXHAUSTIVE_MAX_D = 4
 FIBER_SUM_MAX_D = 8
@@ -60,121 +66,82 @@ def _trace_in_spectrum(d: int, trace: int) -> bool:
     return trace in (0, root, -root, 2 * root, -2 * root)
 
 
-def _check_curve(rep: VerifyReport, suite: str, e: ShortCurve, count_fn: CountFn) -> bool:
+def _run_suite(
+    rep: VerifyReport,
+    suite: str,
+    degrees: range,
+    checks: Callable[[FieldContext], Iterator[Optional[str]]],
+    passed: Callable[[int, int], str],
+) -> None:
+    """One PASS or FAIL line per degree.
+
+    checks(ctx) yields None per passing check, or the text naming the first
+    offending input; the suite stops drawing from it there. passed(d, n)
+    words the PASS line after n passing checks.
+    """
+    for d in degrees:
+        n = 0
+        for failure in checks(make_context(d)):
+            if failure is not None:
+                rep.fail(f"{suite} d={d} {failure}")
+                break
+            n += 1
+        else:
+            rep.ok(f"{suite} d={d} {passed(d, n)}")
+
+
+def _check_curve(e: ShortCurve, count_fn: CountFn) -> Optional[str]:
     got = count_fn(e)
     want = naive_count(e)
     if got.order != want:
-        rep.fail(f"{suite} d={e.ctx.d} curve={e} expected={want} got={got.order}")
-        return False
+        return f"curve={e} expected={want} got={got.order}"
     if not _trace_in_spectrum(e.ctx.d, got.frobenius_trace):
-        rep.fail(f"{suite} d={e.ctx.d} curve={e} trace={got.frobenius_trace} outside spectrum")
-        return False
-    return True
+        return f"curve={e} trace={got.frobenius_trace} outside spectrum"
+    return None
 
 
-def _suite_fiber_sums(rep: VerifyReport) -> None:
-    for d in range(1, min(rep.d_max, FIBER_SUM_MAX_D) + 1):
-        ctx = make_context(d)
-        for a in (0, 1, -1):
-            closed, brute = s_closed(d, a), s_brute(ctx, a)
-            if closed != brute:
-                rep.fail(f"fiber-sums d={d} a={a} closed={closed} brute={brute}")
-                break
+def _fiber_sums(ctx: FieldContext) -> Iterator[Optional[str]]:
+    for a in (0, 1, -1):
+        closed, brute = s_closed(ctx.d, a), s_brute(ctx, a)
+        yield None if closed == brute else f"a={a} closed={closed} brute={brute}"
+
+
+def _census_size(d: int) -> int:
+    return 4 if d % 2 else 6
+
+
+def _class_census(ctx: FieldContext) -> Iterator[Optional[str]]:
+    entries = list_classes(ctx)
+    if len(entries) != _census_size(ctx.d):
+        yield f"classes={len(entries)} expected={_census_size(ctx.d)}"
+    for i, left in enumerate(entries):
+        for right in entries[i + 1 :]:
+            if isomorphic(left.rep, right.rep) is not None:
+                yield f"representatives {left.rep} and {right.rep} are isomorphic"
+    if ctx.d > EXHAUSTIVE_MAX_D:
+        return
+    reps = {entry.cls: entry.rep for entry in entries}
+    for e in all_short_curves(ctx):
+        representative, cls, witness = canonicalize(e)
+        if reps.get(cls) != representative:
+            yield f"curve={e} maps outside the census"
+        elif not witness.holds_between(e, representative):
+            yield f"curve={e} witness invalid"
         else:
-            rep.ok(f"fiber-sums d={d} checks=3")
+            yield None
 
 
-def _all_curves(ctx: FieldContext):
-    for a4e in range(1, ctx.q):
-        a4 = ctx.from_int(a4e)
-        for a6e in range(ctx.q):
-            yield ShortCurve(a4, ctx.from_int(a6e))
+def _census_passed(d: int, n: int) -> str:
+    return f"classes={_census_size(d)} partition={n if d <= EXHAUSTIVE_MAX_D else 'skipped'}"
 
 
-def _suite_oracle_exhaustive(rep: VerifyReport, count_fn: CountFn) -> None:
-    for d in range(1, min(rep.d_max, EXHAUSTIVE_MAX_D) + 1):
-        ctx = make_context(d)
-        n = 0
-        for e in _all_curves(ctx):
-            if not _check_curve(rep, "oracle-exhaustive", e, count_fn):
-                break
-            n += 1
-        else:
-            rep.ok(f"oracle-exhaustive d={d} curves={n}")
-
-
-def _suite_oracle_sampled(rep: VerifyReport, rng: random.Random, count_fn: CountFn) -> None:
-    for d in range(EXHAUSTIVE_MAX_D + 1, rep.d_max + 1):
-        ctx = make_context(d)
-        for i in range(rep.samples):
-            e = random_supersingular_curve(ctx, rng)
-            if not _check_curve(rep, "oracle-sampled", e, count_fn):
-                break
-        else:
-            rep.ok(f"oracle-sampled d={d} curves={rep.samples}")
-
-
-def _suite_class_census(rep: VerifyReport) -> None:
-    for d in range(1, rep.d_max + 1):
-        ctx = make_context(d)
-        entries = list_classes(ctx)
-        expected = 4 if d % 2 else 6
-        if len(entries) != expected:
-            rep.fail(f"class-census d={d} classes={len(entries)} expected={expected}")
-            continue
-        bad = None
-        for i, left in enumerate(entries):
-            for right in entries[i + 1 :]:
-                if isomorphic(left.rep, right.rep) is not None:
-                    bad = (left, right)
-                    break
-            if bad:
-                break
-        if bad:
-            rep.fail(
-                f"class-census d={d} representatives {bad[0].rep} and "
-                f"{bad[1].rep} are isomorphic"
-            )
-            continue
-        if d > EXHAUSTIVE_MAX_D:
-            rep.ok(f"class-census d={d} classes={len(entries)} partition=skipped")
-            continue
-        census = {entry.cls for entry in entries}
-        reps = {entry.cls: entry.rep for entry in entries}
-        n = 0
-        failed = False
-        for e in _all_curves(ctx):
-            representative, cls, witness = canonicalize(e)
-            if cls not in census or representative != reps[cls]:
-                rep.fail(f"class-census d={d} curve={e} maps outside the census")
-                failed = True
-                break
-            if not witness.holds_between(e, representative):
-                rep.fail(f"class-census d={d} curve={e} witness invalid")
-                failed = True
-                break
-            n += 1
-        if not failed:
-            rep.ok(f"class-census d={d} classes={len(entries)} partition={n}")
-
-
-def _suite_twist_sums(rep: VerifyReport, count_fn: CountFn) -> None:
-    for d in range(1, min(rep.d_max, EXHAUSTIVE_MAX_D) + 1):
-        ctx = make_context(d)
-        g = smallest_nonsquare(ctx)
-        target = 2 * ctx.q + 2
-        n = 0
-        failed = False
-        for e in _all_curves(ctx):
-            twisted = quadratic_twist(e, g)
-            total = count_fn(e).order + count_fn(twisted).order
-            if total != target:
-                rep.fail(f"twist-sums d={d} curve={e} sum={total} expected={target}")
-                failed = True
-                break
-            n += 1
-        if not failed:
-            rep.ok(f"twist-sums d={d} checks={n}")
+def _twist_sums(ctx: FieldContext, count_fn: CountFn) -> Iterator[Optional[str]]:
+    g = smallest_nonsquare(ctx)
+    target = 2 * ctx.q + 2
+    for e in all_short_curves(ctx):
+        twisted = quadratic_twist(e, g)
+        total = count_fn(e).order + count_fn(twisted).order
+        yield None if total == target else f"curve={e} sum={total} expected={target}"
 
 
 def _random_isomorphic_pair(
@@ -188,30 +155,24 @@ def _random_isomorphic_pair(
     return e, ShortCurve(a4p, a6p)
 
 
-def _suite_witness_soundness(rep: VerifyReport, rng: random.Random) -> None:
-    for d in range(1, min(rep.d_max, EXHAUSTIVE_MAX_D) + 1):
-        ctx = make_context(d)
-        failed = False
-        for _ in range(rep.samples):
-            e1, e2 = _random_isomorphic_pair(ctx, rng)
-            w = isomorphic(e1, e2)
-            if w is None:
-                rep.fail(f"witness-soundness d={d} pair {e1} ~ {e2} not recognized")
-                failed = True
-                break
-            if not w.holds_between(e1, e2):
-                rep.fail(f"witness-soundness d={d} pair {e1} ~ {e2} relations violated")
-                failed = True
-                break
+def _witness_soundness(
+    ctx: FieldContext, rng: random.Random, samples: int
+) -> Iterator[Optional[str]]:
+    for _ in range(samples):
+        e1, e2 = _random_isomorphic_pair(ctx, rng)
+        w = isomorphic(e1, e2)
+        if w is None:
+            yield f"pair {e1} ~ {e2} not recognized"
+        elif not w.holds_between(e1, e2):
+            yield f"pair {e1} ~ {e2} relations violated"
+        else:
             try:
                 for _ in range(10):
                     w.map_point(random_point(e2, rng), e1)
             except PointNotOnCurve:
-                rep.fail(f"witness-soundness d={d} point map left the curve {e1}")
-                failed = True
-                break
-        if not failed:
-            rep.ok(f"witness-soundness d={d} pairs={rep.samples}")
+                yield f"point map left the curve {e1}"
+            else:
+                yield None
 
 
 def run_verification(
@@ -229,18 +190,37 @@ def run_verification(
     """
     if not 1 <= d_max <= DEGREE_CAP:
         raise DegreeOutOfRange(f"d-max must satisfy 1 <= d-max <= {DEGREE_CAP}, got {d_max}")
-    if 3**d_max > oracle_cap():
-        raise OracleTooLarge(f"q = 3^{d_max} exceeds the enumeration cap {oracle_cap()}")
+    check_oracle_cap(3**d_max)
     if samples < 1:
         raise InvalidArgument(f"samples must be at least 1, got {samples}")
     if count_fn is None:
         count_fn = count_supersingular
     rep = VerifyReport(d_max=d_max, samples=samples, seed=seed)
     rng = random.Random(seed)
-    _suite_fiber_sums(rep)
-    _suite_oracle_exhaustive(rep, count_fn)
-    _suite_oracle_sampled(rep, rng, count_fn)
-    _suite_class_census(rep)
-    _suite_twist_sums(rep, count_fn)
-    _suite_witness_soundness(rep, rng)
+    small = range(1, min(d_max, EXHAUSTIVE_MAX_D) + 1)
+    _run_suite(
+        rep, "fiber-sums", range(1, min(d_max, FIBER_SUM_MAX_D) + 1), _fiber_sums,
+        lambda d, n: f"checks={n}",
+    )
+    _run_suite(
+        rep, "oracle-exhaustive", small,
+        lambda ctx: (_check_curve(e, count_fn) for e in all_short_curves(ctx)),
+        lambda d, n: f"curves={n}",
+    )
+    _run_suite(
+        rep, "oracle-sampled", range(EXHAUSTIVE_MAX_D + 1, d_max + 1),
+        lambda ctx: (
+            _check_curve(random_supersingular_curve(ctx, rng), count_fn) for _ in range(samples)
+        ),
+        lambda d, n: f"curves={n}",
+    )
+    _run_suite(rep, "class-census", range(1, d_max + 1), _class_census, _census_passed)
+    _run_suite(
+        rep, "twist-sums", small, lambda ctx: _twist_sums(ctx, count_fn),
+        lambda d, n: f"checks={n}",
+    )
+    _run_suite(
+        rep, "witness-soundness", small, lambda ctx: _witness_soundness(ctx, rng, samples),
+        lambda d, n: f"pairs={n}",
+    )
     return rep

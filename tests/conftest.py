@@ -13,14 +13,6 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-def all_short_curves(ctx):
-    """Every canonical-form curve (a4 != 0) over the context, encoding order."""
-    for a4_enc in range(1, ctx.q):
-        a4 = ctx.from_int(a4_enc)
-        for a6_enc in range(ctx.q):
-            yield ShortCurve(a4, ctx.from_int(a6_enc))
-
-
 def sample_curves(d, n, seed=0):
     ctx = make_context(d)
     rng = random.Random(seed)

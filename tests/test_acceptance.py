@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_short_curves
 from ss3 import (
     ShortCurve,
     canonicalize,
@@ -29,6 +28,7 @@ from ss3 import (
     scalar_mul,
     smallest_nonsquare,
 )
+from ss3.curve import all_short_curves
 from ss3.export import export_csv_text, export_json_text
 from ss3.field import _build_context
 from ss3.verify import run_verification

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from conftest import all_short_curves
 from ss3 import (
     CurveClass,
     CurveType,
@@ -23,6 +22,7 @@ from ss3 import (
     smallest_nonsquare,
     trace,
 )
+from ss3.curve import all_short_curves
 
 
 def _random_curve(ctx, rng):

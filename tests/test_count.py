@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_short_curves, sample_curves
+from conftest import sample_curves
 from ss3 import (
     CurveClass,
     CurveType,
@@ -20,12 +20,15 @@ from ss3 import (
     make_context,
     naive_count,
     random_point,
+    reduce_curve,
     s_brute,
     s_closed,
     scalar_mul,
     sqrt,
     trace,
 )
+from ss3.count import char_sum_order
+from ss3.curve import all_short_curves
 
 
 # ----------------------------------------------------------------------
@@ -81,9 +84,10 @@ def test_s_closed_matches_s_brute(d):
         assert s_closed(d, a) == s_brute(ctx, a)
 
 
-def test_s_brute_cap():
+def test_s_brute_cap(monkeypatch):
+    monkeypatch.setenv("SS3_ORACLE_CAP", "100")
     with pytest.raises(OracleTooLarge):
-        s_brute(make_context(5), 0, cap=100)
+        s_brute(make_context(5), 0)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +264,7 @@ def test_count_general_rejects_ordinary_with_j():
     assert not err.value.j.is_zero()
 
 
-def test_count_general_naive_fallback_matches_enumeration():
+def test_char_sum_order_matches_enumeration():
     ctx = make_context(1)
     rng = random.Random(3)
     from ss3 import SingularCurve
@@ -271,8 +275,11 @@ def test_count_general_naive_fallback_matches_enumeration():
             g = GeneralCurve(*[ctx.random_element(rng) for _ in range(5)])
         except SingularCurve:
             continue
-        r = count_general(g, naive_fallback=True)
-        assert r.order == g.count_points_directly()
+        red = reduce_curve(g)
+        direct = g.count_points_directly()
+        assert char_sum_order(red).order == direct
+        if red.supersingular:
+            assert count_general(g).order == direct
         done += 1
 
 

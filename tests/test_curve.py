@@ -1,10 +1,11 @@
 """Reduction to canonical form, the group law, and the counting oracle."""
 
+import contextlib
+import io
 import random
 
 import pytest
 
-from conftest import all_short_curves
 from ss3 import (
     GeneralCurve,
     InvalidCurve,
@@ -26,6 +27,10 @@ from ss3 import (
     reduce_curve,
     scalar_mul,
 )
+from ss3.cli import main
+from ss3.count import char_sum_order, s_brute
+from ss3.curve import all_short_curves
+from ss3.verify import run_verification
 
 
 def _general(ctx, a1=0, a2=0, a3=0, a4=0, a6=0):
@@ -246,14 +251,51 @@ def test_hasse_bound(d):
 def test_oracle_cap_enforced(monkeypatch):
     ctx = make_context(5)
     e = ShortCurve(ctx.one, ctx.one)
-    assert naive_count(e, cap=3**5) == naive_count(e)
-    with pytest.raises(OracleTooLarge):
-        naive_count(e, cap=100)
+    expected = naive_count(e)
+    monkeypatch.setenv("SS3_ORACLE_CAP", str(3**5))
+    assert naive_count(e) == expected
     monkeypatch.setenv("SS3_ORACLE_CAP", "100")
     with pytest.raises(OracleTooLarge):
         naive_count(e)
     monkeypatch.setenv("SS3_ORACLE_CAP", "1000000")
     assert naive_count(e) == count_points_by_enumeration(e)
+
+
+def _cli_count_naive(ctx):
+    """ss3 count --naive, with its exit-2 error line raised as the exception it names."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["count", "--d", str(ctx.d), "--a4", "1", "--a6", "1", "--naive"])
+    prefix = "error: OracleTooLarge: "
+    if rc == 2 and err.getvalue().startswith(prefix):
+        raise OracleTooLarge(err.getvalue()[len(prefix):].rstrip("\n"))
+    assert rc == 0 and err.getvalue() == "", err.getvalue()
+    return out.getvalue()
+
+
+# every brute-force entry point, each run over GF(9)
+_ORACLE_ENTRY_POINTS = {
+    "naive_count": lambda ctx: naive_count(ShortCurve(ctx.one, ctx.one)),
+    "count_points_by_enumeration": lambda ctx: count_points_by_enumeration(
+        ShortCurve(ctx.one, ctx.one)
+    ),
+    "count_points_directly": lambda ctx: _general(ctx, a2=1, a6=1).count_points_directly(),
+    "s_brute": lambda ctx: s_brute(ctx, 0),
+    "char_sum_order": lambda ctx: char_sum_order(reduce_curve(_general(ctx, a2=1, a6=1))),
+    "run_verification": lambda ctx: run_verification(ctx.d, samples=1),
+    "ss3 count --naive": _cli_count_naive,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ORACLE_ENTRY_POINTS))
+def test_every_oracle_honours_the_cap(entry, monkeypatch):
+    call, ctx = _ORACLE_ENTRY_POINTS[entry], make_context(2)
+    monkeypatch.setenv("SS3_ORACLE_CAP", str(ctx.q - 1))
+    with pytest.raises(OracleTooLarge) as err:
+        call(ctx)
+    assert str(err.value) == f"q = {ctx.q} exceeds the enumeration cap {ctx.q - 1}"
+    monkeypatch.setenv("SS3_ORACLE_CAP", str(ctx.q))
+    call(ctx)
 
 
 def test_partition_contract_for_partial_sums():

@@ -69,4 +69,4 @@ def test_records_reproduce_bit_exactly(d):
 
 def test_class_rows_carry_identity_witness():
     for rec in class_records(make_context(2)):
-        assert rec.u == "1,0" and rec.r == "0,0"
+        assert rec["u"] == "1,0" and rec["r"] == "0,0"
