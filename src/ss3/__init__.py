@@ -48,7 +48,6 @@ from .errors import (
     DegreeOutOfRange,
     DivisionByZero,
     DParityError,
-    FactorizationFailure,
     InvalidArgument,
     InvalidCurve,
     ModulusReducible,

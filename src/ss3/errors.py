@@ -13,10 +13,6 @@ class ModulusReducible(SS3Error):
     """A supplied modulus polynomial is not irreducible over F3."""
 
 
-class FactorizationFailure(SS3Error):
-    """q - 1 could not be factored within the configured effort."""
-
-
 class ContextMismatch(SS3Error):
     """Operands belong to different field contexts."""
 

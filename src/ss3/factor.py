@@ -1,4 +1,9 @@
-"""Integer factorization for group orders: trial division, then Pollard rho.
+"""Integer factorization of group orders q - 1 by trial division.
+
+Trial division alone is exact and fast enough for every supported q: for
+q = 3^d with d <= 31 (field.DEGREE_CAP) the loop stops on f*f > n, with the
+cofactor left then prime, by f = 398,585 at the latest. That worst case is
+d = 26, where 3^26 - 1 = 2^3 * 398,581 * 797,161.
 
 Everything here is deterministic so that repeated context construction
 yields identical results.
@@ -6,78 +11,14 @@ yields identical results.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .errors import FactorizationFailure
-
-TRIAL_DIVISION_BOUND = 10**6
-
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the integer sizes this library needs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, max_rounds: int = 64) -> int | None:
-    """Find a nontrivial factor of composite odd n (Brent's cycle variant).
-
-    The polynomial offset c is swept deterministically; returns None only
-    if every round fails, which does not happen for the sizes we factor.
-    """
-    for c in range(1, max_rounds + 1):
-        y, m = 2, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-            if r > 1 << 24:
-                break
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
-    return None
-
 
 def factorize(n: int) -> list[int]:
-    """Prime factors of n >= 1 with multiplicity, sorted ascending."""
+    """Prime factors of n >= 1 with multiplicity, sorted ascending.
+
+    Trial division by 2, 3 and then 6k +- 1 while f*f <= n. Its cost grows
+    with the second-largest prime factor of n; for 3^d - 1 with d <= 31
+    the loop ends by f = 398,585 (d = 26).
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     factors: list[int] = []
@@ -86,22 +27,12 @@ def factorize(n: int) -> list[int]:
             factors.append(p)
             n //= p
     f = 5
-    while f <= TRIAL_DIVISION_BOUND and f * f <= n:
+    while f * f <= n:
         for p in (f, f + 2):
             while n % p == 0:
                 factors.append(p)
                 n //= p
         f += 6
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_probable_prime(m):
-                factors.append(m)
-                continue
-            g = _pollard_rho(m)
-            if g is None or g in (1, m):
-                raise FactorizationFailure(f"could not split composite {m}")
-            stack.extend((g, m // g))
-    factors.sort()
+    if n > 1:  # no factor below f and f*f > n: n is a prime above all found
+        factors.append(n)
     return factors

@@ -13,7 +13,8 @@ classification machinery needs: a primitive root beta, a trace-one element
 alpha, and (for even d) a square root tau of -1. All constants are chosen
 deterministically by scanning elements in encoding order, where the
 encoding of (c0, ..., c_{d-1}) is the base-3 integer
-c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}.
+c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d, modulus) computes all
+of them when constructed; make_context adds validation and the one cache.
 
 Contexts are immutable after construction and safe to share across
 threads; the lazily built character table is filled idempotently.
@@ -126,9 +127,9 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
 
     A degree-d polynomial is reducible iff it shares a factor with
     t^{3^k} - t for some k <= d/2, since any irreducible factor of degree
-    k divides that polynomial.
+    k divides that polynomial. Coefficients are read mod 3.
     """
-    m = list(coeffs)
+    m = [int(c) % 3 for c in coeffs]
     d = len(m) - 1
     if d < 1 or m[-1] != 1:
         return False
@@ -268,7 +269,9 @@ class FieldElement:
 
 
 class FieldContext:
-    """A realization of GF(3^d): modulus plus cached constants.
+    """A realization of GF(3^d): modulus plus constants, all computed here.
+
+    Only the chi table is filled later, on first use.
 
     Attributes:
         d: extension degree.
@@ -300,34 +303,43 @@ class FieldContext:
 
     def __init__(self, d: int, modulus: tuple[int, ...]):
         self.d = d
-        self.q = 3**d
+        self.q = q = 3**d
         self.modulus = modulus
         self.key = (d, modulus)
         self._mul = _barrett_mul(d, modulus)  # packed product mod the modulus
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.minus_one = FieldElement(self, 2)
-        self._trace_weights = self._build_trace_weights()
         self._chi_table: Optional[bytearray] = None
-        self._nonsquare: Optional[FieldElement] = None
-        # filled in by make_context once arithmetic is available
-        self.q_minus_1_factors: tuple[int, ...] = ()
-        self.beta: FieldElement = self.one
-        self.alpha: FieldElement = self.one
-        self.tau: Optional[FieldElement] = None
+        self._trace_weights = self._build_trace_weights()
+        self.q_minus_1_factors = tuple(factorize(q - 1))
+        exps = [(q - 1) // p for p in set(self.q_minus_1_factors)]
+        self.beta = next(
+            x for x in map(self.from_int, range(1, q))
+            if all(self._pow(x.coeffs, e) != 1 for e in exps)
+        )
+        # Smallest-encoding trace-1 element, constructed rather than scanned:
+        # every digit below the first basis index with nonzero trace contributes
+        # nothing, so the minimum is a single digit at that index (the trace
+        # basis can be zero on a long prefix, making a raw scan infeasible).
+        weights = self._trace_weights.to_bytes(d, "big")  # weight of t^i at index i
+        i0 = next(i for i, w in enumerate(weights) if w)
+        # w * w = 1 mod 3, so w is its own inverse
+        self.alpha = FieldElement(self, weights[i0] << 8 * i0)
+        self._nonsquare = next(x for x in map(self.from_int, range(1, q)) if chi(x) == -1)
+        self.tau = sqrt(self.minus_one) if d % 2 == 0 else None  # reads _nonsquare
 
     def _build_trace_weights(self) -> int:
-        # Trace of each power-basis monomial t^i, packed with t^i's weight at
-        # byte d-1-i: byte d-1 of x * weights is then the trace of x. The sum
-        # of the d conjugates lies in F3, so it is their constant byte.
-        weights = []
-        for i in range(self.d):
-            y = acc = 1 << 8 * i
-            for _ in range(self.d - 1):
-                y = self._mul(self._mul(y, y), y)
-                acc += y  # slots stay <= 2d
-            weights.append(acc % 256 % 3)
-        return int.from_bytes(bytes(weights), "big")
+        # Tr(t^i) is the power sum p_i of the modulus's roots, which Newton's
+        # identities give from its coefficients a_j = modulus[d - j]:
+        # p_0 = d and p_k = -(k * a_k + sum_{0<j<k} a_j * p_{k-j}).
+        # Packed with t^i's weight at byte d-1-i: byte d-1 of x * weights is
+        # then the trace of x.
+        a = self.modulus[::-1]
+        p = [self.d % 3]
+        for k in range(1, self.d):
+            p.append(-(k * a[k] + sum(a[j] * p[k - j] for j in range(1, k))) % 3)
+        return int.from_bytes(bytes(p), "big")
 
     # -- packed arithmetic ---------------------------------------------
 
@@ -451,27 +463,14 @@ def _default_modulus(d: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_context(d: int, modulus: tuple[int, ...]) -> FieldContext:
-    ctx = FieldContext(d, modulus)
-    ctx.q_minus_1_factors = tuple(factorize(ctx.q - 1))
-    primes = sorted(set(ctx.q_minus_1_factors))
-    exps = [(ctx.q - 1) // p for p in primes]
-    for enc in range(1, ctx.q):
-        cand = ctx.from_int(enc)
-        if all(ctx._pow(cand.coeffs, e) != 1 for e in exps):
-            ctx.beta = cand
-            break
-    # Smallest-encoding trace-1 element, constructed rather than scanned:
-    # every digit below the first basis index with nonzero trace contributes
-    # nothing, so the minimum is a single digit at that index (the trace
-    # basis can be zero on a long prefix, making a raw scan infeasible).
-    weights = ctx._trace_weights.to_bytes(d, "big")  # weight of t^i at index i
-    i0 = next(i for i, w in enumerate(weights) if w)
-    # w * w = 1 mod 3, so w is its own inverse
-    ctx.alpha = FieldElement(ctx, weights[i0] << 8 * i0)
-    if d % 2 == 0:
-        ctx.tau = sqrt(ctx.minus_one)
-    return ctx
+def _build_context(d: int, modulus: Optional[tuple[int, ...]]) -> FieldContext:
+    # the only context cache: a warm call repeats neither the modulus search
+    # nor the irreducibility check, and cache_clear() makes the next one cold
+    if modulus is None:
+        modulus = _default_modulus(d)
+    elif not is_irreducible(modulus):
+        raise ModulusReducible(f"modulus {list(modulus)} is reducible over F3")
+    return FieldContext(d, modulus)
 
 
 def make_context(
@@ -485,10 +484,11 @@ def make_context(
             instead of the deterministic smallest-encoding irreducible.
 
     Raises:
-        DegreeOutOfRange, ModulusReducible, FactorizationFailure.
+        DegreeOutOfRange, ParseError, ModulusReducible.
     """
-    if not isinstance(d, int) or not 1 <= d <= DEGREE_CAP:
+    if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= DEGREE_CAP:
         raise DegreeOutOfRange(f"d must satisfy 1 <= d <= {DEGREE_CAP}, got {d}")
+    coeffs = None
     if modulus_override is not None:
         coeffs = tuple(int(c) % 3 for c in modulus_override)
         if len(coeffs) != d + 1 or coeffs[-1] != 1:
@@ -496,10 +496,7 @@ def make_context(
                 f"modulus must be monic of degree {d}: expected {d + 1} "
                 f"coefficients ending in 1"
             )
-        if not is_irreducible(coeffs):
-            raise ModulusReducible(f"modulus {list(coeffs)} is reducible over F3")
-        return _build_context(d, coeffs)
-    return _build_context(d, _default_modulus(d))
+    return _build_context(d, coeffs)
 
 
 def context_to_json(ctx: FieldContext) -> dict:
@@ -542,18 +539,8 @@ def is_fourth_power(x: FieldElement) -> bool:
 
 
 def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
-    """The non-square with the smallest encoding; cached on the context."""
-    cached = ctx._nonsquare
-    if cached is None:
-        for enc in range(1, ctx.q):
-            cand = ctx.from_int(enc)
-            if chi(cand) == -1:
-                cached = cand
-                break
-        else:  # pragma: no cover - every field has non-squares
-            raise RuntimeError("no non-square found")
-        ctx._nonsquare = cached
-    return cached
+    """The non-square with the smallest encoding, found when ctx was built."""
+    return ctx._nonsquare
 
 
 def sqrt(x: FieldElement) -> Optional[FieldElement]:

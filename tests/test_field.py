@@ -1,6 +1,7 @@
 """GF(3^d) arithmetic, characters, roots, and the linearized solver."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from ss3 import (
     ContextMismatch,
     DegreeOutOfRange,
     DivisionByZero,
+    FieldContext,
     ModulusReducible,
     ParseError,
     ZeroArgument,
@@ -24,7 +26,7 @@ from ss3 import (
     sqrt,
     trace,
 )
-from ss3.factor import is_probable_prime
+from ss3 import field
 from ss3.field import _barrett_mul, _default_modulus, _pmulmod
 
 
@@ -66,8 +68,16 @@ def test_context_d2_constants():
 
 
 def test_reducible_override_rejected():
-    with pytest.raises(ModulusReducible):
-        make_context(2, [0, 1, 1])  # t^2 + t = t(t + 1)
+    for _ in range(2):  # a rejection is never cached as a context
+        with pytest.raises(ModulusReducible):
+            make_context(2, [0, 1, 1])  # t^2 + t = t(t + 1)
+
+
+def test_irreducibility_reads_coefficients_mod_3():
+    # coefficients outside {0, 1, 2} are read mod 3; unreduced, they made
+    # _pgcd divide by [3] without end
+    for c in ([3, 0, 1], [4, 0, 1], [-1, 0, 1]):
+        assert is_irreducible(c) == is_irreducible([x % 3 for x in c])
 
 
 def test_override_must_be_monic_of_right_degree():
@@ -78,19 +88,19 @@ def test_override_must_be_monic_of_right_degree():
 
 
 def test_degree_out_of_range():
-    for d in (0, -3, 32):
+    for d in (0, -3, 32, True):
         with pytest.raises(DegreeOutOfRange):
             make_context(d)
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 32))
 def test_context_invariants(d):
     ctx = make_context(d)
     q = 3**d
     assert ctx.q == q
     prod = 1
     for p in ctx.q_minus_1_factors:
-        assert is_probable_prime(p)
+        assert p > 1 and all(p % f for f in range(2, isqrt(p) + 1))  # prime
         prod *= p
     assert prod == q - 1
     # beta has full multiplicative order
@@ -126,6 +136,30 @@ def test_every_supported_degree_builds_quickly():
         if d % 2 == 0:
             assert ctx.tau * ctx.tau == ctx.minus_one
     assert time.perf_counter() - start < 5.0
+
+
+def test_modulus_search_runs_once_per_cold_build(monkeypatch):
+    calls = []
+    search = field._default_modulus
+    monkeypatch.setattr(field, "_default_modulus", lambda d: calls.append(d) or search(d))
+    field._build_context.cache_clear()
+    make_context(31)
+    assert calls == [31]
+    make_context(31)  # warm: no search
+    assert calls == [31]
+    field._build_context.cache_clear()
+    make_context(31)
+    assert calls == [31, 31]
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_direct_construction_is_complete(d):
+    # FieldContext builds every constant itself; make_context only caches
+    ctx = make_context(d)
+    direct = FieldContext(d, ctx.modulus)
+    assert context_to_json(direct) == context_to_json(ctx)
+    assert direct.q_minus_1_factors == ctx.q_minus_1_factors
+    assert smallest_nonsquare(direct) == smallest_nonsquare(ctx)
 
 
 def test_context_caching_and_json():
@@ -271,18 +305,19 @@ def test_trace_linearity_and_fibers(d):
 
 
 def test_trace_matches_frobenius_sum_definition():
-    # x + x^3 + ... + x^{3^{d-1}}, computed independently by repeated cubing
-    for d in (3, 5, 6):
-        ctx = make_context(d)
-        rng = random.Random(d)
-        for _ in range(25):
-            x = ctx.random_element(rng)
-            acc, y = x, x
-            for _ in range(d - 1):
-                y = y * y * y
-                acc = acc + y
-            expected = {ctx.zero: 0, ctx.one: 1, ctx.minus_one: -1}[acc]
-            assert trace(x) == expected
+    # x + x^3 + ... + x^{3^{d-1}}, computed independently by repeated cubing;
+    # the dense moduli exercise every cross term of the weights' recurrence
+    for d in (3, 5, 6, 16, 31):
+        for ctx in (make_context(d), make_context(d, _dense_modulus(d))):
+            rng = random.Random(d)
+            for _ in range(25):
+                x = ctx.random_element(rng)
+                acc, y = x, x
+                for _ in range(d - 1):
+                    y = y * y * y
+                    acc = acc + y
+                expected = {ctx.zero: 0, ctx.one: 1, ctx.minus_one: -1}[acc]
+                assert trace(x) == expected
 
 
 # ----------------------------------------------------------------------
