@@ -33,11 +33,8 @@ from .curve import (
     add,
     count_points_by_enumeration,
     double,
-    is_supersingular,
     naive_count,
     negate,
-    parse_general_curve,
-    parse_short_curve,
     random_point,
     random_supersingular_curve,
     reduce_curve,

@@ -94,17 +94,6 @@ class IsomorphismWitness:
         y = u2 * self.u * p.y
         return source.point(x, y)
 
-    def inverted(self) -> "IsomorphismWitness":
-        u_inv = self.u.inverse()
-        return IsomorphismWitness(u_inv, -self.r * u_inv * u_inv)
-
-    def compose(self, inner: "IsomorphismWitness") -> "IsomorphismWitness":
-        """Witness for source -> far target given self: source -> mid
-        and inner: mid -> far target."""
-        u = self.u * inner.u
-        r = self.r + self.u * self.u * inner.r
-        return IsomorphismWitness(u, r)
-
     def to_json(self) -> dict:
         return {"u": str(self.u), "r": str(self.r)}
 

@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 from .errors import (
     ContextMismatch,
     InvalidCurve,
-    ParseError,
     PointNotOnCurve,
     SingularCurve,
 )
@@ -121,10 +120,6 @@ class ReductionResult:
     short: Optional[ShortCurve]
     j: FieldElement
 
-    @property
-    def supersingular(self) -> bool:
-        return self.short is not None
-
 
 def reduce_curve(g: GeneralCurve) -> ReductionResult:
     """Complete the square: y^2 = x^3 + b2*x^2 - b4*x + b6 in characteristic 3.
@@ -137,11 +132,6 @@ def reduce_curve(g: GeneralCurve) -> ReductionResult:
     j = (b2 ** 6) / delta
     short = ShortCurve(-b4, b6) if b2.is_zero() else None
     return ReductionResult(b2=b2, b4=b4, b6=b6, short=short, j=j)
-
-
-def is_supersingular(g: GeneralCurve) -> bool:
-    """True iff completing the square kills the x^2 term (j = 0)."""
-    return reduce_curve(g).supersingular
 
 
 # ----------------------------------------------------------------------
@@ -301,35 +291,3 @@ def random_point(e: ShortCurve, rng) -> Point:
 def random_supersingular_curve(ctx: FieldContext, rng) -> ShortCurve:
     """Random canonical-form curve: a4 uniform nonzero, a6 uniform."""
     return ShortCurve(ctx.random_nonzero(rng), ctx.random_element(rng))
-
-
-# ----------------------------------------------------------------------
-# Text forms
-# ----------------------------------------------------------------------
-
-
-def parse_short_curve(ctx: FieldContext, text: str) -> ShortCurve:
-    """Parse the "a4=<elem>;a6=<elem>" text form."""
-    parts = text.strip().split(";")
-    values = {}
-    for part in parts:
-        if "=" not in part:
-            raise ParseError(f"bad curve component {part!r}")
-        key, _, val = part.partition("=")
-        values[key.strip()] = val.strip()
-    if set(values) != {"a4", "a6"}:
-        raise ParseError(f"curve text needs exactly a4 and a6, got {sorted(values)}")
-    return ShortCurve(ctx.element(values["a4"]), ctx.element(values["a6"]))
-
-
-def parse_general_curve(ctx: FieldContext, obj: dict) -> GeneralCurve:
-    """Parse the JSON object form; absent coefficients default to 0."""
-    known = {"a1", "a2", "a3", "a4", "a6"}
-    extra = set(obj) - known
-    if extra:
-        raise ParseError(f"unknown curve coefficients {sorted(extra)}")
-    coeffs = {k: ctx.element(obj.get(k, 0)) for k in known}
-    return GeneralCurve(
-        a1=coeffs["a1"], a2=coeffs["a2"], a3=coeffs["a3"],
-        a4=coeffs["a4"], a6=coeffs["a6"],
-    )

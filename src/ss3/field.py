@@ -79,72 +79,56 @@ def check_oracle_cap(q: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Raw polynomial helpers over F3 (little-endian coefficient lists).
-# Used only for modulus selection and the Barrett constant; element
-# arithmetic lives on the context.
+# Polynomials over F3, packed like elements: byte i is the coefficient of
+# t^i. Modulus selection, the irreducibility test and the Barrett constant
+# run on these; element arithmetic lives on the context.
 # ----------------------------------------------------------------------
 
 
-def _ptrim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _pdivmod(a: int, m: int) -> tuple[int, int]:
+    """Quotient and remainder of packed polynomials with slots in {0, 1, 2}.
 
-
-def _pdivmod(a: list[int], m: list[int]) -> tuple[list[int], list[int]]:
-    a = a[:]
-    dm = len(m) - 1
-    inv_lead = 1 if m[-1] == 1 else 2
-    quo = [0] * max(len(a) - dm, 0)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % 3
-        quo[shift] = factor
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * c) % 3
-        _ptrim(a)
+    m must be nonzero. Each step cancels the leading term of a; the leading
+    coefficient of m is 1 or 2, its own inverse mod 3.
+    """
+    dm = (m.bit_length() - 1) >> 3
+    lead = m >> 8 * dm
+    quo = 0
+    while (da := (a.bit_length() - 1) >> 3) >= dm:  # -1 once a is 0
+        f = (a >> 8 * da) * lead % 3
+        shift = 8 * (da - dm)
+        quo |= f << shift
+        a = _mod3(a + (2 * f * m << shift), da + 1)  # a - f * m * t^(da - dm)
     return quo, a
 
 
-def _pgcd(a: list[int], b: list[int]) -> list[int]:
-    a, b = _ptrim(a[:]), _ptrim(b[:])
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return a
-
-
-def _pmulmod(a: list[int], b: list[int], m: list[int]) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % 3
-    return _pdivmod(prod, m)[1]
-
-
 def is_irreducible(coeffs: Sequence[int]) -> bool:
-    """Irreducibility of a monic polynomial over F3.
+    """Irreducibility of a monic polynomial over F3 (Ben-Or's test).
 
-    A degree-d polynomial is reducible iff it shares a factor with
+    A degree-d polynomial m is reducible iff it shares a factor with
     t^{3^k} - t for some k <= d/2, since any irreducible factor of degree
-    k divides that polynomial. Coefficients are read mod 3.
+    k divides that polynomial. u = t^{3^k} mod m advances by cubing with
+    m's own packed Barrett product (_barrett_mul), and the gcd with m runs
+    on packed remainders (_pdivmod). Coefficients are read mod 3.
+
+    Raises:
+        DegreeOutOfRange: for degree above DEGREE_CAP, the packed
+            product's slot bound.
     """
     m = [int(c) % 3 for c in coeffs]
     d = len(m) - 1
+    if d > DEGREE_CAP:
+        raise DegreeOutOfRange(f"degree {d} exceeds {DEGREE_CAP}")
     if d < 1 or m[-1] != 1:
         return False
-    if d == 1:
-        return True
-    if m[0] == 0:  # divisible by t
-        return False
-    u = [0, 1]  # t
+    mul, packed = _barrett_mul(d, m), int.from_bytes(bytes(m), "little")
+    u = 1 << 8  # t, reduced for every d >= 2, the only degrees the loop runs at
     for _ in range(d // 2):
-        u = _pmulmod(_pmulmod(u, u, m), u, m)  # Frobenius: u -> u^3
-        diff = u[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % 3
-        if len(_pgcd(m, diff)) > 1:
+        u = mul(mul(u, u), u)  # Frobenius: u -> u^3
+        a, b = packed, _mod3(u + (2 << 8), d)  # m and u - t
+        while b:
+            a, b = b, _pdivmod(a, b)[1]
+        if a >> 8:  # the gcd has degree >= 1
             return False
     return True
 
@@ -154,12 +138,14 @@ def _barrett_mul(d: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
 
     One operand may be unreduced (slots <= 4); see DEGREE_CAP. For a product
     p of degree <= 2d - 1 the quotient by the modulus is exactly
-    (p // t^d) * mu // t^d with mu = t^(2d) // modulus: unlike integer
-    Barrett reduction, no correction step is needed. The same code serves
-    sparse and dense moduli.
+    (p // t^d) * mu // t^d with mu = t^(2d) // modulus, the packed quotient
+    of _pdivmod: unlike integer Barrett reduction, no correction step is
+    needed. The same code serves sparse and dense moduli, and any monic
+    modulus, so is_irreducible runs its Frobenius steps on it too.
     """
-    mu = int.from_bytes(bytes(_pdivmod([0] * 2 * d + [1], list(modulus))[0]), "little")
-    neg_m = int.from_bytes(bytes((-c) % 3 for c in modulus), "little")
+    m = int.from_bytes(bytes(modulus), "little")
+    mu = _pdivmod(1 << 16 * d, m)[0]
+    neg_m = _mod3(2 * m, d + 1)
     width, shift, from_bytes = 2 * d, 8 * d, int.from_bytes
 
     def mul(a: int, b: int) -> int:

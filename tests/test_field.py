@@ -1,5 +1,6 @@
 """GF(3^d) arithmetic, characters, roots, and the linearized solver."""
 
+import itertools
 import random
 from math import isqrt
 
@@ -27,7 +28,14 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.field import _barrett_mul, _default_modulus, _pmulmod
+from ss3.field import _barrett_mul, _default_modulus
+
+# Base-3 encodings c0 + 3*c1 + ... of the default moduli's low coefficients
+# for d = 1..31. Every field-info, class label and export depends on them.
+DEFAULT_MODULUS_ENCODINGS = [
+    0, 1, 7, 5, 7, 5, 11, 11, 64, 19, 11, 11, 7, 5, 11, 37,
+    7, 34, 11, 34, 31, 37, 31, 83, 55, 19, 287, 11, 83, 5, 31,
+]
 
 
 # ----------------------------------------------------------------------
@@ -74,10 +82,27 @@ def test_reducible_override_rejected():
 
 
 def test_irreducibility_reads_coefficients_mod_3():
-    # coefficients outside {0, 1, 2} are read mod 3; unreduced, they made
-    # _pgcd divide by [3] without end
+    # coefficients outside {0, 1, 2} are read mod 3: the packed product and
+    # gcd need reduced slots, and a negative one does not fit a byte
     for c in ([3, 0, 1], [4, 0, 1], [-1, 0, 1]):
         assert is_irreducible(c) == is_irreducible([x % 3 for x in c])
+
+
+def test_irreducible_counts_match_gauss_formula():
+    # every monic polynomial of degree n = 1..8. Gauss: sum_{k|n} k * I(k)
+    # = 3^n, whose Mobius inversion gives I(n) = 3, 3, 8, 18, 48, 116, 312, 810
+    counts = {}
+    for n in range(1, 9):
+        lows = itertools.product(range(3), repeat=n)
+        counts[n] = sum(is_irreducible(low + (1,)) for low in lows)
+        assert sum(k * counts[k] for k in counts if n % k == 0) == 3**n
+    assert list(counts.values()) == [3, 3, 8, 18, 48, 116, 312, 810]
+
+
+def test_default_moduli_pinned():
+    for d, enc in enumerate(DEFAULT_MODULUS_ENCODINGS, start=1):
+        low = tuple(enc // 3**i % 3 for i in range(d))
+        assert make_context(d).modulus == low + (1,)
 
 
 def test_override_must_be_monic_of_right_degree():
@@ -91,6 +116,9 @@ def test_degree_out_of_range():
     for d in (0, -3, 32, True):
         with pytest.raises(DegreeOutOfRange):
             make_context(d)
+    # above the cap a packed product's slots would carry into each other
+    with pytest.raises(DegreeOutOfRange):
+        is_irreducible([1] + [0] * 31 + [1])
 
 
 @pytest.mark.parametrize("d", range(1, 32))
@@ -202,6 +230,21 @@ def _dense_modulus(d):
     return None
 
 
+def _pmulmod(a, b, m):
+    # schoolbook product and long division on coefficient lists: shares no
+    # code with the packed Barrett product it checks; m is monic of degree d
+    d = len(m) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % 3
+    for top in range(len(prod) - 1, d - 1, -1):
+        f = prod[top]
+        for i, c in enumerate(m):
+            prod[top - d + i] = (prod[top - d + i] - f * c) % 3
+    return prod[:d]
+
+
 @pytest.mark.parametrize("d", range(1, 32))
 def test_mul_matches_polynomial_reference(d):
     # the packed Barrett product against schoolbook multiply-and-divide on
@@ -221,8 +264,8 @@ def test_mul_matches_polynomial_reference(d):
             unreduced = [rng.choice((c, c + 3)) if c < 2 else c for c in a]  # slots <= 4
             pairs += [(a, b), (unreduced, b)]
         for a, b in pairs:
-            want = _pmulmod([c % 3 for c in a], b, list(modulus))
-            assert mul(_packed(a), _packed(b)) == _packed(want + [0] * (d - len(want)))
+            want = _pmulmod([c % 3 for c in a], b, modulus)
+            assert mul(_packed(a), _packed(b)) == _packed(want)
 
 
 @given(st.integers(1, 6), st.data())
