@@ -23,9 +23,9 @@ from .errors import InvalidCurve, NotANonSquare
 from .field import (
     FieldContext,
     FieldElement,
+    PowerChain,
     chi,
     fourth_roots,
-    is_fourth_power,
     solve_linearized,
     sqrt,
     trace,
@@ -101,34 +101,44 @@ class IsomorphismWitness:
 def _dispatch(e: ShortCurve) -> tuple[CurveClass, Callable[[], FieldElement], int]:
     """Class of e, plus what canonicalize turns into the witness u.
 
-    One sqrt(-a4), one chi and one trace decide the class. With (root,
-    sign) the second and third results and w = root(), the witnesses to
-    the class representative are the u with u^2 = sign*w, or with
-    u^2 = +-w when sign is 0. root is deferred because only canonicalize
-    needs w.
+    One PowerChain on x = -a4 and one trace decide the class: the chain's
+    last square is chi(x), its next-to-last is x^((q-1)/4), and its
+    inverse gives gamma^-3 = gamma * x^-2 for a square root gamma of x.
+    With (root, sign) the second and third results and w = root(), the
+    witnesses to the class representative are the u with u^2 = sign*w, or
+    with u^2 = +-w when sign is 0. root is deferred because only
+    canonicalize needs w, and for IIIa and IIIb it costs a square root.
     """
     ctx = e.ctx
-    gamma = sqrt(-e.a4)
+    x = -e.a4
+    chain = PowerChain(ctx, x.coeffs)
     if ctx.d % 2 == 1:
-        if gamma is None:
-            return CurveClass(CurveType.I_PLUS, None), lambda: sqrt(e.a4), 0
-        # -1 is a non-square, so exactly one of +-gamma is a square s,
-        # and u^2 = s gives u^-6 = s^-3
-        s = gamma if chi(gamma) == 1 else -gamma
-        return CurveClass(CurveType.I, str(trace(e.a6 * s ** -3))), lambda: s, 1
-    if gamma is None:
-        # -a4 sits in the beta or beta^3 coset of the fourth powers
-        y = -e.a4 / ctx.beta
-        if is_fourth_power(y):
-            return CurveClass(CurveType.IIIA, None), lambda: sqrt(y), 0
-        return CurveClass(CurveType.IIIB, None), lambda: sqrt(y / (ctx.beta * ctx.beta)), 0
+        # the raw r has r^2 = x * chi(x), and chi(r) = chi(x)^((q+1)/4) = 1
+        r = FieldElement(ctx, chain.r)
+        if chain.chi() == -1:
+            return CurveClass(CurveType.I_PLUS, None), lambda: r, 0  # r^2 = a4
+        # r is the square one of +-sqrt(x), and u^2 = r gives u^-6 = r * x^-2
+        inv = chain.inverse()
+        return CurveClass(CurveType.I, str(trace(e.a6 * r * inv * inv))), lambda: r, 1
+    beta_inv = ctx._beta_inv
+    if chain.chi() == -1:
+        # x = beta^k with k odd sits in the beta or beta^3 coset of the
+        # fourth powers; it is the beta coset iff x^((q-1)/4) = beta^((q-1)/4)
+        if chain.quartic() == ctx._beta_quartic:
+            return CurveClass(CurveType.IIIA, None), lambda: sqrt(x * beta_inv), 0
+        return (
+            CurveClass(CurveType.IIIB, None), lambda: sqrt(x * beta_inv * beta_inv * beta_inv), 0
+        )
+    root = chain.root()
+    gamma = min(root, -root, key=FieldElement.encoding)
     # u^2 = +-w sends Tr(a6*u^-6), the trace the representative must
     # match, to +-t; so a nonzero t fixes the sign of u^2
-    t = trace(e.a6 * gamma ** -3)
+    inv = chain.inverse()
+    t = trace(e.a6 * gamma * inv * inv)
     invariant = INV_ZERO if t == 0 else INV_NONZERO
-    if chi(gamma) == 1:
+    if chain.quartic() == 1:  # chi(gamma) = x^((q-1)/4)
         return CurveClass(CurveType.I, invariant), lambda: gamma, t
-    return CurveClass(CurveType.II, invariant), lambda: gamma / ctx.beta, t
+    return CurveClass(CurveType.II, invariant), lambda: gamma * beta_inv, t
 
 
 def curve_type(e: ShortCurve) -> CurveType:
@@ -185,6 +195,10 @@ def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitn
     so whether u admits an r depends only on u^2, as _dispatch reports.
     For I+, IIIa and IIIb the map x -> x^3 + a4'*x is a bijection, so
     every u with u^4 = a4/a4' admits one.
+
+    u costs one more chain: sqrt(sign*w) when the sign is fixed; at odd d
+    with sign 0 the raw r' of the chain on w, as r'^2 = +-w is the square
+    one of +-w; at even d the smallest of v and +-tau*v for v = sqrt(w).
     """
     cls, root, sign = _dispatch(e)
     rep = class_representative(e.ctx, cls)
@@ -192,10 +206,9 @@ def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitn
     tau = e.ctx.tau
     if sign:
         u = sqrt(w if sign == 1 else -w)
-    elif tau is None:  # odd d: exactly one of +-w is a square
-        u = sqrt(w)
-        if u is None:
-            u = sqrt(-w)
+    elif tau is None:  # odd d: the chain's raw r' has r'^2 = w * chi(w) = +-w
+        r = FieldElement(e.ctx, PowerChain(e.ctx, w.coeffs).r)
+        u = min(r, -r, key=FieldElement.encoding)
     else:  # even d: the roots of -w are +-tau*v; sqrt(w) gave the smaller v
         v = sqrt(w)
         u = min(v, tau * v, -(tau * v), key=FieldElement.encoding)

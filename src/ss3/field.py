@@ -10,7 +10,9 @@ hold at most 8d <= 248, which is why d is capped at 31 (DEGREE_CAP).
 
 A FieldContext fixes the modulus together with the constants the
 classification machinery needs: a primitive root beta, a trace-one element
-alpha, and (for even d) a square root tau of -1. All constants are chosen
+alpha, (for even d) a square root tau of -1, and for PowerChain the
+Tonelli-Shanks seed n^odd of the smallest non-square n and (for even d)
+beta^-1 and beta^((q-1)/4). All constants are chosen
 deterministically by scanning elements in encoding order, where the
 encoding of (c0, ..., c_{d-1}) is the base-3 integer
 c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d, modulus) computes all
@@ -285,6 +287,9 @@ class FieldContext:
         "_trace_weights",
         "_chi_table",
         "_nonsquare",
+        "_seed",
+        "_beta_inv",
+        "_beta_quartic",
     )
 
     def __init__(self, d: int, modulus: tuple[int, ...]):
@@ -312,8 +317,21 @@ class FieldContext:
         i0 = next(i for i, w in enumerate(weights) if w)
         # w * w = 1 mod 3, so w is its own inverse
         self.alpha = FieldElement(self, weights[i0] << 8 * i0)
-        self._nonsquare = next(x for x in map(self.from_int, range(1, q)) if chi(x) == -1)
-        self.tau = sqrt(self.minus_one) if d % 2 == 0 else None  # reads _nonsquare
+        # The chain of the smallest non-square n gives the Tonelli-Shanks
+        # seed n^odd. For even d, the only degrees with types II, IIIa and
+        # IIIb, the chain of beta gives beta^-1 and beta^((q-1)/4), whose
+        # square is beta^((q-1)/2) = -1: it is one of +-tau.
+        for n in map(self.from_int, range(1, q)):
+            chain = PowerChain(self, n.coeffs)
+            if chain.chi() == -1:
+                break
+        self._nonsquare, self._seed = n, chain.squares[0]
+        self._beta_inv = self._beta_quartic = self.tau = None
+        if d % 2 == 0:
+            chain = PowerChain(self, self.beta.coeffs)
+            self._beta_inv, self._beta_quartic = chain.inverse(), chain.quartic()
+            quartic = FieldElement(self, self._beta_quartic)
+            self.tau = min(quartic, -quartic, key=FieldElement.encoding)
 
     def _build_trace_weights(self) -> int:
         # Tr(t^i) is the power sum p_i of the modulus's roots, which Newton's
@@ -529,35 +547,84 @@ def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
     return ctx._nonsquare
 
 
+class PowerChain:
+    """The Tonelli-Shanks chain of a nonzero packed x, q - 1 = 2^s * odd.
+
+    w = x^((odd-1)/2), r = x*w and squares[i] = t^(2^i) for t = x^odd and
+    i < s. One exponentiation gives every power character of x:
+    chi(x) = t^(2^(s-1)), x^((q-1)/4) = t^(2^(s-2)) for s >= 2, and
+    x^-1 = w^2 * t^(2^s - 1), the last factor being the product of squares.
+    r^2 = x*t, so for odd d (s = 1) r is a square root of x*chi(x).
+    """
+
+    __slots__ = ("ctx", "w", "r", "squares")
+
+    def __init__(self, ctx: FieldContext, x: int):
+        mul, q1 = ctx._mul, ctx.q - 1
+        s = (q1 & -q1).bit_length() - 1
+        self.ctx = ctx
+        self.w = ctx._pow(x, (q1 >> s) // 2)  # (odd - 1) / 2
+        self.r = mul(x, self.w)
+        t = mul(self.r, self.w)
+        self.squares = [t]
+        for _ in range(s - 1):
+            t = mul(t, t)
+            self.squares.append(t)
+
+    def chi(self) -> int:
+        """Quadratic character of x."""
+        return 1 if self.squares[-1] == 1 else -1
+
+    def quartic(self) -> int:
+        """x^((q-1)/4), packed; for even d only."""
+        return self.squares[-2]
+
+    def inverse(self) -> FieldElement:
+        """x^-1."""
+        mul = self.ctx._mul
+        inv = mul(self.w, self.w)
+        for t in self.squares:
+            if t == 1:  # so is every later square
+                break
+            inv = mul(inv, t)
+        return FieldElement(self.ctx, inv)
+
+    def root(self) -> FieldElement:
+        """A square root of x; x must be a square (chi(x) = 1).
+
+        The Tonelli-Shanks tail: while t != 1, with t of order 2^i, r and t
+        are moved by a power of the seed, which lowers the order of t.
+        """
+        ctx, mul = self.ctx, self.ctx._mul
+        r, t, m, c = self.r, self.squares[0], len(self.squares), ctx._seed
+        i = self.squares.index(1)
+        while i:
+            b = c
+            for _ in range(m - i - 1):
+                b = mul(b, b)
+            m, c = i, mul(b, b)
+            t, r = mul(t, c), mul(r, b)
+            i, probe = 0, t
+            while probe != 1:
+                probe, i = mul(probe, probe), i + 1
+        return FieldElement(ctx, r)
+
+
 def sqrt(x: FieldElement) -> Optional[FieldElement]:
     """Square root with the smaller encoding, or None for non-squares.
 
-    Tonelli-Shanks on q - 1 = 2^s * odd, seeded with the smallest-encoding
-    non-square; the first 2-power probe doubles as the square test. For
-    odd d, s = 1 and the root is the single exponentiation x^((q+1)/4).
+    One PowerChain: its last square is the square test, and its root()
+    tail, seeded with the context's n^odd for the smallest non-square n,
+    runs only for squares. For odd d, s = 1 and the root is the raw chain
+    value x^((q+1)/4).
     """
     ctx = x.ctx
     if x.is_zero():
         return ctx.zero
-    mul, q1 = ctx._mul, ctx.q - 1
-    m = (q1 & -q1).bit_length() - 1  # s
-    odd = q1 >> m
-    w = ctx._pow(x.coeffs, (odd - 1) // 2)
-    r = mul(x.coeffs, w)  # x^((odd+1)/2)
-    t = mul(r, w)  # x^odd, of order dividing 2^m
-    c = None
-    while t != 1:
-        i, probe = 0, t
-        while probe != 1:
-            probe, i = mul(probe, probe), i + 1
-            if i == m:  # only while m = s: x^((q-1)/2) = -1, a non-square
-                return None
-        if c is None:
-            c = ctx._pow(smallest_nonsquare(ctx).coeffs, odd)
-        b = ctx._pow(c, 1 << (m - i - 1))
-        m, c = i, mul(b, b)
-        t, r = mul(t, c), mul(r, b)
-    root = FieldElement(ctx, r)
+    chain = PowerChain(ctx, x.coeffs)
+    if chain.chi() == -1:
+        return None
+    root = chain.root()
     return min(root, -root, key=FieldElement.encoding)
 
 

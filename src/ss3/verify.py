@@ -150,8 +150,10 @@ def _random_isomorphic_pair(
     e = random_supersingular_curve(ctx, rng)
     u = ctx.random_nonzero(rng)
     r = ctx.random_element(rng)
-    a4p = e.a4 * u ** -4
-    a6p = (e.a6 + r * e.a4 + r ** 3) * u ** -6
+    u_inv2 = u.inverse() ** 2
+    u_inv4 = u_inv2 * u_inv2
+    a4p = e.a4 * u_inv4
+    a6p = (e.a6 + r * e.a4 + r ** 3) * u_inv4 * u_inv2
     return e, ShortCurve(a4p, a6p)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 from hypothesis import HealthCheck, settings
@@ -19,3 +20,23 @@ def sample_curves(d, n, seed=0):
     return [
         ShortCurve(ctx.random_nonzero(rng), ctx.random_element(rng)) for _ in range(n)
     ]
+
+
+@contextlib.contextmanager
+def count_muls(ctx):
+    """Count ctx's packed multiplications inside a with-block.
+
+    Yields a one-item list holding the running count; ctx._mul is restored
+    on exit.
+    """
+    mul, calls = ctx._mul, [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    ctx._mul = counting
+    try:
+        yield calls
+    finally:
+        ctx._mul = mul

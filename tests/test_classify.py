@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import count_muls, sample_curves
 from ss3 import (
     CurveClass,
     CurveType,
@@ -159,6 +160,29 @@ def test_canonicalize_witness_equals_isomorphic(d):
         ref = isomorphic(e, rep)
         assert ref is not None and (w.u, w.r) == (ref.u, ref.r)
         assert count_supersingular(e).class_used == cls
+
+
+# Mean field multiplications per call over sample_curves(d, 200, seed=0),
+# as (count_supersingular, canonicalize). A change in the cost of the
+# classification shows up as a diff here.
+MUL_COUNTS = {
+    12: (33.8, 117.315),
+    20: (51.675, 182.105),
+    30: (74.53, 256.08),
+    31: (74.84, 217.84),
+}
+
+
+@pytest.mark.parametrize("d", sorted(MUL_COUNTS))
+def test_multiplication_counts_pinned(d):
+    curves = sample_curves(d, 200, seed=0)
+    means = []
+    for fn in (count_supersingular, canonicalize):
+        with count_muls(curves[0].ctx) as calls:
+            for e in curves:
+                fn(e)
+        means.append(calls[0] / len(curves))
+    assert tuple(means) == MUL_COUNTS[d]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Vector export: golden files, schema, and reproducibility."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ss3.export import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+REGENERATE = Path(__file__).parent.parent / "scripts" / "regenerate_golden.py"
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -27,6 +29,16 @@ def test_golden_files(d, fmt):
     text = export_csv_text(ctx) if fmt == "csv" else export_json_text(ctx)
     golden = (GOLDEN / f"export_d{d}.{fmt}").read_text()
     assert text == golden
+
+
+def test_classification_digest():
+    # (curve, rep, class, u, r, order) on every curve with d <= 4 and 20
+    # seeded curves per d = 5..31, hashed by the script that stores it
+    spec = importlib.util.spec_from_file_location("regenerate_golden", REGENERATE)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    golden = (GOLDEN / "classification.sha256").read_text().strip()
+    assert script.classification_digest() == golden
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -12,6 +12,7 @@ from ss3 import (
     DegreeOutOfRange,
     DivisionByZero,
     FieldContext,
+    FieldElement,
     ModulusReducible,
     ParseError,
     ZeroArgument,
@@ -28,7 +29,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.field import _barrett_mul, _default_modulus
+from ss3.field import PowerChain, _barrett_mul, _default_modulus
 
 # Base-3 encodings c0 + 3*c1 + ... of the default moduli's low coefficients
 # for d = 1..31. Every field-info, class label and export depends on them.
@@ -188,6 +189,15 @@ def test_direct_construction_is_complete(d):
     assert context_to_json(direct) == context_to_json(ctx)
     assert direct.q_minus_1_factors == ctx.q_minus_1_factors
     assert smallest_nonsquare(direct) == smallest_nonsquare(ctx)
+    # the chain constants: seed n^odd and, for even d, beta^-1 and beta^((q-1)/4)
+    q1 = ctx.q - 1
+    odd = q1 // (q1 & -q1)
+    even = d % 2 == 0
+    for c in (direct, ctx):
+        assert c._seed == (smallest_nonsquare(ctx) ** odd).coeffs
+        assert c._beta_inv == (ctx.beta.inverse() if even else None)
+        assert c._beta_quartic == ((ctx.beta ** (q1 // 4)).coeffs if even else None)
+        assert c.tau == (sqrt(ctx.minus_one) if even else None)
 
 
 def test_context_caching_and_json():
@@ -463,6 +473,31 @@ def test_sqrt_large_even_degree():
         x = ctx.random_nonzero(rng)
         r = sqrt(x * x)
         assert r is not None and r * r == x * x
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_power_chain_matches_direct_powers(d):
+    # every nonzero x for d <= 6, else 200 seeded ones; default and dense modulus
+    for modulus in (_default_modulus(d), _dense_modulus(d)):
+        ctx = make_context(d, modulus)
+        q1 = ctx.q - 1
+        if d <= 6:
+            xs = [ctx.from_int(enc) for enc in range(1, ctx.q)]
+        else:
+            rng = random.Random(d)
+            xs = [ctx.random_nonzero(rng) for _ in range(200)]
+        for x in xs:
+            chain = PowerChain(ctx, x.coeffs)
+            assert chain.inverse() == x.inverse()
+            assert chain.chi() == chi(x)
+            if d % 2 == 0:
+                assert chain.quartic() == (x ** (q1 // 4)).coeffs
+            # r^2 = x * t with t = x^odd; for odd d t = chi(x)
+            r, t = FieldElement(ctx, chain.r), FieldElement(ctx, chain.squares[0])
+            assert r * r == x * t
+            if chain.chi() == 1:
+                root = chain.root()
+                assert root * root == x
 
 
 def test_smallest_nonsquare():
