@@ -64,7 +64,6 @@ from .field import (
     context_to_json,
     decode_element,
     fourth_roots,
-    is_fourth_power,
     is_irreducible,
     make_context,
     oracle_cap,

@@ -19,15 +19,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .curve import Point, ShortCurve
-from .errors import InvalidCurve, NotANonSquare
+from .errors import NotANonSquare
 from .field import (
     FieldContext,
     FieldElement,
     PowerChain,
+    _signed_roots,
     chi,
     fourth_roots,
     solve_linearized,
-    sqrt,
     trace,
 )
 
@@ -98,47 +98,51 @@ class IsomorphismWitness:
         return {"u": str(self.u), "r": str(self.r)}
 
 
-def _dispatch(e: ShortCurve) -> tuple[CurveClass, Callable[[], FieldElement], int]:
-    """Class of e, plus what canonicalize turns into the witness u.
+def _dispatch(e: ShortCurve) -> tuple[CurveClass, Callable[[], list[FieldElement]]]:
+    """Class of e, plus the deferred witnesses u to its representative.
 
     One PowerChain on x = -a4 and one trace decide the class: the chain's
     last square is chi(x), its next-to-last is x^((q-1)/4), and its
     inverse gives gamma^-3 = gamma * x^-2 for a square root gamma of x.
-    With (root, sign) the second and third results and w = root(), the
-    witnesses to the class representative are the u with u^2 = sign*w, or
-    with u^2 = +-w when sign is 0. root is deferred because only
-    canonicalize needs w, and for IIIa and IIIb it costs a square root.
+    The second result lists, in encoding order, the u with u^4 = a4/a4'
+    that admit an r; only canonicalize calls it, as it costs a chain.
     """
     ctx = e.ctx
     x = -e.a4
     chain = PowerChain(ctx, x.coeffs)
     if ctx.d % 2 == 1:
-        # the raw r has r^2 = x * chi(x), and chi(r) = chi(x)^((q+1)/4) = 1
+        # the raw r has r^2 = x * chi(x), and chi(r) = chi(x)^((q+1)/4) =
+        # chi(x), as (q+1)/4 is odd
         r = FieldElement(ctx, chain.r)
         if chain.chi() == -1:
-            return CurveClass(CurveType.I_PLUS, None), lambda: r, 0  # r^2 = a4
+            # r^2 = a4, so u^2 = +-r; r is a non-square, and the step
+            # picks -r
+            return CurveClass(CurveType.I_PLUS, None), lambda: _signed_roots(r, 0)
         # r is the square one of +-sqrt(x), and u^2 = r gives u^-6 = r * x^-2
         inv = chain.inverse()
-        return CurveClass(CurveType.I, str(trace(e.a6 * r * inv * inv))), lambda: r, 1
+        invariant = str(trace(e.a6 * r * inv * inv))
+        return CurveClass(CurveType.I, invariant), lambda: _signed_roots(r, 1)
     beta_inv = ctx._beta_inv
     if chain.chi() == -1:
         # x = beta^k with k odd sits in the beta or beta^3 coset of the
         # fourth powers; it is the beta coset iff x^((q-1)/4) = beta^((q-1)/4)
         if chain.quartic() == ctx._beta_quartic:
-            return CurveClass(CurveType.IIIA, None), lambda: sqrt(x * beta_inv), 0
+            return CurveClass(CurveType.IIIA, None), lambda: fourth_roots(x * beta_inv)
         return (
-            CurveClass(CurveType.IIIB, None), lambda: sqrt(x * beta_inv * beta_inv * beta_inv), 0
+            CurveClass(CurveType.IIIB, None),
+            lambda: fourth_roots(x * beta_inv * beta_inv * beta_inv),
         )
     root = chain.root()
     gamma = min(root, -root, key=FieldElement.encoding)
-    # u^2 = +-w sends Tr(a6*u^-6), the trace the representative must
-    # match, to +-t; so a nonzero t fixes the sign of u^2
+    # with w = gamma for I and gamma * beta^-1 for II, u^2 = +-w sends
+    # Tr(a6*u^-6), the trace the representative must match, to +-t; so a
+    # nonzero t fixes the sign of u^2
     inv = chain.inverse()
     t = trace(e.a6 * gamma * inv * inv)
     invariant = INV_ZERO if t == 0 else INV_NONZERO
     if chain.quartic() == 1:  # chi(gamma) = x^((q-1)/4)
-        return CurveClass(CurveType.I, invariant), lambda: gamma, t
-    return CurveClass(CurveType.II, invariant), lambda: gamma * beta_inv, t
+        return CurveClass(CurveType.I, invariant), lambda: _signed_roots(gamma, t)
+    return CurveClass(CurveType.II, invariant), lambda: _signed_roots(gamma * beta_inv, t)
 
 
 def curve_type(e: ShortCurve) -> CurveType:
@@ -169,21 +173,29 @@ def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
     return ShortCurve(-beta * beta * beta, ctx.zero)
 
 
-def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
-    """Explicit witness e1 -> e2, or None when no isomorphism exists.
+def _first_witness(
+    e1: ShortCurve, e2: ShortCurve, roots: list[FieldElement]
+) -> Optional[IsomorphismWitness]:
+    """The first u in roots that admits an r, with the smallest-encoding r.
 
-    Scans the at most four fourth roots u of a4/a4' in encoding order and,
-    for each, solves the linearized equation r^3 + a4*r + (a6 - u^6*a6') = 0.
-    The first solvable u wins, so results are deterministic.
+    Each u is tried by solving r^3 + a4*r + (a6 - u^6*a6') = 0.
     """
-    if e1.ctx.key != e2.ctx.key:
-        return None
-    for u in fourth_roots(e1.a4 / e2.a4):
-        k = e1.a6 - u ** 6 * e2.a6
-        r = solve_linearized(e1.a4, k)
+    for u in roots:
+        r = solve_linearized(e1.a4, e1.a6 - u ** 6 * e2.a6)
         if r is not None:
             return IsomorphismWitness(u, r)
     return None
+
+
+def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
+    """Explicit witness e1 -> e2, or None when no isomorphism exists.
+
+    Scans the at most four fourth roots u of a4/a4' in encoding order; the
+    first solvable u wins, so results are deterministic.
+    """
+    if e1.ctx.key != e2.ctx.key:
+        return None
+    return _first_witness(e1, e2, fourth_roots(e1.a4 / e2.a4))
 
 
 def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitness]:
@@ -192,30 +204,14 @@ def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitn
     The witness is the one isomorphic(e, rep) returns: the smallest-encoding
     u that admits some r, and the smallest-encoding r for that u. Setting
     r = u^2*x turns the witness equation into x^3 + a4'*x = a6' - a6*u^-6,
-    so whether u admits an r depends only on u^2, as _dispatch reports.
+    so whether u admits an r depends only on u^2, which _dispatch fixes.
     For I+, IIIa and IIIb the map x -> x^3 + a4'*x is a bijection, so
-    every u with u^4 = a4/a4' admits one.
-
-    u costs one more chain: sqrt(sign*w) when the sign is fixed; at odd d
-    with sign 0 the raw r' of the chain on w, as r'^2 = +-w is the square
-    one of +-w; at even d the smallest of v and +-tau*v for v = sqrt(w).
+    every u with u^4 = a4/a4' admits one. Every u _dispatch lists admits
+    an r, so the scan solves once.
     """
-    cls, root, sign = _dispatch(e)
+    cls, roots = _dispatch(e)
     rep = class_representative(e.ctx, cls)
-    w = root()
-    tau = e.ctx.tau
-    if sign:
-        u = sqrt(w if sign == 1 else -w)
-    elif tau is None:  # odd d: the chain's raw r' has r'^2 = w * chi(w) = +-w
-        r = FieldElement(e.ctx, PowerChain(e.ctx, w.coeffs).r)
-        u = min(r, -r, key=FieldElement.encoding)
-    else:  # even d: the roots of -w are +-tau*v; sqrt(w) gave the smaller v
-        v = sqrt(w)
-        u = min(v, tau * v, -(tau * v), key=FieldElement.encoding)
-    r = solve_linearized(e.a4, e.a6 - u ** 6 * rep.a6)
-    if r is None:  # pragma: no cover - the class guarantees a solution
-        raise InvalidCurve(f"no witness from {e} to its representative {rep}")
-    return rep, cls, IsomorphismWitness(u, r)
+    return rep, cls, _first_witness(e, rep, roots())
 
 
 def quadratic_twist(e: ShortCurve, g: FieldElement) -> ShortCurve:

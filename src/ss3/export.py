@@ -13,7 +13,7 @@ import io
 import json
 
 from .classify import canonicalize
-from .count import count_supersingular
+from .count import count_class
 from .curve import ShortCurve, all_short_curves
 from .field import FieldContext, context_to_json
 
@@ -77,7 +77,7 @@ EXPORT_SCHEMA = {
 def _record_for(ctx: FieldContext, e: ShortCurve) -> dict:
     """One exported curve: inputs, class label, order and witness, keyed in CSV_COLUMNS order."""
     _, cls, witness = canonicalize(e)
-    result = count_supersingular(e)
+    result = count_class(ctx.d, cls)
     return {
         "d": ctx.d,
         "modulus": list(ctx.modulus),

@@ -36,7 +36,6 @@ from .errors import (
     ModulusReducible,
     OracleTooLarge,
     ParseError,
-    ZeroArgument,
 )
 from .factor import factorize
 
@@ -348,13 +347,14 @@ class FieldContext:
     # -- packed arithmetic ---------------------------------------------
 
     def _pow(self, a: int, n: int) -> int:
-        mul, result = self._mul, 1
-        while n:
-            if n & 1:
+        # left to right from a: no multiplication by 1
+        if not n:
+            return 1
+        mul, result = self._mul, a
+        for bit in bin(n)[3:]:
+            result = mul(result, result)
+            if bit == "1":
                 result = mul(result, a)
-            n >>= 1
-            if n:
-                a = mul(a, a)
         return result
 
     def _encode(self, a: int) -> int:
@@ -531,17 +531,6 @@ def chi(x: FieldElement) -> int:
     return x.ctx._chi(x.coeffs)
 
 
-def is_fourth_power(x: FieldElement) -> bool:
-    """Membership of x in the subgroup of fourth powers of the unit group."""
-    if x.is_zero():
-        raise ZeroArgument("0 is not in the unit group")
-    ctx = x.ctx
-    if ctx.d % 2 == 1:
-        # squares and fourth powers coincide when gcd(q-1, 4) = 2
-        return chi(x) == 1
-    return ctx._pow(x.coeffs, (ctx.q - 1) // 4) == 1
-
-
 def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
     """The non-square with the smallest encoding, found when ctx was built."""
     return ctx._nonsquare
@@ -628,21 +617,41 @@ def sqrt(x: FieldElement) -> Optional[FieldElement]:
     return min(root, -root, key=FieldElement.encoding)
 
 
-def fourth_roots(x: FieldElement) -> list[FieldElement]:
-    """All v with v^4 = x, sorted by encoding (possibly empty)."""
-    ctx = x.ctx
-    if x.is_zero():
-        return [ctx.zero]
-    s = sqrt(x)
-    if s is None:
+def _signed_roots(w: FieldElement, sign: int) -> list[FieldElement]:
+    """Every u with u^2 = sign*w, or u^2 = +-w when sign is 0, sorted by encoding.
+
+    w must be nonzero. One PowerChain on w: for odd d, -1 is a non-square
+    and the raw r has r^2 = w*chi(w), so +-r are the roots of the square
+    one of +-w; for even d, -1 = tau^2 is a square, and the roots of -w
+    are tau times the roots of w.
+    """
+    ctx = w.ctx
+    chain = PowerChain(ctx, w.coeffs)
+    if ctx.tau is None:
+        if sign and chain.chi() != sign:
+            return []
+        r = FieldElement(ctx, chain.r)
+        return sorted((r, -r), key=FieldElement.encoding)
+    if chain.chi() == -1:  # then -w is a non-square too
         return []
-    roots = set()
-    for cand in (s, -s):
-        v = sqrt(cand)
-        if v is not None:
-            roots.add(v)
-            roots.add(-v)
+    v = chain.root()
+    roots = [] if sign == -1 else [v, -v]
+    if sign != 1:
+        tv = ctx.tau * v
+        roots += [tv, -tv]
     return sorted(roots, key=FieldElement.encoding)
+
+
+def fourth_roots(x: FieldElement) -> list[FieldElement]:
+    """All v with v^4 = x, sorted by encoding (possibly empty).
+
+    v^4 = x iff v^2 = +-s for either square root s of x: two chains, one in
+    sqrt and one in _signed_roots.
+    """
+    if x.is_zero():
+        return [x.ctx.zero]
+    s = sqrt(x)
+    return [] if s is None else _signed_roots(s, 0)
 
 
 def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]:

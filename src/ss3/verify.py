@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Optional
 
 from .classify import canonicalize, isomorphic, list_classes, quadratic_twist
-from .count import CountResult, count_supersingular, s_brute, s_closed
+from .count import count_supersingular, s_brute, s_closed
 from .curve import (
     ShortCurve,
     all_short_curves,
@@ -25,8 +25,6 @@ from .field import DEGREE_CAP, FieldContext, check_oracle_cap, make_context, sma
 
 EXHAUSTIVE_MAX_D = 4
 FIBER_SUM_MAX_D = 8
-
-CountFn = Callable[[ShortCurve], CountResult]
 
 
 @dataclass
@@ -90,8 +88,8 @@ def _run_suite(
             rep.ok(f"{suite} d={d} {passed(d, n)}")
 
 
-def _check_curve(e: ShortCurve, count_fn: CountFn) -> Optional[str]:
-    got = count_fn(e)
+def _check_curve(e: ShortCurve) -> Optional[str]:
+    got = count_supersingular(e)
     want = naive_count(e)
     if got.order != want:
         return f"curve={e} expected={want} got={got.order}"
@@ -135,12 +133,12 @@ def _census_passed(d: int, n: int) -> str:
     return f"classes={_census_size(d)} partition={n if d <= EXHAUSTIVE_MAX_D else 'skipped'}"
 
 
-def _twist_sums(ctx: FieldContext, count_fn: CountFn) -> Iterator[Optional[str]]:
+def _twist_sums(ctx: FieldContext) -> Iterator[Optional[str]]:
     g = smallest_nonsquare(ctx)
     target = 2 * ctx.q + 2
     for e in all_short_curves(ctx):
         twisted = quadratic_twist(e, g)
-        total = count_fn(e).order + count_fn(twisted).order
+        total = count_supersingular(e).order + count_supersingular(twisted).order
         yield None if total == target else f"curve={e} sum={total} expected={target}"
 
 
@@ -177,26 +175,17 @@ def _witness_soundness(
                 yield None
 
 
-def run_verification(
-    d_max: int,
-    samples: int = 200,
-    seed: int = 0,
-    count_fn: Optional[CountFn] = None,
-) -> VerifyReport:
+def run_verification(d_max: int, samples: int = 200, seed: int = 0) -> VerifyReport:
     """Run every suite up to d_max and collect a deterministic report.
 
-    count_fn exists as a harness hook so tests can inject a corrupted
-    counting formula and watch the oracle suites catch it. Arguments that
-    would let a suite pass without checking anything, or fail only after
-    others ran, are rejected before any suite runs.
+    Arguments that would let a suite pass without checking anything, or
+    fail only after others ran, are rejected before any suite runs.
     """
     if not 1 <= d_max <= DEGREE_CAP:
         raise DegreeOutOfRange(f"d-max must satisfy 1 <= d-max <= {DEGREE_CAP}, got {d_max}")
     check_oracle_cap(3**d_max)
     if samples < 1:
         raise InvalidArgument(f"samples must be at least 1, got {samples}")
-    if count_fn is None:
-        count_fn = count_supersingular
     rep = VerifyReport(d_max=d_max, samples=samples, seed=seed)
     rng = random.Random(seed)
     small = range(1, min(d_max, EXHAUSTIVE_MAX_D) + 1)
@@ -206,21 +195,16 @@ def run_verification(
     )
     _run_suite(
         rep, "oracle-exhaustive", small,
-        lambda ctx: (_check_curve(e, count_fn) for e in all_short_curves(ctx)),
+        lambda ctx: (_check_curve(e) for e in all_short_curves(ctx)),
         lambda d, n: f"curves={n}",
     )
     _run_suite(
         rep, "oracle-sampled", range(EXHAUSTIVE_MAX_D + 1, d_max + 1),
-        lambda ctx: (
-            _check_curve(random_supersingular_curve(ctx, rng), count_fn) for _ in range(samples)
-        ),
+        lambda ctx: (_check_curve(random_supersingular_curve(ctx, rng)) for _ in range(samples)),
         lambda d, n: f"curves={n}",
     )
     _run_suite(rep, "class-census", range(1, d_max + 1), _class_census, _census_passed)
-    _run_suite(
-        rep, "twist-sums", small, lambda ctx: _twist_sums(ctx, count_fn),
-        lambda d, n: f"checks={n}",
-    )
+    _run_suite(rep, "twist-sums", small, _twist_sums, lambda d, n: f"checks={n}")
     _run_suite(
         rep, "witness-soundness", small, lambda ctx: _witness_soundness(ctx, rng, samples),
         lambda d, n: f"pairs={n}",

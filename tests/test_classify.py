@@ -163,24 +163,31 @@ def test_canonicalize_witness_equals_isomorphic(d):
 
 
 # Mean field multiplications per call over sample_curves(d, 200, seed=0),
-# as (count_supersingular, canonicalize). A change in the cost of the
-# classification shows up as a diff here.
+# as (count_supersingular, canonicalize, fourth_roots(a4), isomorphic(e,
+# rep)). A change in the cost of the classification shows up as a diff here.
 MUL_COUNTS = {
-    12: (33.8, 117.315),
-    20: (51.675, 182.105),
-    30: (74.53, 256.08),
-    31: (74.84, 217.84),
+    12: (32.8, 113.545, 44.575, 135.42),
+    20: (50.675, 178.05, 71.385, 210.07),
+    30: (73.53, 252.135, 105.715, 300.845),
+    31: (73.84, 214.84, 110.88, 287.0),
 }
 
 
 @pytest.mark.parametrize("d", sorted(MUL_COUNTS))
 def test_multiplication_counts_pinned(d):
     curves = sample_curves(d, 200, seed=0)
+    pairs = [(e, canonicalize(e)[0]) for e in curves]
+    calls_of = (
+        lambda e, rep: count_supersingular(e),
+        lambda e, rep: canonicalize(e),
+        lambda e, rep: fourth_roots(e.a4),
+        lambda e, rep: isomorphic(e, rep),
+    )
     means = []
-    for fn in (count_supersingular, canonicalize):
+    for fn in calls_of:
         with count_muls(curves[0].ctx) as calls:
-            for e in curves:
-                fn(e)
+            for e, rep in pairs:
+                fn(e, rep)
         means.append(calls[0] / len(curves))
     assert tuple(means) == MUL_COUNTS[d]
 

@@ -15,12 +15,10 @@ from ss3 import (
     FieldElement,
     ModulusReducible,
     ParseError,
-    ZeroArgument,
     chi,
     context_to_json,
     decode_element,
     fourth_roots,
-    is_fourth_power,
     is_irreducible,
     make_context,
     smallest_nonsquare,
@@ -29,7 +27,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.field import PowerChain, _barrett_mul, _default_modulus
+from ss3.field import PowerChain, _barrett_mul, _default_modulus, _signed_roots
 
 # Base-3 encodings c0 + 3*c1 + ... of the default moduli's low coefficients
 # for d = 1..31. Every field-info, class label and export depends on them.
@@ -285,6 +283,17 @@ def test_pow_zero_is_one(d, data):
     assert x**0 == ctx.one
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 31])
+def test_pow_matches_repeated_multiplication(d):
+    ctx = make_context(d)
+    rng = random.Random(d)
+    for _ in range(5):
+        x, acc = ctx.random_nonzero(rng), ctx.one
+        for n in range(40):
+            assert x**n == acc
+            acc *= x
+
+
 @given(st.integers(1, 6), st.data())
 def test_field_axioms(d, data):
     ctx = make_context(d)
@@ -414,21 +423,26 @@ def test_chi_multiplicative_random(d):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_is_fourth_power_matches_table(d):
+    # fourth-power membership as the library decides it: fourth_roots, and
+    # the coset test of the classification dispatch on the PowerChain
     ctx = make_context(d)
     table = {(x**4).coeffs for x in (ctx.from_int(e) for e in range(1, ctx.q))}
     for enc in range(1, ctx.q):
         x = ctx.from_int(enc)
-        assert is_fourth_power(x) == (x.coeffs in table)
-        if d % 2 == 1 and chi(x) == 1:
-            assert is_fourth_power(x)  # squares are fourth powers for odd d
+        member = x.coeffs in table
+        assert bool(fourth_roots(x)) == member
+        chain = PowerChain(ctx, x.coeffs)
+        if d % 2 == 1:
+            assert (chain.chi() == 1) == member  # squares are fourth powers for odd d
+        else:
+            assert (chain.quartic() == 1) == member
 
 
 def test_is_fourth_power_gf9_vectors():
     ctx = make_context(2)
-    assert is_fourth_power(ctx.element(2))  # 2 = (1+t)^4
-    assert not is_fourth_power(ctx.element("0,2"))  # 2t = beta^2
-    with pytest.raises(ZeroArgument):
-        is_fourth_power(ctx.zero)
+    assert ctx.element("1,1") in fourth_roots(ctx.element(2))  # 2 = (1+t)^4
+    assert fourth_roots(ctx.element("0,2")) == []  # 2t = beta^2
+    assert fourth_roots(ctx.zero) == [ctx.zero]
 
 
 # ----------------------------------------------------------------------
@@ -522,6 +536,15 @@ def test_fourth_roots_exhaustive(d):
         expected = sorted(by_fourth.get(x.coeffs, []), key=lambda e: e.encoding())
         assert got == expected
         assert len(got) in ((0, 2) if d % 2 else (0, 4))
+    # the +-w step under fourth_roots, against squaring every element
+    by_square = {}
+    for x in ctx.elements():
+        by_square.setdefault((x * x).coeffs, []).append(x)
+    for enc in range(1, ctx.q):
+        w = ctx.from_int(enc)
+        for sign, targets in ((1, [w]), (-1, [-w]), (0, [w, -w])):
+            expected = [x for t in targets for x in by_square.get(t.coeffs, [])]
+            assert _signed_roots(w, sign) == sorted(expected, key=lambda e: e.encoding())
 
 
 # ----------------------------------------------------------------------

@@ -10,18 +10,8 @@ import dataclasses
 import pytest
 
 import ss3.verify as verify_mod
-from ss3 import IsomorphismWitness, count_supersingular
+from ss3 import IsomorphismWitness
 from ss3.curve import Point
-
-
-def _count_off_by_3(e):
-    r = count_supersingular(e)
-    return dataclasses.replace(r, order=r.order + 3, frobenius_trace=r.frobenius_trace - 3)
-
-
-def _count_trace_off_by_1(e):
-    r = count_supersingular(e)
-    return dataclasses.replace(r, frobenius_trace=r.frobenius_trace + 1)
 
 
 def _shift_r(w, e):
@@ -35,6 +25,22 @@ def _patch(name, wrap):
         monkeypatch.setattr(verify_mod, name, wrap(getattr(verify_mod, name)))
 
     return apply
+
+
+def _order_off_by_3(real):
+    def count_supersingular(e):
+        r = real(e)
+        return dataclasses.replace(r, order=r.order + 3, frobenius_trace=r.frobenius_trace - 3)
+
+    return count_supersingular
+
+
+def _trace_off_by_1(real):
+    def count_supersingular(e):
+        r = real(e)
+        return dataclasses.replace(r, frobenius_trace=r.frobenius_trace + 1)
+
+    return count_supersingular
 
 
 def _s_closed_off_at_1(real):
@@ -88,9 +94,9 @@ def _point_off_curve(real):
     return random_point
 
 
-# name -> (d_max, count_fn, patch, expected report lines between header and RESULT)
+# name -> (d_max, patch, expected report lines between header and RESULT)
 FAULTS = {
-    "count-order": (5, _count_off_by_3, None, """\
+    "count-order": (5, _patch("count_supersingular", _order_off_by_3), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -115,7 +121,7 @@ PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 PASS witness-soundness d=4 pairs=3
 """),
-    "count-trace": (3, _count_trace_off_by_1, None, """\
+    "count-trace": (3, _patch("count_supersingular", _trace_off_by_1), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -132,7 +138,7 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
-    "fiber-sum": (3, None, _patch("s_closed", _s_closed_off_at_1), """\
+    "fiber-sum": (3, _patch("s_closed", _s_closed_off_at_1), """\
 FAIL fiber-sums d=1 a=1 closed=2 brute=1
 FAIL fiber-sums d=2 a=1 closed=0 brute=-1
 FAIL fiber-sums d=3 a=1 closed=-2 brute=-3
@@ -149,7 +155,7 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
-    "census-size": (3, None, _patch("list_classes", _census_short_by_one), """\
+    "census-size": (3, _patch("list_classes", _census_short_by_one), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -166,7 +172,7 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
-    "census-distinct": (3, None, _patch("isomorphic", _iso_always), """\
+    "census-distinct": (3, _patch("isomorphic", _iso_always), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -183,7 +189,7 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
-    "census-representative": (3, None, _patch("canonicalize", _rep_replaced_by_input), """\
+    "census-representative": (3, _patch("canonicalize", _rep_replaced_by_input), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -200,7 +206,7 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
-    "census-witness": (3, None, _patch("canonicalize", _witness_r_shifted), """\
+    "census-witness": (3, _patch("canonicalize", _witness_r_shifted), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -217,7 +223,7 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
-    "witness-relations": (3, None, _patch("isomorphic", _iso_r_shifted), """\
+    "witness-relations": (3, _patch("isomorphic", _iso_r_shifted), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -234,7 +240,7 @@ FAIL witness-soundness d=1 pair a4=1;a6=2 ~ a4=1;a6=1 relations violated
 FAIL witness-soundness d=2 pair a4=1,2;a6=0,2 ~ a4=1,2;a6=1,0 relations violated
 FAIL witness-soundness d=3 pair a4=0,0,2;a6=1,1,2 ~ a4=0,2,2;a6=1,1,0 relations violated
 """),
-    "witness-unrecognized": (3, None, _patch("isomorphic", _iso_never), """\
+    "witness-unrecognized": (3, _patch("isomorphic", _iso_never), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -251,7 +257,7 @@ FAIL witness-soundness d=1 pair a4=1;a6=2 ~ a4=1;a6=1 not recognized
 FAIL witness-soundness d=2 pair a4=2,0;a6=1,2 ~ a4=1,0;a6=1,2 not recognized
 FAIL witness-soundness d=3 pair a4=0,1,2;a6=0,1,1 ~ a4=2,2,2;a6=0,1,2 not recognized
 """),
-    "witness-point-map": (3, None, _patch("random_point", _point_off_curve), """\
+    "witness-point-map": (3, _patch("random_point", _point_off_curve), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
 PASS fiber-sums d=3 checks=3
@@ -273,10 +279,9 @@ FAIL witness-soundness d=3 point map left the curve a4=1,0,0;a6=2,2,2
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_injected_fault_report(fault, monkeypatch):
-    d_max, count_fn, patch, lines = FAULTS[fault]
-    if patch is not None:
-        patch(monkeypatch)
-    rep = verify_mod.run_verification(d_max, samples=3, seed=1, count_fn=count_fn)
+    d_max, patch, lines = FAULTS[fault]
+    patch(monkeypatch)
+    rep = verify_mod.run_verification(d_max, samples=3, seed=1)
     suites, failures = lines.count("\n"), lines.count("FAIL ")
     expected = (
         f"verify d-max={d_max} samples=3 seed=1\n{lines}"
