@@ -55,7 +55,6 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
     SS3Error,
-    ZeroArgument,
 )
 from .field import (
     FieldContext,

@@ -20,14 +20,7 @@ from typing import Mapping, Optional
 from .classify import CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch
 from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
 from .errors import DParityError, NotSupersingularError
-from .field import (
-    CHI_TABLE_LIMIT,
-    FieldContext,
-    FieldElement,
-    check_oracle_cap,
-    chi,
-    trace,
-)
+from .field import FieldContext, FieldElement, check_oracle_cap, trace
 
 
 @dataclass(frozen=True)
@@ -79,9 +72,7 @@ def s_brute(ctx: FieldContext, a: int) -> int:
     check_oracle_cap(ctx.q)
     if a not in (0, 1, -1):
         raise ValueError(f"a must be 0, 1 or -1, got {a}")
-    if ctx.q <= CHI_TABLE_LIMIT:
-        ctx.chi_table()  # chi reads it once built
-    return sum(chi(x) for x in ctx.elements() if trace(x) == a)
+    return sum(ctx._chi(x.coeffs) for x in ctx.elements() if trace(x) == a)
 
 
 @functools.lru_cache(maxsize=64)

@@ -19,7 +19,7 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .field import CHI_TABLE_LIMIT, FieldContext, FieldElement, check_oracle_cap, chi, sqrt
+from .field import FieldContext, FieldElement, check_oracle_cap, chi, sqrt
 
 
 def _common_ctx(*elements: FieldElement) -> FieldContext:
@@ -235,15 +235,13 @@ def _chi_sum_cubic(
 ) -> int:
     """q + 1 + sum of chi(x^3 + c2 x^2 + c1 x + c0) over the field."""
     check_oracle_cap(ctx.q)
-    if ctx.q <= CHI_TABLE_LIMIT:
-        ctx.chi_table()  # _chi reads it once built
     mul, char = ctx._mul, ctx._chi
     c2, c1, c0 = c2.coeffs, c1.coeffs, c0.coeffs
     total = 0
     for x in ctx.elements():
         x = x.coeffs
         # Horner on packed ints; each sum stays unreduced (slots <= 4),
-        # which _mul and _chi accept
+        # which _mul and the chi table reader _chi accept
         total += char(mul(mul(x + c2, x) + c1, x) + c0)
     return ctx.q + 1 + total
 
@@ -278,14 +276,12 @@ def random_point(e: ShortCurve, rng) -> Point:
         return e.infinity()
     while True:
         x = ctx.random_element(rng)
-        f = e.rhs(x)
-        c = chi(f)
-        if c == -1:
-            continue
-        if c == 0:
-            return Point(e, x, ctx.zero)
-        y = sqrt(f)
-        return Point(e, x, y if rng.randrange(2) == 0 else -y)
+        y = sqrt(e.rhs(x))  # None for a non-square, zero at 0
+        if y is not None:
+            break
+    if y and rng.randrange(2):  # y = 0 takes no sign draw from the rng stream
+        y = -y
+    return Point(e, x, y)
 
 
 def random_supersingular_curve(ctx: FieldContext, rng) -> ShortCurve:

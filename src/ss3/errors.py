@@ -21,10 +21,6 @@ class DivisionByZero(SS3Error, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class ZeroArgument(SS3Error):
-    """Operation requires a nonzero argument."""
-
-
 class InvalidArgument(SS3Error, ValueError):
     """A numeric argument lies outside the range the operation accepts."""
 

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 
-from .classify import canonicalize
+from .classify import canonicalize, list_classes
 from .count import count_class
 from .curve import ShortCurve, all_short_curves
 from .field import FieldContext, context_to_json
@@ -102,8 +102,6 @@ def _csv_cell(value) -> str:
 
 def class_records(ctx: FieldContext) -> list[dict]:
     """One record per isomorphism class, in census order."""
-    from .classify import list_classes
-
     return [_record_for(ctx, entry.rep) for entry in list_classes(ctx)]
 
 

@@ -46,9 +46,6 @@ from .factor import factorize
 DEGREE_CAP = 31
 DEFAULT_ORACLE_CAP = 3**13
 ORACLE_CAP_ENV = "SS3_ORACLE_CAP"
-
-# chi tables are cheap to build and worth it only where full sweeps happen
-CHI_TABLE_LIMIT = 3**13
 _CUBE_TABLE_LIMIT = 3**8
 
 # slot value -> slot value mod 3, and -> its ASCII digit mod 3
@@ -362,14 +359,9 @@ class FieldContext:
         return int(a.to_bytes(self.d, "big").translate(_DIGITS), 3)
 
     def _chi(self, a: int) -> int:
-        # quadratic character of a packed value whose slots may be unreduced
-        table = self._chi_table
-        if table is not None:
-            return table[self._encode(a)] - 1
-        a = _mod3(a, self.d)
-        if not a:
-            return 0
-        return 1 if self._pow(a, (self.q - 1) // 2) == 1 else -1
+        # the oracles' character: a chi table lookup for a packed value whose
+        # slots may be unreduced; the library's chi is a PowerChain instead
+        return (self._chi_table or self.chi_table())[self._encode(a)] - 1
 
     # -- public element construction ------------------------------------
 
@@ -412,15 +404,17 @@ class FieldContext:
     # -- cached tables ---------------------------------------------------
 
     def chi_table(self) -> bytearray:
-        """Table of chi(x) + 1 indexed by encoding; built on first use.
+        """Table of chi(x) + 1 indexed by encoding, for the brute-force oracles.
 
-        Walks the powers of beta, so it costs q - 1 multiplications.
-        Only available for q <= 3^13.
+        Built on first use by walking the powers of beta, so it costs q - 1
+        multiplications. Every call checks the oracle cap.
+
+        Raises:
+            OracleTooLarge: for q above the oracle cap.
         """
+        check_oracle_cap(self.q)
         table = self._chi_table
         if table is None:
-            if self.q > CHI_TABLE_LIMIT:
-                raise OverflowError("chi table limited to q <= 3^13")
             table = bytearray([1]) * self.q
             cur, beta = 1, self.beta.coeffs
             for k in range(self.q - 1):
@@ -527,8 +521,11 @@ def trace(x: FieldElement) -> int:
 
 
 def chi(x: FieldElement) -> int:
-    """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0."""
-    return x.ctx._chi(x.coeffs)
+    """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0.
+
+    One PowerChain; the brute-force oracles read the chi table instead.
+    """
+    return 0 if x.is_zero() else PowerChain(x.ctx, x.coeffs).chi()
 
 
 def smallest_nonsquare(ctx: FieldContext) -> FieldElement:

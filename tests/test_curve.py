@@ -23,8 +23,9 @@ from ss3 import (
     reduce_curve,
     scalar_mul,
 )
+from ss3 import field
 from ss3.cli import main
-from ss3.count import char_sum_order, s_brute
+from ss3.count import char_sum_order, count_supersingular, s_brute, s_closed
 from ss3.curve import all_short_curves
 from ss3.verify import run_verification
 
@@ -276,6 +277,7 @@ _ORACLE_ENTRY_POINTS = {
     ),
     "count_points_directly": lambda ctx: _general(ctx, a2=1, a6=1).count_points_directly(),
     "s_brute": lambda ctx: s_brute(ctx, 0),
+    "chi_table": lambda ctx: ctx.chi_table(),
     "char_sum_order": lambda ctx: char_sum_order(reduce_curve(_general(ctx, a2=1, a6=1))),
     "run_verification": lambda ctx: run_verification(ctx.d, samples=1),
     "ss3 count --naive": _cli_count_naive,
@@ -291,6 +293,23 @@ def test_every_oracle_honours_the_cap(entry, monkeypatch):
     assert str(err.value) == f"q = {ctx.q} exceeds the enumeration cap {ctx.q - 1}"
     monkeypatch.setenv("SS3_ORACLE_CAP", str(ctx.q))
     call(ctx)
+
+
+def test_oracles_run_without_power_chain(monkeypatch):
+    # the oracles read the chi table alone: with every PowerChain failing,
+    # naive_count and s_brute on a built context still match the closed forms
+    ctx = make_context(3)
+    rng = random.Random(3)
+    curves = [ShortCurve(ctx.random_nonzero(rng), ctx.random_element(rng)) for _ in range(20)]
+    orders = [count_supersingular(e).order for e in curves]
+
+    def no_chain(*args):
+        raise AssertionError("an oracle ran a PowerChain")
+
+    monkeypatch.setattr(field, "PowerChain", no_chain)
+    assert [naive_count(e) for e in curves] == orders
+    for a in (0, 1, -1):
+        assert s_brute(ctx, a) == s_closed(ctx.d, a)
 
 
 def test_partition_contract_for_partial_sums():

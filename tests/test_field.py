@@ -411,6 +411,28 @@ def test_chi_multiplicative_exhaustive(d):
             assert chi(x * y) == chi(x) * chi(y)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_chi_table_matches_squares(d):
+    ctx = make_context(d)
+    squares = {(x * x).coeffs for x in ctx.elements()}
+    table = ctx.chi_table()
+    assert len(table) == ctx.q and table[0] - 1 == 0
+    for x in ctx.elements():
+        if x:
+            assert table[x.encoding()] - 1 == (1 if x.coeffs in squares else -1)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_chi_ignores_a_planted_table(d):
+    # chi is one PowerChain: a wrong table on the context must not reach it
+    ctx = FieldContext(d, _default_modulus(d))
+    ctx._chi_table = bytearray([2]) * ctx.q  # claims every element is a square
+    squares = {(x * x).coeffs for x in ctx.elements()}
+    for x in ctx.elements():
+        if x:
+            assert chi(x) == (1 if x.coeffs in squares else -1)
+
+
 @pytest.mark.parametrize("d", range(4, 9))
 def test_chi_multiplicative_random(d):
     ctx = make_context(d)
