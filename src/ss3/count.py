@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 from .classify import CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch
 from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
 from .errors import DParityError, NotSupersingularError
-from .field import FieldContext, FieldElement, check_oracle_cap, trace
+from .field import FieldContext, FieldElement, _digit_halves, check_oracle_cap, trace
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,25 @@ def s_closed(d: int, a: int) -> int:
 
 
 def s_brute(ctx: FieldContext, a: int) -> int:
-    """Literal sum of chi(x) over the fiber Tr(x) = a."""
+    """Literal sum of chi(x) over the fiber Tr(x) = a.
+
+    Each x is h + l over the digit halves (field._digit_halves). The trace
+    is F3-linear, so x is in the fiber iff Tr(l) = a - Tr(h), and the
+    halves share no digit, so x encodes as enc(h) + enc(l): one addition
+    and one chi table read per element of the fiber, and no product.
+    """
     check_oracle_cap(ctx.q)
     if a not in (0, 1, -1):
         raise ValueError(f"a must be 0, 1 or -1, got {a}")
-    return sum(ctx._chi(x.coeffs) for x in ctx.elements() if trace(x) == a)
+    lows, highs = _digit_halves(ctx.d)
+    by_trace = ([], [], [])  # encodings of the lows, by trace mod 3
+    for enc, x in enumerate(lows):
+        by_trace[trace(FieldElement(ctx, x)) % 3].append(enc)
+    return ctx._chi_sum(
+        j * len(lows) + enc  # highs[j] encodes as j * 3^k
+        for j, h in enumerate(highs)
+        for enc in by_trace[(a - trace(FieldElement(ctx, h))) % 3]
+    )
 
 
 @functools.lru_cache(maxsize=64)

@@ -9,6 +9,7 @@ ordinary (j != 0) and outside this library's counting scope.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -19,7 +20,7 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .field import FieldContext, FieldElement, check_oracle_cap, chi, sqrt
+from .field import FieldContext, FieldElement, _digit_halves, check_oracle_cap, chi, sqrt
 
 
 def _common_ctx(*elements: FieldElement) -> FieldContext:
@@ -233,16 +234,36 @@ def _chi_sum_cubic(
     c1: FieldElement,
     c0: FieldElement,
 ) -> int:
-    """q + 1 + sum of chi(x^3 + c2 x^2 + c1 x + c0) over the field."""
+    """q + 1 + sum of chi(f(x)) over the field, f(x) = x^3 + c2 x^2 + c1 x + c0.
+
+    Each x is h + l over the digit halves (field._digit_halves). Cubing is
+    additive in characteristic 3, so f(h + l) = f(h) + (f(l) - c0) +
+    2*c2*h*l: products run per half, not per element, and the cross term
+    is built from the k products 2*c2*h*t^j by additions. Each element
+    costs one or two additions, one encoding and one chi table read.
+    """
     check_oracle_cap(ctx.q)
-    mul, char = ctx._mul, ctx._chi
+    mul, encode, chi_sum = ctx._mul, ctx._encode, ctx._chi_sum
     c2, c1, c0 = c2.coeffs, c1.coeffs, c0.coeffs
+    lows, highs = _digit_halves(ctx.d)
+    # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
+    # accepts. A summed value keeps its slots at most 4k + 6 < 256, which the
+    # encoding reads mod 3.
+    low_parts = [mul(mul(x + c2, x) + c1, x) for x in lows]  # f(l) - c0
+    # 2*c2*t^j over the low digits j < d // 2 (as in _digit_halves)
+    cross_basis = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
     total = 0
-    for x in ctx.elements():
-        x = x.coeffs
-        # Horner on packed ints; each sum stays unreduced (slots <= 4),
-        # which _mul and the chi table reader _chi accept
-        total += char(mul(mul(x + c2, x) + c1, x) + c0)
+    for h in highs:
+        fh = mul(mul(h + c2, h) + c1, h) + c0
+        if c2:
+            row = [fh]  # fh + 2*c2*h*l over the lows l in encoding order
+            for b in cross_basis:
+                m = mul(b, h)
+                row += [v + m for v in row] + [v + 2 * m for v in row]
+            parts = map(operator.add, row, low_parts)
+        else:
+            parts = map(fh.__add__, low_parts)
+        total += chi_sum(map(encode, parts))
     return ctx.q + 1 + total
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     ContextMismatch,
@@ -40,7 +40,7 @@ from .errors import (
 from .factor import factorize
 
 # A product slot sums at most d byte products. With one operand unreduced
-# (slots <= 4, as the oracle's Horner loop passes it) and the other reduced,
+# (slots <= 4, as the oracles' Horner steps pass it) and the other reduced,
 # a slot holds at most 8d <= 248, so for d <= 31 no slot carries into the
 # next one.
 DEGREE_CAP = 31
@@ -358,10 +358,12 @@ class FieldContext:
         # slots may be unreduced: the digit table reads each one mod 3
         return int(a.to_bytes(self.d, "big").translate(_DIGITS), 3)
 
-    def _chi(self, a: int) -> int:
-        # the oracles' character: a chi table lookup for a packed value whose
-        # slots may be unreduced; the library's chi is a PowerChain instead
-        return (self._chi_table or self.chi_table())[self._encode(a)] - 1
+    def _chi_sum(self, encodings: Iterable[int]) -> int:
+        # the oracles' character: the sum of chi over elements given by their
+        # encodings, read from the chi table (chi + 1 by encoding); the
+        # library's chi is a PowerChain instead
+        values = bytes(map((self._chi_table or self.chi_table()).__getitem__, encodings))
+        return sum(values) - len(values)
 
     # -- public element construction ------------------------------------
 
@@ -443,6 +445,22 @@ class FieldContext:
     def __repr__(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
         return f"FieldContext(d={self.d}, modulus=[{mod}])"
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_halves(d: int) -> tuple[list[int], list[int]]:
+    """The packed elements on t^0..t^(k-1) and on t^k..t^(d-1), k = d // 2.
+
+    Both lists run in encoding order, so lows[i] + highs[j] encodes as
+    i + j * 3^k, and these sums visit the field once: the brute-force
+    oracles sweep it so. The lists depend on d alone, not on the modulus.
+    """
+    k, digits = d // 2, b"\x00\x01\x02"
+    lows = [int.from_bytes(bytes(c), "big") for c in itertools.product(digits, repeat=k)]
+    highs = [
+        int.from_bytes(bytes(c), "big") << 8 * k for c in itertools.product(digits, repeat=d - k)
+    ]
+    return lows, highs
 
 
 # ----------------------------------------------------------------------

@@ -40,3 +40,17 @@ def count_muls(ctx):
         yield calls
     finally:
         ctx._mul = mul
+
+
+def literal_chi(ctx):
+    """chi over ctx read from the set of squares: no chi table, no PowerChain."""
+    squares = {y * y for y in ctx.elements()}
+    return lambda v: 0 if v.is_zero() else 1 if v in squares else -1
+
+
+def literal_trace(x):
+    """Tr(x) = x + x^3 + ... + x^(3^(d-1)) by repeated cubing, an element of F3."""
+    total, power = x.ctx.zero, x
+    for _ in range(x.ctx.d):
+        total, power = total + power, power * power * power
+    return total

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import sample_curves
+from conftest import count_muls, literal_chi, literal_trace, sample_curves
 from ss3 import (
     CurveClass,
     CurveType,
@@ -82,6 +82,26 @@ def test_s_closed_matches_s_brute(d):
     ctx = make_context(d)
     for a in (0, 1, -1):
         assert s_closed(d, a) == s_brute(ctx, a)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_s_brute_matches_literal_reference(d):
+    # both parities of the digit split; the reference visits every element,
+    # takes its trace as a sum of Frobenius powers and chi from the squares
+    ctx = make_context(d)
+    chi_ref = literal_chi(ctx)
+    traced = [(x, literal_trace(x)) for x in ctx.elements()]
+    for a, t in ((0, ctx.zero), (1, ctx.one), (-1, ctx.minus_one)):
+        assert s_brute(ctx, a) == sum(chi_ref(x) for x, tx in traced if tx == t)
+
+
+def test_s_brute_makes_no_products_on_a_built_table():
+    ctx = make_context(8)
+    ctx.chi_table()
+    with count_muls(ctx) as calls:
+        for a in (0, 1, -1):
+            s_brute(ctx, a)
+    assert calls[0] == 0
 
 
 def test_s_brute_cap(monkeypatch):
@@ -265,22 +285,41 @@ def test_count_general_rejects_ordinary_with_j():
 
 
 def test_char_sum_order_matches_enumeration():
-    ctx = make_context(1)
+    # from d = 2 on, the oracle splits each x into digit halves h + l, and a
+    # model with b2 != 0 exercises its cross term 2*b2*h*l
     rng = random.Random(3)
     from ss3 import SingularCurve
 
-    done = 0
-    while done < 30:
-        try:
-            g = GeneralCurve(*[ctx.random_element(rng) for _ in range(5)])
-        except SingularCurve:
-            continue
-        red = reduce_curve(g)
-        direct = g.count_points_directly()
-        assert char_sum_order(red).order == direct
-        if red.short is not None:
-            assert count_general(g).order == direct
-        done += 1
+    for d, n in ((1, 30), (2, 25), (3, 25), (4, 25)):
+        ctx = make_context(d)
+        done = cross = 0
+        while done < n:
+            try:
+                g = GeneralCurve(*[ctx.random_element(rng) for _ in range(5)])
+            except SingularCurve:
+                continue
+            red = reduce_curve(g)
+            direct = g.count_points_directly()
+            assert char_sum_order(red).order == direct
+            if red.short is not None:
+                assert count_general(g).order == direct
+            done += 1
+            cross += not red.b2.is_zero()
+        assert cross >= n // 2
+
+
+def test_char_sum_order_multiplication_count_pinned():
+    # the split sweep at d = 8, k = 4 with b2 != 0: 2 products per low half
+    # (2 * 3^4), k products 2*b2*t^j once, and per high half 2 for f(h) plus
+    # k for 2*b2*h*t^j (6 * 3^4)
+    ctx = make_context(8)
+    ctx.chi_table()
+    a = [ctx.zero, ctx.one, ctx.zero, ctx.zero, ctx.one]  # y^2 = x^3 + x^2 + 1
+    red = reduce_curve(GeneralCurve(*a))
+    assert red.b2 == ctx.one
+    with count_muls(ctx) as calls:
+        char_sum_order(red)
+    assert calls[0] == 652
 
 
 def test_count_result_json():

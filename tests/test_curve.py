@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import count_muls, literal_chi, sample_curves
 from ss3 import (
     GeneralCurve,
     InvalidCurve,
@@ -229,6 +230,26 @@ def test_charsum_equals_xy_enumeration(d):
     ctx = make_context(d)
     for e in all_short_curves(ctx):
         assert naive_count(e) == count_points_by_enumeration(e)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_naive_count_matches_literal_reference(d):
+    # both parities of the digit split; the reference visits every x and
+    # reads chi from the set of squares
+    chi_ref = literal_chi(make_context(d))
+    for e in sample_curves(d, 8, seed=d):
+        reference = e.ctx.q + 1 + sum(chi_ref(e.rhs(x)) for x in e.ctx.elements())
+        assert naive_count(e) == reference
+
+
+@pytest.mark.parametrize("d, products", [(4, 36), (8, 324), (9, 648)])
+def test_naive_count_multiplication_count_pinned(d, products):
+    # 2 * (3^k + 3^(d-k)) with k = d // 2: two Horner products per half
+    ctx = make_context(d)
+    ctx.chi_table()
+    with count_muls(ctx) as calls:
+        naive_count(ShortCurve(ctx.one, ctx.one))
+    assert calls[0] == products
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
