@@ -6,7 +6,6 @@ form, with brute-force character-sum oracles for verification.
 """
 
 from .classify import (
-    ClassEntry,
     CurveClass,
     CurveType,
     IsomorphismWitness,
@@ -14,14 +13,15 @@ from .classify import (
     class_representative,
     curve_type,
     isomorphic,
-    list_classes,
     quadratic_twist,
 )
 from .count import (
+    ClassEntry,
     CountResult,
     count_class,
     count_general,
     count_supersingular,
+    list_classes,
     s_brute,
     s_closed,
 )

@@ -27,6 +27,7 @@ from .field import (
     _signed_roots,
     chi,
     fourth_roots,
+    smallest_nonsquare,
     solve_linearized,
     trace,
 )
@@ -215,31 +216,12 @@ def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitn
 
 
 def quadratic_twist(e: ShortCurve, g: FieldElement) -> ShortCurve:
-    """Twist by a non-square g: (a4, a6) -> (a4*g^2, a6*g^3)."""
-    if chi(g) != -1:
+    """Twist by a non-square g: (a4, a6) -> (a4*g^2, a6*g^3).
+
+    The context's smallest non-square is one by construction: no chi chain.
+    """
+    if g != smallest_nonsquare(g.ctx) and chi(g) != -1:
         raise NotANonSquare(f"{g} is a square (or zero); twists need chi(g) = -1")
     g2 = g * g
     return ShortCurve(e.a4 * g2, e.a6 * g2 * g)
 
-
-@dataclass(frozen=True)
-class ClassEntry:
-    """One isomorphism class: representative, label, closed-form count."""
-
-    rep: ShortCurve
-    cls: CurveClass
-    result: "CountResult"  # noqa: F821 - imported lazily to avoid a cycle
-
-
-def list_classes(ctx: FieldContext) -> list[ClassEntry]:
-    """Complete census: 4 classes for odd d, 6 for even d.
-
-    Order is fixed: type I (invariant 0, then 1/nonzero, then -1), I+,
-    II (0 then nonzero), IIIa, IIIb.
-    """
-    from .count import _class_orders, count_class
-
-    return [
-        ClassEntry(rep=class_representative(ctx, cls), cls=cls, result=count_class(ctx.d, cls))
-        for cls in _class_orders(ctx.d)
-    ]

@@ -16,8 +16,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .classify import canonicalize, list_classes
-from .count import char_sum_order, count_general, count_supersingular
+from .classify import canonicalize
+from .count import char_sum_order, count_general, count_supersingular, list_classes
 from .curve import GeneralCurve, ShortCurve, reduce_curve
 from .errors import SS3Error
 from .export import export_csv_text, export_json_text

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .classify import CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch
+from .classify import (
+    CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch, class_representative
+)
 from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
 from .errors import DParityError, NotSupersingularError
 from .field import FieldContext, FieldElement, _digit_halves, check_oracle_cap, trace
@@ -32,10 +34,8 @@ class CountResult:
     frobenius_trace: int
     class_used: Optional[CurveClass]
 
-    def to_json(self, beta: Optional[FieldElement] = None) -> dict:
-        cls = None
-        if self.class_used is not None and beta is not None:
-            cls = self.class_used.to_json(beta)
+    def to_json(self, beta: FieldElement) -> dict:
+        cls = None if self.class_used is None else self.class_used.to_json(beta)
         return {
             "q": str(self.q),
             "order": str(self.order),
@@ -121,10 +121,31 @@ def count_class(d: int, cls: CurveClass) -> CountResult:
     """
     orders = _class_orders(d)
     if cls not in orders:
-        if cls.ctype != CurveType.I and (cls.ctype == CurveType.I_PLUS) != (d % 2 == 1):
+        if all(key.ctype != cls.ctype for key in orders):
             raise DParityError(f"type {cls.ctype.value} curves do not exist for d = {d}")
         raise ValueError(f"invariant {cls.invariant!r} is not valid for type {cls.ctype.value}")
     return _result(3**d, orders[cls], cls)
+
+
+@dataclass(frozen=True)
+class ClassEntry:
+    """One isomorphism class: representative, label, closed-form count."""
+
+    rep: ShortCurve
+    cls: CurveClass
+    result: CountResult
+
+
+def list_classes(ctx: FieldContext) -> list[ClassEntry]:
+    """Complete census: 4 classes for odd d, 6 for even d.
+
+    Order is fixed: type I (invariant 0, then 1/nonzero, then -1), I+,
+    II (0 then nonzero), IIIa, IIIb.
+    """
+    return [
+        ClassEntry(rep=class_representative(ctx, cls), cls=cls, result=count_class(ctx.d, cls))
+        for cls in _class_orders(ctx.d)
+    ]
 
 
 def count_supersingular(e: ShortCurve) -> CountResult:

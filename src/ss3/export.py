@@ -12,8 +12,8 @@ import csv
 import io
 import json
 
-from .classify import canonicalize, list_classes
-from .count import count_class
+from .classify import canonicalize
+from .count import count_class, list_classes
 from .curve import ShortCurve, all_short_curves
 from .field import FieldContext, context_to_json
 

@@ -617,19 +617,12 @@ class PowerChain:
 def sqrt(x: FieldElement) -> Optional[FieldElement]:
     """Square root with the smaller encoding, or None for non-squares.
 
-    One PowerChain: its last square is the square test, and its root()
-    tail, seeded with the context's n^odd for the smallest non-square n,
-    runs only for squares. For odd d, s = 1 and the root is the raw chain
-    value x^((q+1)/4).
+    The first of _signed_roots(x, 1), which are sorted by encoding.
     """
-    ctx = x.ctx
     if x.is_zero():
-        return ctx.zero
-    chain = PowerChain(ctx, x.coeffs)
-    if chain.chi() == -1:
-        return None
-    root = chain.root()
-    return min(root, -root, key=FieldElement.encoding)
+        return x.ctx.zero
+    roots = _signed_roots(x, 1)
+    return roots[0] if roots else None
 
 
 def _signed_roots(w: FieldElement, sign: int) -> list[FieldElement]:

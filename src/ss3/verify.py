@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Optional
 
-from .classify import canonicalize, isomorphic, list_classes, quadratic_twist
-from .count import count_supersingular, s_brute, s_closed
+from .classify import canonicalize, isomorphic, quadratic_twist
+from .count import count_supersingular, list_classes, s_brute, s_closed
 from .curve import (
     ShortCurve,
     all_short_curves,

@@ -23,6 +23,7 @@ from ss3 import (
     smallest_nonsquare,
     trace,
 )
+from ss3 import field
 from ss3.curve import all_short_curves
 
 
@@ -297,6 +298,20 @@ def test_twist_requires_nonsquare():
         quadratic_twist(e, ctx.one)
     with pytest.raises(NotANonSquare):
         quadratic_twist(e, ctx.zero)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_twist_by_smallest_nonsquare_runs_no_chain(d, monkeypatch):
+    # the smallest non-square is one by construction, so no chi chain runs
+    ctx = make_context(d)
+    e = ShortCurve(ctx.one, ctx.one)
+    g = smallest_nonsquare(ctx)
+
+    def no_chain(*args):
+        raise AssertionError("quadratic_twist ran a PowerChain")
+
+    monkeypatch.setattr(field, "PowerChain", no_chain)
+    assert quadratic_twist(e, g) == ShortCurve(g * g, g * g * g)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Closed-form character sums and point counts against the oracles."""
 
 import random
+import re
 
 import pytest
 
@@ -151,6 +152,41 @@ def test_count_type_II_vectors_and_twist_pairing():
             assert pair == 2 * q + 2
     with pytest.raises(DParityError):
         _count(3, CurveType.II, 0)
+
+
+# the classes that exist at each parity of d, as (type, invariant) pairs
+_CLASSES_BY_PARITY = {
+    1: {(CurveType.I, "0"), (CurveType.I, "1"), (CurveType.I, "-1"), (CurveType.I_PLUS, None)},
+    0: {
+        (CurveType.I, "0"),
+        (CurveType.I, "nonzero"),
+        (CurveType.II, "0"),
+        (CurveType.II, "nonzero"),
+        (CurveType.IIIA, None),
+        (CurveType.IIIB, None),
+    },
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_count_class_error_split(d):
+    # every (type, invariant) pair gives an order, a DParityError when the
+    # type has no class at d's parity, or a ValueError for a foreign invariant
+    classes = _CLASSES_BY_PARITY[d % 2]
+    for ctype in CurveType:
+        for invariant in (None, "0", "1", "-1", "nonzero"):
+            cls = CurveClass(ctype, invariant)
+            if (ctype, invariant) in classes:
+                result = count_class(d, cls)
+                assert (result.q, result.class_used) == (3**d, cls)
+            elif all(ctype != c for c, _ in classes):
+                message = f"type {ctype.value} curves do not exist for d = {d}"
+                with pytest.raises(DParityError, match=f"^{re.escape(message)}$"):
+                    count_class(d, cls)
+            else:
+                message = f"invariant {invariant!r} is not valid for type {ctype.value}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    count_class(d, cls)
 
 
 def test_count_trivial():
