@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .classify import (
     CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch, class_representative
@@ -72,21 +73,32 @@ def s_brute(ctx: FieldContext, a: int) -> int:
 
     Each x is h + l over the digit halves (field._digit_halves). The trace
     is F3-linear, so x is in the fiber iff Tr(l) = a - Tr(h), and the
-    halves share no digit, so x encodes as enc(h) + enc(l): one addition
-    and one chi table read per element of the fiber, and no product.
+    halves share no digit, so x encodes as enc(h) + enc(l): the elements
+    h + l over all the lows are one slice of the chi table, and the fiber
+    picks one trace class of it. No product is made.
     """
     check_oracle_cap(ctx.q)
     if a not in (0, 1, -1):
         raise ValueError(f"a must be 0, 1 or -1, got {a}")
+    table = ctx.chi_table()
     lows, highs = _digit_halves(ctx.d)
-    by_trace = ([], [], [])  # encodings of the lows, by trace mod 3
+    n, by_trace = len(lows), ([], [], [])  # low encodings, by trace mod 3
     for enc, x in enumerate(lows):
         by_trace[trace(FieldElement(ctx, x)) % 3].append(enc)
-    return ctx._chi_sum(
-        j * len(lows) + enc  # highs[j] encodes as j * 3^k
-        for j, h in enumerate(highs)
-        for enc in by_trace[(a - trace(FieldElement(ctx, h))) % 3]
-    )
+    picks = [_picker(encs) for encs in by_trace]
+    total = 0
+    for j, h in enumerate(highs):  # highs[j] encodes as j * 3^k
+        values = picks[(a - trace(FieldElement(ctx, h))) % 3](table[j * n:j * n + n])
+        total += sum(values) - len(values)  # the table holds chi + 1
+    return total
+
+
+def _picker(indices: list[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    # itemgetter returns a bare item for one index and needs at least one,
+    # so a class of one low or none is read as a slice
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
 @functools.lru_cache(maxsize=64)

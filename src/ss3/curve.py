@@ -9,7 +9,6 @@ ordinary (j != 0) and outside this library's counting scope.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -20,7 +19,9 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .field import FieldContext, FieldElement, _digit_halves, check_oracle_cap, chi, sqrt
+from .field import (
+    FieldContext, FieldElement, _digit_halves, _sweep_rows, check_oracle_cap, chi, sqrt
+)
 
 
 def _common_ctx(*elements: FieldElement) -> FieldContext:
@@ -239,32 +240,20 @@ def _chi_sum_cubic(
     Each x is h + l over the digit halves (field._digit_halves). Cubing is
     additive in characteristic 3, so f(h + l) = f(h) + (f(l) - c0) +
     2*c2*h*l: products run per half, not per element, and the cross term
-    is built from the k products 2*c2*h*t^j by additions. Each element
-    costs one or two additions, one encoding and one chi table read.
+    is the sum over the low digits l_j of l_j times the k products
+    2*c2*h*t^j. The split sweep (field._sweep_rows) adds these up for all
+    the lows of one h at once and encodes the row in one pass, so each
+    element costs one chi table read.
     """
-    check_oracle_cap(ctx.q)
-    mul, encode, chi_sum = ctx._mul, ctx._encode, ctx._chi_sum
-    c2, c1, c0 = c2.coeffs, c1.coeffs, c0.coeffs
-    lows, highs = _digit_halves(ctx.d)
+    mul, c2, c1, c0 = ctx._mul, c2.coeffs, c1.coeffs, c0.coeffs
+    read = ctx.chi_table().__getitem__  # checks the oracle cap
     # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
-    # accepts. A summed value keeps its slots at most 4k + 6 < 256, which the
-    # encoding reads mod 3.
-    low_parts = [mul(mul(x + c2, x) + c1, x) for x in lows]  # f(l) - c0
-    # 2*c2*t^j over the low digits j < d // 2 (as in _digit_halves)
-    cross_basis = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
-    total = 0
-    for h in highs:
-        fh = mul(mul(h + c2, h) + c1, h) + c0
-        if c2:
-            row = [fh]  # fh + 2*c2*h*l over the lows l in encoding order
-            for b in cross_basis:
-                m = mul(b, h)
-                row += [v + m for v in row] + [v + 2 * m for v in row]
-            parts = map(operator.add, row, low_parts)
-        else:
-            parts = map(fh.__add__, low_parts)
-        total += chi_sum(map(encode, parts))
-    return ctx.q + 1 + total
+    # accepts and which f(h) keeps, as _sweep_rows allows.
+    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
+    cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
+    rows = _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
+    # the table holds chi + 1, so its q reads sum to q + the sum of chi
+    return 1 + sum(sum(map(read, encodings)) for encodings in rows)
 
 
 def naive_count(e: ShortCurve) -> int:

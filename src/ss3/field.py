@@ -18,15 +18,23 @@ encoding of (c0, ..., c_{d-1}) is the base-3 integer
 c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d, modulus) computes all
 of them when constructed; make_context adds validation and the one cache.
 
+The brute-force oracles sweep the field one row at a time: each x is h + l
+over two digit halves (_digit_halves), and one packed big int holds the
+elements of one h over every l, so a row is built from a few products and
+encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
+read is built from the squares by the same sweep.
+
 Contexts are immutable after construction and safe to share across
 threads; the lazily built character table is filled idempotently.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
+import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -358,13 +366,6 @@ class FieldContext:
         # slots may be unreduced: the digit table reads each one mod 3
         return int(a.to_bytes(self.d, "big").translate(_DIGITS), 3)
 
-    def _chi_sum(self, encodings: Iterable[int]) -> int:
-        # the oracles' character: the sum of chi over elements given by their
-        # encodings, read from the chi table (chi + 1 by encoding); the
-        # library's chi is a PowerChain instead
-        values = bytes(map((self._chi_table or self.chi_table()).__getitem__, encodings))
-        return sum(values) - len(values)
-
     # -- public element construction ------------------------------------
 
     def element(self, value: CoeffsLike) -> FieldElement:
@@ -408,8 +409,10 @@ class FieldContext:
     def chi_table(self) -> bytearray:
         """Table of chi(x) + 1 indexed by encoding, for the brute-force oracles.
 
-        Built on first use by walking the powers of beta, so it costs q - 1
-        multiplications. Every call checks the oracle cap.
+        Built on first use by marking the squares x^2 over the split sweep
+        (_sweep_rows): with x = h + l, x^2 = h^2 + l^2 + sum_j l_j * 2h*t^j,
+        so it costs 3^k + (k + 1) * 3^(d-k) multiplications, k = d // 2.
+        Every call checks the oracle cap.
 
         Raises:
             OracleTooLarge: for q above the oracle cap.
@@ -417,11 +420,13 @@ class FieldContext:
         check_oracle_cap(self.q)
         table = self._chi_table
         if table is None:
-            table = bytearray([1]) * self.q
-            cur, beta = 1, self.beta.coeffs
-            for k in range(self.q - 1):
-                table[self._encode(cur)] = 2 if k % 2 == 0 else 0
-                cur = self._mul(cur, beta)
+            table = bytearray(self.q)  # chi + 1 = 0 until marked as a square
+            mul, mark, two = self._mul, table.__setitem__, itertools.repeat(2)
+            low_squares = [mul(x, x) for x in _digit_halves(self.d)[0]]
+            cross = [2 << 8 * j for j in range(self.d // 2)]
+            for encodings in _sweep_rows(self, lambda h: mul(h, h), low_squares, cross):
+                collections.deque(map(mark, encodings, two), maxlen=0)
+            table[0] = 1
             self._chi_table = table
         return table
 
@@ -461,6 +466,85 @@ def _digit_halves(d: int) -> tuple[list[int], list[int]]:
         int.from_bytes(bytes(c), "big") << 8 * k for c in itertools.product(digits, repeat=d - k)
     ]
     return lows, highs
+
+
+# A row packs the elements h + l of one high half h over the 3^k lows l
+# (k = d // 2), the one of low index i in lane i, S bytes from byte i * S.
+# _sweep_rows sums into a lane a value with slots <= 4, a low part with
+# slots <= 2 and k cross terms with slots <= 4, so a slot holds at most
+# 6 + 4k <= 66 < 256 for d <= 31 and no lane carries into the next.
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview casts by item size
+
+
+def _lane_widths(d: int) -> tuple[int, int]:
+    """Bytes per lane (S, the smallest power of two >= d) and bytes read per lane."""
+    width = 1 << (d - 1).bit_length()
+    return width, min(width, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_layout(d: int) -> tuple:
+    """The constants of a degree-d row, which depend on d alone.
+
+    ONES holds 1 in every lane and DIGIT_j, for j < k, holds digit j of i
+    in lane i. The rounds of _encode_row are (shift, mask, 3^w) for
+    w = 1, 2, 4, .., S / 2, the mask keeping the low w bytes of every
+    2w-byte group. The picks slice takes each lane's low read bytes, as
+    native ints in lane order, from the row's bytes in native order.
+    """
+    width, read = _lane_widths(d)
+    n = 3 ** (d // 2)
+    size, pad = n * width, bytes(width - 1)
+
+    def lanes(values: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(bytes([v]) + pad for v in values), "little")
+
+    ones = lanes([1] * n)
+    digits = tuple(lanes(i // 3**j % 3 for i in range(n)) for j in range(d // 2))
+    rounds, w = [], 1
+    while w < width:
+        mask = int.from_bytes((b"\xff" * w + bytes(w)) * (size // (2 * w)), "little")
+        rounds.append((8 * w, mask, 3**w))
+        w *= 2
+    stride = width // read
+    picks = slice(None, None, stride) if sys.byteorder == "little" else slice(-1, None, -stride)
+    return ones, digits, tuple(rounds), size, _LANE_FORMATS[read], picks
+
+
+def _encode_row(d: int, row: int) -> memoryview:
+    """The encodings of a packed degree-d row's lanes, in lane order.
+
+    Slots may be unreduced (up to 6 + 4k): one translate reduces them mod 3.
+    Round w then turns the two w-byte halves of every 2w-byte group, each
+    holding a base-3 value below 3^w, into lo + 3^w * hi, so after log2(S)
+    rounds every lane holds its encoding, below 3^d, in its low read bytes.
+    """
+    _, _, rounds, size, fmt, picks = _row_layout(d)
+    x = int.from_bytes(row.to_bytes(size, "little").translate(_MOD3), "little")
+    for shift, mask, scale in rounds:
+        x = (x & mask) + scale * (x >> shift & mask)
+    return memoryview(x.to_bytes(size, sys.byteorder)).cast(fmt)[picks]
+
+
+def _sweep_rows(
+    ctx: FieldContext, head: Callable[[int], int], low_parts: Sequence[int], cross: Sequence[int]
+) -> Iterator[memoryview]:
+    """Encodings of head(h) + low_parts[i] + sum_j l_j * cross[j] * h, row by row.
+
+    One row per high half h in encoding order, over the lows l (digits
+    l_j, encoding i) in lane order; cross has at most k terms. head(h)
+    may leave slots <= 4, the low parts and cross terms must be reduced.
+    Each row costs len(cross) products, plus whatever head(h) makes.
+    """
+    d, mul = ctx.d, ctx._mul
+    ones, digits = _row_layout(d)[:2]
+    width = _lane_widths(d)[0]
+    low_row = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in low_parts), "little")
+    for h in _digit_halves(d)[1]:
+        row = head(h) * ones + low_row
+        for b, digit in zip(cross, digits):
+            row += mul(b, h) * digit
+        yield _encode_row(d, row)
 
 
 # ----------------------------------------------------------------------

@@ -333,6 +333,35 @@ def test_oracles_run_without_power_chain(monkeypatch):
         assert s_brute(ctx, a) == s_closed(ctx.d, a)
 
 
+def test_oracle_sweeps_encode_no_single_element(monkeypatch):
+    # the sweeps encode whole rows: with the per-element encoding failing,
+    # the oracles on a built table and a cold chi table still give the
+    # values they gave before
+    ctx = make_context(5)
+    cold = field.FieldContext(ctx.d, ctx.modulus)
+    curves = sample_curves(ctx.d, 4, seed=5)
+    general = _general(ctx, a1=1, a2=1, a4=3, a6=4)
+    assert reduce_curve(general).b2  # the sweep with cross terms
+    before = (
+        [naive_count(e) for e in curves],
+        char_sum_order(reduce_curve(general)),
+        [s_brute(ctx, a) for a in (0, 1, -1)],
+        bytes(ctx.chi_table()),
+    )
+
+    def no_encode(self, a):
+        raise AssertionError("a sweep encoded one element")
+
+    monkeypatch.setattr(field.FieldContext, "_encode", no_encode)
+    after = (
+        [naive_count(e) for e in curves],
+        char_sum_order(reduce_curve(general)),
+        [s_brute(ctx, a) for a in (0, 1, -1)],
+        bytes(cold.chi_table()),
+    )
+    assert after == before
+
+
 def test_partition_contract_for_partial_sums():
     # partial character sums over any split of the x-range add exactly
     from ss3 import chi

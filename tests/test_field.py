@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import struct
 from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import count_muls
 from ss3 import (
     ContextMismatch,
     DegreeOutOfRange,
@@ -27,7 +29,16 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.field import PowerChain, _barrett_mul, _default_modulus, _signed_roots
+from ss3.field import (
+    DEGREE_CAP,
+    _LANE_FORMATS,
+    PowerChain,
+    _barrett_mul,
+    _default_modulus,
+    _encode_row,
+    _lane_widths,
+    _signed_roots,
+)
 
 # Base-3 encodings c0 + 3*c1 + ... of the default moduli's low coefficients
 # for d = 1..31. Every field-info, class label and export depends on them.
@@ -420,6 +431,52 @@ def test_chi_table_matches_squares(d):
     for x in ctx.elements():
         if x:
             assert table[x.encoding()] - 1 == (1 if x.coeffs in squares else -1)
+
+
+@pytest.mark.parametrize("d", range(7, 10))
+def test_chi_table_matches_squares_on_wide_lanes(d):
+    # the square sweep on 8- and 16-byte lanes, for the default and a dense modulus
+    for ctx in (make_context(d), make_context(d, _dense_modulus(d))):
+        squares = {(x * x).coeffs for x in ctx.elements()}
+        expected = bytes(2 if x.coeffs in squares else 0 for x in ctx.elements())
+        assert ctx.chi_table() == b"\x01" + expected[1:]
+
+
+@pytest.mark.parametrize("d, products", [(4, 36), (8, 486), (9, 1296)])
+def test_chi_table_multiplication_count_pinned(d, products):
+    # 3^k low squares, then per high half h^2 and the k cross terms 2*h*t^j
+    ctx = FieldContext(d, _default_modulus(d))
+    with count_muls(ctx) as calls:
+        ctx.chi_table()
+    assert calls[0] == products
+
+
+@pytest.mark.parametrize("d, width", [(1, 1), (2, 2), (3, 4), (5, 8), (9, 16), (17, 32)])
+def test_encode_row_matches_encode(d, width):
+    # rows of random slots up to the bound 6 + 4k, each lane holding the
+    # bound at least once; the encoder needs no context, so d = 17 builds
+    # no chi table
+    k, rng = d // 2, random.Random(d)
+    top = 6 + 4 * k
+    assert _lane_widths(d)[0] == width
+    lanes = [
+        bytes(top if j == i % d else rng.randrange(top + 1) for j in range(d))
+        for i in range(3**k)
+    ]
+    row = int.from_bytes(b"".join(lane.ljust(width, b"\0") for lane in lanes), "little")
+    expected = [make_context(d)._encode(int.from_bytes(lane, "little")) for lane in lanes]
+    assert list(_encode_row(d, row)) == expected
+
+
+def test_row_slots_and_lane_reads_fit_every_degree():
+    # from the constants alone: no row layout is built above the oracle cap
+    for size, fmt in _LANE_FORMATS.items():
+        assert struct.calcsize(fmt) == size  # native sizes, as the lane casts read
+    for d in range(1, DEGREE_CAP + 1):
+        width, read = _lane_widths(d)
+        assert width >= d and width & (width - 1) == 0 and read in _LANE_FORMATS
+        assert 6 + 4 * (d // 2) < 256
+        assert 3**d <= 256**read
 
 
 @pytest.mark.parametrize("d", range(1, 5))
