@@ -23,12 +23,13 @@ from .errors import NotANonSquare
 from .field import (
     FieldContext,
     FieldElement,
+    LinearizedMap,
     PowerChain,
+    _fourth_roots,
     _signed_roots,
     chi,
     fourth_roots,
     smallest_nonsquare,
-    solve_linearized,
     trace,
 )
 
@@ -99,14 +100,18 @@ class IsomorphismWitness:
         return {"u": str(self.u), "r": str(self.r)}
 
 
-def _dispatch(e: ShortCurve) -> tuple[CurveClass, Callable[[], list[FieldElement]]]:
-    """Class of e, plus the deferred witnesses u to its representative.
+def _dispatch(
+    e: ShortCurve,
+) -> tuple[CurveClass, Callable[[], tuple[list[FieldElement], FieldElement]]]:
+    """Class of e, plus the deferred data of the witness to its representative.
 
     One PowerChain on x = -a4 and one trace decide the class: the chain's
     last square is chi(x), its next-to-last is x^((q-1)/4), and its
     inverse gives gamma^-3 = gamma * x^-2 for a square root gamma of x.
-    The second result lists, in encoding order, the u with u^4 = a4/a4'
-    that admit an r; only canonicalize calls it, as it costs a chain.
+    The second result gives the u with u^4 = a4/a4' that admit an r, in
+    encoding order, and x^-1 from the same chain, for every type; only
+    canonicalize calls it, as the u cost one more chain (two for IIIa and
+    IIIb, which take fourth_roots).
     """
     ctx = e.ctx
     x = -e.a4
@@ -118,20 +123,26 @@ def _dispatch(e: ShortCurve) -> tuple[CurveClass, Callable[[], list[FieldElement
         if chain.chi() == -1:
             # r^2 = a4, so u^2 = +-r; r is a non-square, and the step
             # picks -r
-            return CurveClass(CurveType.I_PLUS, None), lambda: _signed_roots(r, 0)
+            return (
+                CurveClass(CurveType.I_PLUS, None),
+                lambda: (_signed_roots(r, 0), chain.inverse()),
+            )
         # r is the square one of +-sqrt(x), and u^2 = r gives u^-6 = r * x^-2
         inv = chain.inverse()
         invariant = str(trace(e.a6 * r * inv * inv))
-        return CurveClass(CurveType.I, invariant), lambda: _signed_roots(r, 1)
+        return CurveClass(CurveType.I, invariant), lambda: (_signed_roots(r, 1), inv)
     beta_inv = ctx._beta_inv
     if chain.chi() == -1:
         # x = beta^k with k odd sits in the beta or beta^3 coset of the
         # fourth powers; it is the beta coset iff x^((q-1)/4) = beta^((q-1)/4)
         if chain.quartic() == ctx._beta_quartic:
-            return CurveClass(CurveType.IIIA, None), lambda: fourth_roots(x * beta_inv)
+            return (
+                CurveClass(CurveType.IIIA, None),
+                lambda: (fourth_roots(x * beta_inv), chain.inverse()),
+            )
         return (
             CurveClass(CurveType.IIIB, None),
-            lambda: fourth_roots(x * beta_inv * beta_inv * beta_inv),
+            lambda: (fourth_roots(x * beta_inv * beta_inv * beta_inv), chain.inverse()),
         )
     root = chain.root()
     gamma = min(root, -root, key=FieldElement.encoding)
@@ -142,8 +153,11 @@ def _dispatch(e: ShortCurve) -> tuple[CurveClass, Callable[[], list[FieldElement
     t = trace(e.a6 * gamma * inv * inv)
     invariant = INV_ZERO if t == 0 else INV_NONZERO
     if chain.quartic() == 1:  # chi(gamma) = x^((q-1)/4)
-        return CurveClass(CurveType.I, invariant), lambda: _signed_roots(gamma, t)
-    return CurveClass(CurveType.II, invariant), lambda: _signed_roots(gamma * beta_inv, t)
+        return CurveClass(CurveType.I, invariant), lambda: (_signed_roots(gamma, t), inv)
+    return (
+        CurveClass(CurveType.II, invariant),
+        lambda: (_signed_roots(gamma * beta_inv, t), inv),
+    )
 
 
 def curve_type(e: ShortCurve) -> CurveType:
@@ -174,16 +188,40 @@ def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
     return ShortCurve(-beta * beta * beta, ctx.zero)
 
 
+def _representative_map(rep: ShortCurve) -> LinearizedMap:
+    """The LinearizedMap of a class representative's a4, built once per context.
+
+    The representatives take 2 values of a4 at odd d and 4 at even d, so
+    the context's slot never holds more maps than that.
+    """
+    maps = rep.ctx._linear_maps
+    lmap = maps.get(rep.a4.coeffs)
+    if lmap is None:
+        lmap = maps[rep.a4.coeffs] = LinearizedMap(rep.a4)
+    return lmap
+
+
 def _first_witness(
-    e1: ShortCurve, e2: ShortCurve, roots: list[FieldElement]
+    e1: ShortCurve,
+    e2: ShortCurve,
+    roots: list[FieldElement],
+    inv4: FieldElement,
+    lmap: LinearizedMap,
 ) -> Optional[IsomorphismWitness]:
     """The first u in roots that admits an r, with the smallest-encoding r.
 
-    Each u is tried by solving r^3 + a4*r + (a6 - u^6*a6') = 0.
+    Every u in roots has u^4 * a4' = a4, inv4 is a4'/a4 = u^-4, and lmap
+    is the LinearizedMap of a4'. With r = u^2*x the witness equation
+    u^6*a6' = a6 + r*a4 + r^3 becomes x^3 + a4'*x = a6' - a6*u^-6, where
+    u^-6 = u^2 * inv4^2: each u tried costs one back-substitution, and r
+    is the smallest by encoding of u^2*x over every preimage x.
     """
+    ctx, inv8 = e1.ctx, inv4 * inv4
     for u in roots:
-        r = solve_linearized(e1.a4, e1.a6 - u ** 6 * e2.a6)
-        if r is not None:
+        u2 = u * u
+        xs = lmap.preimages((e2.a6 - e1.a6 * (u2 * inv8)).coeffs)
+        if xs:
+            r = min((u2 * FieldElement(ctx, x) for x in xs), key=FieldElement.encoding)
             return IsomorphismWitness(u, r)
     return None
 
@@ -192,27 +230,34 @@ def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
     """Explicit witness e1 -> e2, or None when no isomorphism exists.
 
     Scans the at most four fourth roots u of a4/a4' in encoding order; the
-    first solvable u wins, so results are deterministic.
+    first solvable u wins, so results are deterministic. The chain that
+    finds the roots gives u^-4, and the map of a4' is built once per call.
     """
     if e1.ctx.key != e2.ctx.key:
         return None
-    return _first_witness(e1, e2, fourth_roots(e1.a4 / e2.a4))
+    roots, chain = _fourth_roots(e1.a4 / e2.a4)
+    if not roots:
+        return None
+    return _first_witness(e1, e2, roots, chain.inverse(), LinearizedMap(e2.a4))
 
 
 def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitness]:
     """Class representative, class label, and a witness from e to it.
 
     The witness is the one isomorphic(e, rep) returns: the smallest-encoding
-    u that admits some r, and the smallest-encoding r for that u. Setting
-    r = u^2*x turns the witness equation into x^3 + a4'*x = a6' - a6*u^-6,
-    so whether u admits an r depends only on u^2, which _dispatch fixes.
-    For I+, IIIa and IIIb the map x -> x^3 + a4'*x is a bijection, so
-    every u with u^4 = a4/a4' admits one. Every u _dispatch lists admits
-    an r, so the scan solves once.
+    u that admits some r, and the smallest-encoding r for that u. With
+    r = u^2*x the witness equation becomes x^3 + a4'*x = a6' - a6*u^-6, so
+    whether u admits an r depends only on u^2, which _dispatch fixes; for
+    I+, IIIa and IIIb the map x -> x^3 + a4'*x is a bijection, so every u
+    with u^4 = a4/a4' admits one. Every u _dispatch lists admits an r, so
+    the scan back-substitutes once, through the representative's map,
+    which the context keeps. u^-4 = a4'/a4 = -a4' * x^-1 comes from the
+    dispatch chain on x = -a4, so no inversion is added.
     """
-    cls, roots = _dispatch(e)
+    cls, witness_data = _dispatch(e)
     rep = class_representative(e.ctx, cls)
-    return rep, cls, _first_witness(e, rep, roots())
+    roots, x_inv = witness_data()
+    return rep, cls, _first_witness(e, rep, roots, -(rep.a4 * x_inv), _representative_map(rep))
 
 
 def quadratic_twist(e: ShortCurve, g: FieldElement) -> ShortCurve:

@@ -23,7 +23,7 @@ from .classify import (
 )
 from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
 from .errors import DParityError, NotSupersingularError
-from .field import FieldContext, FieldElement, _digit_halves, check_oracle_cap, trace
+from .field import FieldContext, FieldElement, _digit_halves, check_oracle_cap
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,22 @@ def s_brute(ctx: FieldContext, a: int) -> int:
     is F3-linear, so x is in the fiber iff Tr(l) = a - Tr(h), and the
     halves share no digit, so x encodes as enc(h) + enc(l): the elements
     h + l over all the lows are one slice of the chi table, and the fiber
-    picks one trace class of it. No product is made.
+    picks one trace class of it. No product is made: each half's trace is
+    read from the packed int as field.trace does, with no element built.
     """
     check_oracle_cap(ctx.q)
     if a not in (0, 1, -1):
         raise ValueError(f"a must be 0, 1 or -1, got {a}")
     table = ctx.chi_table()
     lows, highs = _digit_halves(ctx.d)
+    weights, shift = ctx._trace_weights, 8 * (ctx.d - 1)
     n, by_trace = len(lows), ([], [], [])  # low encodings, by trace mod 3
     for enc, x in enumerate(lows):
-        by_trace[trace(FieldElement(ctx, x)) % 3].append(enc)
+        by_trace[(x * weights >> shift & 255) % 3].append(enc)
     picks = [_picker(encs) for encs in by_trace]
     total = 0
     for j, h in enumerate(highs):  # highs[j] encodes as j * 3^k
-        values = picks[(a - trace(FieldElement(ctx, h))) % 3](table[j * n:j * n + n])
+        values = picks[(a - (h * weights >> shift & 255)) % 3](table[j * n:j * n + n])
         total += sum(values) - len(values)  # the table holds chi + 1
     return total
 

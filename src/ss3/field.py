@@ -25,7 +25,10 @@ encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
 read is built from the squares by the same sweep.
 
 Contexts are immutable after construction and safe to share across
-threads; the lazily built character table is filled idempotently.
+threads. Two slots fill lazily, and both idempotently: the character table
+and the map slot, which holds the LinearizedMap of each class
+representative's a4 (classify fills it). Threads that race on either build
+equal values, so whichever one is stored is correct.
 """
 
 from __future__ import annotations
@@ -263,7 +266,9 @@ class FieldElement:
 class FieldContext:
     """A realization of GF(3^d): modulus plus constants, all computed here.
 
-    Only the chi table is filled later, on first use.
+    Two slots fill later: the chi table on first use, and the
+    LinearizedMap of each class representative's a4 (at most 2 at odd d
+    and 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -290,6 +295,7 @@ class FieldContext:
         "_mul",
         "_trace_weights",
         "_chi_table",
+        "_linear_maps",
         "_nonsquare",
         "_seed",
         "_beta_inv",
@@ -306,6 +312,7 @@ class FieldContext:
         self.one = FieldElement(self, 1)
         self.minus_one = FieldElement(self, 2)
         self._chi_table: Optional[bytearray] = None
+        self._linear_maps: dict[int, "LinearizedMap"] = {}  # packed a4 -> its map
         self._trace_weights = self._build_trace_weights()
         self.q_minus_1_factors = tuple(factorize(q - 1))
         exps = [(q - 1) // p for p in set(self.q_minus_1_factors)]
@@ -712,13 +719,19 @@ def sqrt(x: FieldElement) -> Optional[FieldElement]:
 def _signed_roots(w: FieldElement, sign: int) -> list[FieldElement]:
     """Every u with u^2 = sign*w, or u^2 = +-w when sign is 0, sorted by encoding.
 
-    w must be nonzero. One PowerChain on w: for odd d, -1 is a non-square
-    and the raw r has r^2 = w*chi(w), so +-r are the roots of the square
-    one of +-w; for even d, -1 = tau^2 is a square, and the roots of -w
-    are tau times the roots of w.
+    w must be nonzero; one PowerChain on w, see _chain_roots.
     """
-    ctx = w.ctx
-    chain = PowerChain(ctx, w.coeffs)
+    return _chain_roots(PowerChain(w.ctx, w.coeffs), sign)
+
+
+def _chain_roots(chain: PowerChain, sign: int) -> list[FieldElement]:
+    """_signed_roots of the chain's w, from the chain alone.
+
+    For odd d, -1 is a non-square and the raw r has r^2 = w*chi(w), so +-r
+    are the roots of the square one of +-w; for even d, -1 = tau^2 is a
+    square, and the roots of -w are tau times the roots of w.
+    """
+    ctx = chain.ctx
     if ctx.tau is None:
         if sign and chain.chi() != sign:
             return []
@@ -737,65 +750,108 @@ def _signed_roots(w: FieldElement, sign: int) -> list[FieldElement]:
 def fourth_roots(x: FieldElement) -> list[FieldElement]:
     """All v with v^4 = x, sorted by encoding (possibly empty).
 
-    v^4 = x iff v^2 = +-s for either square root s of x: two chains, one in
-    sqrt and one in _signed_roots.
+    v^4 = x iff v^2 = +-s for either square root s of x: two chains, one
+    for sqrt(x) and one in _signed_roots.
     """
     if x.is_zero():
         return [x.ctx.zero]
-    s = sqrt(x)
-    return [] if s is None else _signed_roots(s, 0)
+    return _fourth_roots(x)[0]
+
+
+def _fourth_roots(x: FieldElement) -> tuple[list[FieldElement], PowerChain]:
+    """fourth_roots of a nonzero x, and the chain of x that found sqrt(x).
+
+    The chain's inverse() is x^-1 for a few products, and that is v^-4 for
+    every root v.
+    """
+    chain = PowerChain(x.ctx, x.coeffs)
+    squares = _chain_roots(chain, 1)  # sqrt(x) is the first
+    return (_signed_roots(squares[0], 0) if squares else []), chain
+
+
+class LinearizedMap:
+    """The F3-linear map L(x) = x^3 + c*x of GF(3^d), column-reduced once.
+
+    Building it costs 2d products (3 at d = 1) and one column elimination
+    over F3 in the power basis; preimages(y) then back-substitutes y
+    through the pivots with no product. Instances are immutable.
+    """
+
+    __slots__ = ("d", "pivots", "kernel")
+
+    def __init__(self, c: FieldElement):
+        ctx = c.ctx
+        self.d = d = ctx.d
+        mul = ctx._mul
+        # Column j packs L(t^j) in its low d bytes and t^j in its high d
+        # bytes, so one integer operation updates the image and the preimage
+        # together.
+        t = mul(1, 1 << 8)  # t reduced by the modulus (not t itself at d = 1)
+        t3 = mul(mul(t, t), t)
+        cubes, cts = [1, t3], [c.coeffs]  # t^(3j) and c * t^j, for j < d
+        while len(cubes) < d:
+            cubes.append(mul(cubes[-1], t3))
+        while len(cts) < d:
+            cts.append(mul(cts[-1], t))
+        cols = [
+            _mod3(cube + ct, d) | 1 << 8 * (d + j)
+            for j, (cube, ct) in enumerate(zip(cubes, cts))
+        ]
+        # Column echelon form: the pivot for byte i is eliminated from every
+        # column left, so later pivots are zero at every earlier pivot byte.
+        # Column operations skip the mod-3 reduction: each adds at most 4 to
+        # a slot and a column takes at most d of them, so its slots stay at
+        # most 2 + 4d <= 126, and 252 when a pivot is scaled by 2. A column
+        # is reduced once, when it becomes a pivot.
+        pivots = []
+        for shift in range(0, 8 * d, 8):
+            sel = next((col for col in cols if (col >> shift & 255) % 3), None)
+            if sel is None:
+                continue
+            cols.remove(sel)
+            sel = _mod3((sel >> shift & 255) % 3 * sel, 2 * d)  # pivot 1, as 2 * 2 = 1
+            cols = [
+                col + (3 - f) * sel if (f := (col >> shift & 255) % 3) else col for col in cols
+            ]
+            pivots.append((shift, sel))
+        self.pivots = tuple(pivots)
+        # the columns left have L = 0 and span the kernel: L(x) = 0 means
+        # x = 0 or x^2 = -c, so it has at most 3 elements
+        self.kernel = tuple(_mod3(col >> 8 * d, d) for col in cols)
+
+    def preimages(self, y: int) -> list[int]:
+        """Every packed x with L(x) = y: none, one, or (with a kernel) three.
+
+        y is packed with slots <= 4. Reducing it by the pivots ends with
+        slots <= 4 + 4d and collects -x in the high bytes.
+        """
+        d, v = self.d, y
+        for shift, col in self.pivots:
+            f = (v >> shift & 255) % 3
+            if f:
+                v += (3 - f) * col
+        v = _mod3(v, 2 * d)
+        if v % (1 << 8 * d):  # y is not in the image
+            return []
+        xs = [_mod3(2 * (v >> 8 * d), d)]
+        for ker in self.kernel:
+            xs += [_mod3(x + f * ker, d) for f in (1, 2) for x in xs]
+        return xs
 
 
 def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]:
     """Solve r^3 + c*r + k = 0 for r, or return None when no root exists.
 
-    The map L(r) = r^3 + c*r is F3-linear, so this reduces to a d x d linear
-    system over F3 in the power basis. When several roots exist (the kernel
-    is at most one-dimensional), the one with the smallest encoding is
-    returned.
+    Builds the LinearizedMap of c and back-substitutes -k through it. When
+    several roots exist (the kernel is at most one-dimensional), the one
+    with the smallest encoding is returned.
     """
     ctx = c.ctx
     if k.ctx.key != ctx.key:
         raise ContextMismatch("c and k live in different contexts")
-    d, mul = ctx.d, ctx._mul
-    # Column j packs L(t^j) in its low d bytes and t^j in its high d bytes,
-    # so one integer operation updates the image and the preimage together.
-    t = mul(1, 1 << 8)  # t reduced by the modulus (not t itself at d = 1)
-    t3 = mul(mul(t, t), t)
-    cube, ct = 1, c.coeffs  # t^(3j) and c * t^j
-    cols = []
-    for j in range(d):
-        cols.append(_mod3(cube + ct, d) | 1 << 8 * (d + j))
-        cube, ct = mul(cube, t3), mul(ct, t)
-    # Column echelon form: the pivot for byte i is eliminated from every
-    # column left, so later pivots are zero at every earlier pivot byte.
-    # Column operations skip the mod-3 reduction: each adds at most 4 to a
-    # slot and a column takes at most d of them, so its slots stay at most
-    # 2 + 4d <= 126, and 252 when a pivot is scaled by 2. A column is
-    # reduced once, when it becomes a pivot; -k below also ends <= 4 + 4d.
-    pivots = []
-    for shift in range(0, 8 * d, 8):
-        sel = next((col for col in cols if (col >> shift & 255) % 3), None)
-        if sel is None:
-            continue
-        cols.remove(sel)
-        sel = _mod3((sel >> shift & 255) % 3 * sel, 2 * d)  # pivot 1, as 2 * 2 = 1
-        cols = [col + (3 - f) * sel if (f := (col >> shift & 255) % 3) else col for col in cols]
-        pivots.append((shift, sel))
-    # Reduce -k by the pivots; the high bytes collect -r with L(r) = -k.
-    v = 2 * k.coeffs
-    for shift, col in pivots:
-        f = (v >> shift & 255) % 3
-        if f:
-            v += (3 - f) * col
-    v = _mod3(v, 2 * d)
-    if v % (1 << 8 * d):  # -k is not in the image
+    roots = LinearizedMap(c).preimages(2 * k.coeffs)  # -k, slots <= 4
+    if not roots:
         return None
-    roots = [_mod3(2 * (v >> 8 * d), d)]
-    # the columns left have L = 0 and span the kernel (at most 3 elements)
-    for col in cols:
-        ker = _mod3(col >> 8 * d, d)
-        roots += [_mod3(r + f * ker, d) for f in (1, 2) for r in roots]
     return min((FieldElement(ctx, r) for r in roots), key=FieldElement.encoding)
 
 

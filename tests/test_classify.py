@@ -21,6 +21,7 @@ from ss3 import (
     quadratic_twist,
     random_point,
     smallest_nonsquare,
+    solve_linearized,
     trace,
 )
 from ss3 import field
@@ -138,6 +139,20 @@ def test_invariant_independent_of_fourth_root_choice(d):
             assert labels == {cls.invariant}
 
 
+def _reference_witness(e1, e2):
+    """The witness e1 -> e2 by the original r-equation, or None.
+
+    The first u among the fourth roots of a4/a4', in encoding order, for
+    which r^3 + a4*r + (a6 - u^6*a6') = 0 has a root, with its smallest
+    root: solved in e1's coordinates, on the map of e1's a4.
+    """
+    for u in fourth_roots(e1.a4 / e2.a4):
+        r = solve_linearized(e1.a4, e1.a6 - u**6 * e2.a6)
+        if r is not None:
+            return u, r
+    return None
+
+
 def _witness_cases(d):
     """Every curve for d <= 3; above that, seeded curves from every class."""
     ctx = make_context(d)
@@ -154,12 +169,14 @@ def _witness_cases(d):
 
 @pytest.mark.parametrize("d", range(1, 32))
 def test_canonicalize_witness_equals_isomorphic(d):
-    # canonicalize derives (u, r) from the classification dispatch;
-    # isomorphic scans every fourth root and is the reference
+    # canonicalize derives (u, r) from the classification dispatch and
+    # isomorphic scans every fourth root; both solve in the representative's
+    # coordinates, so the r-equation in e's own coordinates is the reference
     for e in _witness_cases(d):
         rep, cls, w = canonicalize(e)
         ref = isomorphic(e, rep)
         assert ref is not None and (w.u, w.r) == (ref.u, ref.r)
+        assert (w.u, w.r) == _reference_witness(e, rep)
         assert count_supersingular(e).class_used == cls
 
 
@@ -167,10 +184,10 @@ def test_canonicalize_witness_equals_isomorphic(d):
 # as (count_supersingular, canonicalize, fourth_roots(a4), isomorphic(e,
 # rep)). A change in the cost of the classification shows up as a diff here.
 MUL_COUNTS = {
-    12: (32.8, 113.545, 44.575, 135.42),
-    20: (50.675, 178.05, 71.385, 210.07),
-    30: (73.53, 252.135, 105.715, 300.845),
-    31: (73.84, 214.84, 110.88, 287.0),
+    12: (32.8, 91.955, 44.575, 128.225),
+    20: (50.675, 140.61, 71.385, 200.55),
+    30: (73.53, 194.145, 105.715, 285.97),
+    31: (73.84, 153.84, 110.88, 286.92),
 }
 
 
@@ -191,6 +208,48 @@ def test_multiplication_counts_pinned(d):
                 fn(e, rep)
         means.append(calls[0] / len(curves))
     assert tuple(means) == MUL_COUNTS[d]
+
+
+def _check_map_slot(ctx, rng):
+    """Canonicalize two curves of every class on ctx, whose map slot is empty.
+
+    The first canonicalize of a class whose representative's a4 has no map
+    yet pays that map's 2d products once; every other call pays none.
+    """
+    maps = ctx._linear_maps
+    assert maps == {}
+    reps = [entry.rep for entry in list_classes(ctx)]
+    for rep in reps:
+        cold = rep.a4.coeffs not in maps
+        with count_muls(ctx) as build:
+            field.LinearizedMap(rep.a4)
+        assert build[0] == 2 * ctx.d
+        for _ in range(2):
+            e = _transform(rep, ctx.random_nonzero(rng), ctx.random_element(rng))
+            with count_muls(ctx) as first:
+                canonicalize(e)
+            with count_muls(ctx) as again:
+                canonicalize(e)
+            assert first[0] - again[0] == (build[0] if cold else 0)
+            cold = False
+            assert len(maps) <= (2 if ctx.d % 2 else 4)
+    assert set(maps) == {rep.a4.coeffs for rep in reps}
+    assert len(maps) == (2 if ctx.d % 2 else 4)
+
+
+@pytest.mark.parametrize("d", [12, 20, 31])
+def test_representative_maps_fill_once_per_context(d):
+    # a context built directly, outside the cache, starts with no map
+    rng = random.Random(d)
+    _check_map_slot(field.FieldContext(d, field._default_modulus(d)), rng)
+    # a cleared context cache hands out a new context, cold again
+    warm = make_context(d)
+    canonicalize(_random_curve(warm, rng))
+    assert warm._linear_maps
+    field._build_context.cache_clear()
+    cold = make_context(d)
+    assert cold is not warm
+    _check_map_slot(cold, rng)
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +293,7 @@ def test_witness_inversion_and_composition(d):
         for source, target in ((e1, e2), (e2, e3), (e2, e1), (e1, e3)):
             w = isomorphic(source, target)
             assert w is not None and w.holds_between(source, target)
+            assert (w.u, w.r) == _reference_witness(source, target)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
