@@ -214,15 +214,20 @@ def _first_witness(
     is the LinearizedMap of a4'. With r = u^2*x the witness equation
     u^6*a6' = a6 + r*a4 + r^3 becomes x^3 + a4'*x = a6' - a6*u^-6, where
     u^-6 = u^2 * inv4^2: each u tried costs one back-substitution, and r
-    is the smallest by encoding of u^2*x over every preimage x.
+    is the smallest by encoding of u^2*x over every preimage x. With a
+    kernel {0, k, 2k} the preimages are x0 + {0, k, 2k}, so the r are
+    u^2*x0 + {0, u^2*k, -u^2*k}: two products for all three.
     """
     ctx, inv8 = e1.ctx, inv4 * inv4
     for u in roots:
         u2 = u * u
         xs = lmap.preimages((e2.a6 - e1.a6 * (u2 * inv8)).coeffs)
         if xs:
-            r = min((u2 * FieldElement(ctx, x) for x in xs), key=FieldElement.encoding)
-            return IsomorphismWitness(u, r)
+            rs = [u2 * FieldElement(ctx, xs[0])]
+            for k in lmap.kernel:
+                uk = u2 * FieldElement(ctx, k)
+                rs += [rs[0] + uk, rs[0] - uk]
+            return IsomorphismWitness(u, min(rs, key=FieldElement.encoding))
     return None
 
 

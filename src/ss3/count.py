@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .classify import (
     CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch, class_representative
 )
 from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
 from .errors import DParityError, NotSupersingularError
-from .field import FieldContext, FieldElement, _digit_halves, check_oracle_cap
+from .field import FieldContext, FieldElement, _digit_halves, _picker, check_oracle_cap
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,6 @@ def s_brute(ctx: FieldContext, a: int) -> int:
         values = picks[(a - (h * weights >> shift & 255)) % 3](table[j * n:j * n + n])
         total += sum(values) - len(values)  # the table holds chi + 1
     return total
-
-
-def _picker(indices: list[int]) -> Callable[[Sequence[int]], Sequence[int]]:
-    # itemgetter returns a bare item for one index and needs at least one,
-    # so a class of one low or none is read as a slice
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
 @functools.lru_cache(maxsize=64)

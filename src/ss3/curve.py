@@ -20,7 +20,7 @@ from .errors import (
     SingularCurve,
 )
 from .field import (
-    FieldContext, FieldElement, _digit_halves, _sweep_rows, check_oracle_cap, chi, sqrt
+    FieldContext, FieldElement, _digit_halves, _picker, _sweep_rows, check_oracle_cap, chi, sqrt
 )
 
 
@@ -242,18 +242,18 @@ def _chi_sum_cubic(
     2*c2*h*l: products run per half, not per element, and the cross term
     is the sum over the low digits l_j of l_j times the k products
     2*c2*h*t^j. The split sweep (field._sweep_rows) adds these up for all
-    the lows of one h at once and encodes the row in one pass, so each
-    element costs one chi table read.
+    the lows of one h at once and encodes the row in one pass, and one
+    itemgetter call (field._picker) reads the row's chi table entries.
     """
     mul, c2, c1, c0 = ctx._mul, c2.coeffs, c1.coeffs, c0.coeffs
-    read = ctx.chi_table().__getitem__  # checks the oracle cap
+    table = ctx.chi_table()  # checks the oracle cap
     # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
     # accepts and which f(h) keeps, as _sweep_rows allows.
     low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
     cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
     rows = _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
     # the table holds chi + 1, so its q reads sum to q + the sum of chi
-    return 1 + sum(sum(map(read, encodings)) for encodings in rows)
+    return 1 + sum(sum(_picker(encodings)(table)) for encodings in rows)
 
 
 def naive_count(e: ShortCurve) -> int:

@@ -24,6 +24,13 @@ elements of one h over every l, so a row is built from a few products and
 encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
 read is built from the squares by the same sweep.
 
+The long exponents of the chains are base-3 repunits: x^-1 = x^(q-2) at
+every d and the odd-d PowerChain power x^((q-3)/4). Each context keeps the
+F3-linear Frobenius maps x -> x^(3^k) those chains apply, one packed d x d
+matrix each, applied by one big-int product (_FrobeniusMap), and
+_repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
+about log2(n) + popcount(n) products and as many maps.
+
 Contexts are immutable after construction and safe to share across
 threads. Two slots fill lazily, and both idempotently: the character table
 and the map slot, which holds the LinearizedMap of each class
@@ -38,6 +45,7 @@ import functools
 import itertools
 import os
 import sys
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -239,9 +247,12 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx._pow(self.coeffs, n))
 
     def inverse(self) -> "FieldElement":
+        """x^(q-2) = (y^(sum_{i<d-1} 3^i))^2 * x with y = x^3, a repunit power."""
         if self.is_zero():
             raise DivisionByZero("cannot invert 0")
-        return FieldElement(self.ctx, self.ctx._pow(self.coeffs, self.ctx.q - 2))
+        ctx, x = self.ctx, self.coeffs
+        z = ctx._repunit_pow(ctx._frobenius[1](x), 1, ctx.d - 1)  # x^((q-3)/2)
+        return FieldElement(ctx, ctx._mul(ctx._mul(z, z), x))
 
     # -- comparisons ---------------------------------------------------
 
@@ -266,9 +277,12 @@ class FieldElement:
 class FieldContext:
     """A realization of GF(3^d): modulus plus constants, all computed here.
 
-    Two slots fill later: the chi table on first use, and the
-    LinearizedMap of each class representative's a4 (at most 2 at odd d
-    and 4 at even d) when classify first needs it.
+    The Frobenius slot _frobenius maps each k in _frobenius_powers(d) to
+    the packed map x -> x^(3^k) (_FrobeniusMap); it is built with the
+    context, before the chain that finds the smallest non-square, and
+    _repunit_pow reads it. Two slots fill later: the chi table on first
+    use, and the LinearizedMap of each class representative's a4 (at most
+    2 at odd d and 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -293,6 +307,7 @@ class FieldContext:
         "one",
         "minus_one",
         "_mul",
+        "_frobenius",
         "_trace_weights",
         "_chi_table",
         "_linear_maps",
@@ -308,6 +323,7 @@ class FieldContext:
         self.modulus = modulus
         self.key = (d, modulus)
         self._mul = _barrett_mul(d, modulus)  # packed product mod the modulus
+        self._frobenius = self._build_frobenius()  # k -> x -> x^(3^k), packed
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.minus_one = FieldElement(self, 2)
@@ -315,9 +331,17 @@ class FieldContext:
         self._linear_maps: dict[int, "LinearizedMap"] = {}  # packed a4 -> its map
         self._trace_weights = self._build_trace_weights()
         self.q_minus_1_factors = tuple(factorize(q - 1))
+        # The chain of the smallest non-square n gives the Tonelli-Shanks
+        # seed n^odd; 1 is a square. A primitive root is a non-square, so
+        # the scan for beta starts at n.
+        for enc in range(2, q):
+            chain = PowerChain(self, self.from_int(enc).coeffs)
+            if chain.chi() == -1:
+                break
+        self._nonsquare, self._seed = self.from_int(enc), chain.squares[0]
         exps = [(q - 1) // p for p in set(self.q_minus_1_factors)]
         self.beta = next(
-            x for x in map(self.from_int, range(1, q))
+            x for x in map(self.from_int, range(enc, q))
             if all(self._pow(x.coeffs, e) != 1 for e in exps)
         )
         # Smallest-encoding trace-1 element, constructed rather than scanned:
@@ -328,21 +352,29 @@ class FieldContext:
         i0 = next(i for i, w in enumerate(weights) if w)
         # w * w = 1 mod 3, so w is its own inverse
         self.alpha = FieldElement(self, weights[i0] << 8 * i0)
-        # The chain of the smallest non-square n gives the Tonelli-Shanks
-        # seed n^odd. For even d, the only degrees with types II, IIIa and
-        # IIIb, the chain of beta gives beta^-1 and beta^((q-1)/4), whose
-        # square is beta^((q-1)/2) = -1: it is one of +-tau.
-        for n in map(self.from_int, range(1, q)):
-            chain = PowerChain(self, n.coeffs)
-            if chain.chi() == -1:
-                break
-        self._nonsquare, self._seed = n, chain.squares[0]
+        # For even d, the only degrees with types II, IIIa and IIIb, the
+        # chain of beta gives beta^-1 and beta^((q-1)/4), whose square is
+        # beta^((q-1)/2) = -1: it is one of +-tau.
         self._beta_inv = self._beta_quartic = self.tau = None
         if d % 2 == 0:
             chain = PowerChain(self, self.beta.coeffs)
             self._beta_inv, self._beta_quartic = chain.inverse(), chain.quartic()
             quartic = FieldElement(self, self._beta_quartic)
             self.tau = min(quartic, -quartic, key=FieldElement.encoding)
+
+    def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
+        # g_k = t^(3^k) is the image of t under x -> x^(3^k). Every k > 1 in
+        # _frobenius_powers has k >> 1 in it too, so g_k is the map of
+        # k >> 1 applied to g_(k >> 1), then the map of 1 for odd k.
+        d, mul = self.d, self._mul
+        t = mul(1, 1 << 8)  # t reduced by the modulus (not t itself at d = 1)
+        images, maps = {1: mul(mul(t, t), t)}, {}
+        for k in _frobenius_powers(d):
+            if k > 1:
+                g = maps[k >> 1](images[k >> 1])
+                images[k] = maps[1](g) if k & 1 else g
+            maps[k] = _FrobeniusMap(d, images[k], mul)
+        return maps
 
     def _build_trace_weights(self) -> int:
         # Tr(t^i) is the power sum p_i of the modulus's roots, which Newton's
@@ -368,6 +400,25 @@ class FieldContext:
             if bit == "1":
                 result = mul(result, a)
         return result
+
+    def _repunit_pow(self, y: int, k: int, n: int) -> int:
+        """y^(sum_{i<n} 3^(k*i)), packed, by Itoh-Tsujii.
+
+        With z_j = y^(sum_{i<j} 3^(k*i)): z_(2j) = z_j^(3^(k*j)) * z_j and
+        z_(j+1) = z_j^(3^k) * y. Reading n's binary digits from the top,
+        each digit costs one product and one Frobenius map, and each 1
+        after the first one more of both; the maps are those of k times
+        every binary prefix of n shorter than n (see _frobenius_powers).
+        """
+        if not n:
+            return 1
+        mul, frobenius = self._mul, self._frobenius
+        z, j = y, 1
+        for bit in bin(n)[3:]:
+            z, j = mul(frobenius[k * j](z), z), 2 * j
+            if bit == "1":
+                z, j = mul(frobenius[k](z), y), j + 1
+        return z
 
     def _encode(self, a: int) -> int:
         # slots may be unreduced: the digit table reads each one mod 3
@@ -459,6 +510,50 @@ class FieldContext:
         return f"FieldContext(d={self.d}, modulus=[{mod}])"
 
 
+def _frobenius_powers(d: int) -> list[int]:
+    """The k, ascending, of every Frobenius map x -> x^(3^k) the chains apply.
+
+    k = 1 takes x^3 for the inverse and for x^6, and _repunit_pow(y, k, n)
+    applies the maps of k times each binary prefix of n shorter than n:
+    (k, n) = (1, d - 1) for the inverse and, at odd d, (2, (d - 1) / 2)
+    for the PowerChain power. Halving a prefix gives a prefix, and the
+    prefixes of (d - 1) / 2 are prefixes of d - 1, so for every k > 1 here,
+    k >> 1 is here too.
+    """
+    chains = [(1, d - 1)] + ([(2, d // 2)] if d % 2 else [])
+    prefixes = ({k * (n >> j) for j in range(1, n.bit_length())} for k, n in chains)
+    return sorted({1}.union(*prefixes))
+
+
+class _FrobeniusMap:
+    """The F3-linear map x -> x(g) of GF(3^d), packed; x -> x^(3^k) for g = t^(3^k).
+
+    Column i is g^i, the image of t^i, and its coefficient of t^j sits at
+    byte j*d + d - 1 - i of one packed d x d matrix (d - 2 products build
+    it). For x = sum c_i t^i, byte j*d + d - 1 of x * matrix then collects
+    c_i times coefficient j of g^i over every i and nothing else, and no
+    byte sums more than d products of slots <= 2 (<= 4d <= 124, no carry),
+    so one big-int product, one strided slice and one translate apply the
+    map. g must be reduced.
+    """
+
+    __slots__ = ("d", "matrix")
+
+    def __init__(self, d: int, g: int, mul: Callable[[int, int], int]):
+        cols = [1, g]  # g^i; only the first at d = 1
+        while len(cols) < d:
+            cols.append(mul(cols[-1], g))
+        buf = bytearray(d * d)
+        for i, col in enumerate(cols[:d]):
+            buf[d - 1 - i::d] = col.to_bytes(d, "little")
+        self.d, self.matrix = d, int.from_bytes(buf, "little")
+
+    def __call__(self, x: int) -> int:
+        d = self.d
+        column = (x * self.matrix).to_bytes(d * d + d - 1, "little")[d - 1::d]
+        return int.from_bytes(column.translate(_MOD3), "little")
+
+
 @functools.lru_cache(maxsize=None)
 def _digit_halves(d: int) -> tuple[list[int], list[int]]:
     """The packed elements on t^0..t^(k-1) and on t^k..t^(d-1), k = d // 2.
@@ -531,6 +626,18 @@ def _encode_row(d: int, row: int) -> memoryview:
     for shift, mask, scale in rounds:
         x = (x & mask) + scale * (x >> shift & mask)
     return memoryview(x.to_bytes(size, sys.byteorder)).cast(fmt)[picks]
+
+
+def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """A reader of the items at indices, as a sequence, in one C-level call.
+
+    The oracles read chi table entries through it. itemgetter returns a
+    bare item for one index and needs at least one, so one index or none
+    is read as a slice (a d = 1 row has one lane).
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
 def _sweep_rows(
@@ -646,7 +753,10 @@ class PowerChain:
     """The Tonelli-Shanks chain of a nonzero packed x, q - 1 = 2^s * odd.
 
     w = x^((odd-1)/2), r = x*w and squares[i] = t^(2^i) for t = x^odd and
-    i < s. One exponentiation gives every power character of x:
+    i < s. At odd d (s = 1), (odd-1)/2 = (q-3)/4 = 6 * sum_{j<m} 9^j with
+    m = (d-1)/2, so w = (x^6)^(sum_{j<m} 9^j) is a repunit power
+    (FieldContext._repunit_pow); even d raises to (odd-1)/2 by square and
+    multiply. One exponentiation gives every power character of x:
     chi(x) = t^(2^(s-1)), x^((q-1)/4) = t^(2^(s-2)) for s >= 2, and
     x^-1 = w^2 * t^(2^s - 1), the last factor being the product of squares.
     r^2 = x*t, so for odd d (s = 1) r is a square root of x*chi(x).
@@ -658,7 +768,11 @@ class PowerChain:
         mul, q1 = ctx._mul, ctx.q - 1
         s = (q1 & -q1).bit_length() - 1
         self.ctx = ctx
-        self.w = ctx._pow(x, (q1 >> s) // 2)  # (odd - 1) / 2
+        if s == 1:
+            x3 = ctx._frobenius[1](x)
+            self.w = ctx._repunit_pow(mul(x3, x3), 2, ctx.d // 2)
+        else:
+            self.w = ctx._pow(x, (q1 >> s) // 2)  # (odd - 1) / 2
         self.r = mul(x, self.w)
         t = mul(self.r, self.w)
         self.squares = [t]
@@ -676,13 +790,13 @@ class PowerChain:
 
     def inverse(self) -> FieldElement:
         """x^-1."""
-        mul = self.ctx._mul
-        inv = mul(self.w, self.w)
+        ctx = self.ctx
+        inv = ctx._mul(self.w, self.w)
         for t in self.squares:
             if t == 1:  # so is every later square
                 break
-            inv = mul(inv, t)
-        return FieldElement(self.ctx, inv)
+            inv = _mod3(2 * inv, ctx.d) if t == 2 else ctx._mul(inv, t)  # t = -1: negate
+        return FieldElement(ctx, inv)
 
     def root(self) -> FieldElement:
         """A square root of x; x must be a square (chi(x) = 1).

@@ -24,22 +24,30 @@ def sample_curves(d, n, seed=0):
 
 @contextlib.contextmanager
 def count_muls(ctx):
-    """Count ctx's packed multiplications inside a with-block.
+    """Count ctx's packed multiplications and Frobenius maps inside a with-block.
 
-    Yields a one-item list holding the running count; ctx._mul is restored
-    on exit.
+    Yields the running counts as a list [products, maps]; ctx._mul and
+    ctx._frobenius are restored on exit.
     """
-    mul, calls = ctx._mul, [0]
+    mul, frobenius, calls = ctx._mul, ctx._frobenius, [0, 0]
 
     def counting(a, b):
         calls[0] += 1
         return mul(a, b)
 
+    def counting_map(apply):
+        def counted(x):
+            calls[1] += 1
+            return apply(x)
+
+        return counted
+
     ctx._mul = counting
+    ctx._frobenius = {k: counting_map(apply) for k, apply in frobenius.items()}
     try:
         yield calls
     finally:
-        ctx._mul = mul
+        ctx._mul, ctx._frobenius = mul, frobenius
 
 
 def literal_chi(ctx):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import struct
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -36,6 +37,7 @@ from ss3.field import (
     _barrett_mul,
     _default_modulus,
     _encode_row,
+    _frobenius_powers,
     _lane_widths,
     _signed_roots,
 )
@@ -591,6 +593,76 @@ def test_power_chain_matches_direct_powers(d):
             if chain.chi() == 1:
                 root = chain.root()
                 assert root * root == x
+
+
+def _frobenius_cases(ctx):
+    """1, -1, the smallest non-square and 12 seeded nonzero elements, packed."""
+    rng = random.Random(ctx.d)
+    seeded = [ctx.random_nonzero(rng).coeffs for _ in range(12)]
+    return [1, 2, smallest_nonsquare(ctx).coeffs] + seeded
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_frobenius_maps_match_pow(d):
+    # every map the context builds is x -> x^(3^k), on the default and a
+    # dense modulus; 0 maps to 0
+    for modulus in (_default_modulus(d), _dense_modulus(d)):
+        ctx = make_context(d, modulus)
+        assert sorted(ctx._frobenius) == _frobenius_powers(d)
+        for k, frobenius in ctx._frobenius.items():
+            assert frobenius(0) == 0
+            for x in _frobenius_cases(ctx):
+                assert frobenius(x) == ctx._pow(x, 3**k)
+
+
+def test_frobenius_powers_of_the_chains():
+    # k * (binary prefixes of n) for (k, n) = (1, d - 1), and at odd d
+    # (2, (d - 1) / 2), plus k = 1
+    assert _frobenius_powers(1) == _frobenius_powers(2) == [1]
+    assert _frobenius_powers(21) == [1, 2, 4, 5, 10]
+    assert _frobenius_powers(30) == [1, 3, 7, 14]
+    assert _frobenius_powers(31) == [1, 2, 3, 6, 7, 14, 15]
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_repunit_powers_match_pow(d):
+    # the repunit identities, and the powers they give equal _pow with the
+    # original exponents: (q - 3) / 4 at odd d, q - 2 at every d
+    ctx = make_context(d)
+    q, m = ctx.q, (d - 1) // 2
+    assert (q - 3) // 2 * 2 == q - 3 == 6 * sum(3**i for i in range(d - 1))
+    if d % 2:
+        assert (q - 3) // 4 * 4 == q - 3 == 24 * sum(9**j for j in range(m))
+    for x in _frobenius_cases(ctx):
+        assert ctx._repunit_pow(ctx._pow(x, 3), 1, d - 1) == ctx._pow(x, (q - 3) // 2)
+        assert FieldElement(ctx, x).inverse().coeffs == ctx._pow(x, q - 2)
+        if d % 2:
+            assert ctx._repunit_pow(ctx._pow(x, 6), 2, m) == ctx._pow(x, (q - 3) // 4)
+            assert PowerChain(ctx, x).w == ctx._pow(x, (q - 3) // 4)
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (1, 7), (1, 30), (2, 3), (2, 15)])
+def test_repunit_pow_cost(k, n):
+    # one product and one map per binary digit after the first, and one more
+    # of each per 1 among them; the (k, n) of d = 31's chains and their prefixes
+    ctx = make_context(31)
+    steps = n.bit_length() - 1 + bin(n).count("1") - 1
+    with count_muls(ctx) as calls:
+        ctx._repunit_pow(ctx.beta.coeffs, k, n)
+    assert calls == [steps, steps]
+
+
+def test_frobenius_maps_stay_small():
+    # the maps are built with every context, so the bulk degrees' maps must
+    # stay within 0.1 MB
+    ctxs = [make_context(d) for d in range(16, 32)]
+    tracemalloc.start()
+    try:
+        maps = [ctx._build_frobenius() for ctx in ctxs]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 16 and held <= 100_000
 
 
 def test_smallest_nonsquare():
