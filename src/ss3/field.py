@@ -13,7 +13,7 @@ classification machinery needs: a primitive root beta, a trace-one element
 alpha, (for even d) a square root tau of -1, and for PowerChain the
 Tonelli-Shanks seed n^odd of the smallest non-square n and (for even d)
 beta^-1 and beta^((q-1)/4). All constants are chosen
-deterministically by scanning elements in encoding order, where the
+deterministically by one scan of the elements in encoding order, where the
 encoding of (c0, ..., c_{d-1}) is the base-3 integer
 c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d, modulus) computes all
 of them when constructed; make_context adds validation and the one cache.
@@ -26,10 +26,10 @@ read is built from the squares by the same sweep.
 
 The long exponents of the chains are base-3 repunits: x^-1 = x^(q-2) at
 every d and the odd-d PowerChain power x^((q-3)/4). Each context keeps the
-F3-linear Frobenius maps x -> x^(3^k) those chains apply, one packed d x d
-matrix each, applied by one big-int product (_FrobeniusMap), and
-_repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
-about log2(n) + popcount(n) products and as many maps.
+F3-linear Frobenius maps x -> x^(3^k) for k = 1 and every power of two
+below d - 1, one packed d x d matrix each, applied by one big-int product
+(_FrobeniusMap), and _repunit_pow raises to sum_{i<n} 3^(k*i) on them by
+Itoh-Tsujii, with about log2(n) + popcount(n) products and as many maps.
 
 Contexts are immutable after construction and safe to share across
 threads. Two slots fill lazily, and both idempotently: the character table
@@ -277,12 +277,12 @@ class FieldElement:
 class FieldContext:
     """A realization of GF(3^d): modulus plus constants, all computed here.
 
-    The Frobenius slot _frobenius maps each k in _frobenius_powers(d) to
-    the packed map x -> x^(3^k) (_FrobeniusMap); it is built with the
-    context, before the chain that finds the smallest non-square, and
-    _repunit_pow reads it. Two slots fill later: the chi table on first
-    use, and the LinearizedMap of each class representative's a4 (at most
-    2 at odd d and 4 at even d) when classify first needs it.
+    The Frobenius slot _frobenius maps k = 1 and every power of two below
+    d - 1 to the packed map x -> x^(3^k) (_FrobeniusMap); it is built with
+    the context, before the scan that finds its constants, and _repunit_pow
+    reads it. Two slots fill later: the chi table on first use, and the
+    LinearizedMap of each class representative's a4 (at most 2 at odd d
+    and 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -331,19 +331,21 @@ class FieldContext:
         self._linear_maps: dict[int, "LinearizedMap"] = {}  # packed a4 -> its map
         self._trace_weights = self._build_trace_weights()
         self.q_minus_1_factors = tuple(factorize(q - 1))
-        # The chain of the smallest non-square n gives the Tonelli-Shanks
-        # seed n^odd; 1 is a square. A primitive root is a non-square, so
-        # the scan for beta starts at n.
-        for enc in range(2, q):
-            chain = PowerChain(self, self.from_int(enc).coeffs)
-            if chain.chi() == -1:
+        # One scan from 2 (1 is a square), one chain per candidate: its chi
+        # is the p = 2 test. The first non-square n gives the Tonelli-Shanks
+        # seed n^odd, and the first non-square that passes the odd primes of
+        # q - 1 is the primitive root beta.
+        exps = [(q - 1) // p for p in sorted(set(self.q_minus_1_factors)) if p > 2]
+        self._nonsquare = None
+        for x in map(self.from_int, range(2, q)):
+            chain = PowerChain(self, x.coeffs)
+            if chain.chi() == 1:
+                continue
+            if self._nonsquare is None:
+                self._nonsquare, self._seed = x, chain.squares[0]
+            if all(self._pow(x.coeffs, e) != 1 for e in exps):
                 break
-        self._nonsquare, self._seed = self.from_int(enc), chain.squares[0]
-        exps = [(q - 1) // p for p in set(self.q_minus_1_factors)]
-        self.beta = next(
-            x for x in map(self.from_int, range(enc, q))
-            if all(self._pow(x.coeffs, e) != 1 for e in exps)
-        )
+        self.beta = x
         # Smallest-encoding trace-1 element, constructed rather than scanned:
         # every digit below the first basis index with nonzero trace contributes
         # nothing, so the minimum is a single digit at that index (the trace
@@ -357,24 +359,21 @@ class FieldContext:
         # beta^((q-1)/2) = -1: it is one of +-tau.
         self._beta_inv = self._beta_quartic = self.tau = None
         if d % 2 == 0:
-            chain = PowerChain(self, self.beta.coeffs)
             self._beta_inv, self._beta_quartic = chain.inverse(), chain.quartic()
             quartic = FieldElement(self, self._beta_quartic)
             self.tau = min(quartic, -quartic, key=FieldElement.encoding)
 
     def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
-        # g_k = t^(3^k) is the image of t under x -> x^(3^k). Every k > 1 in
-        # _frobenius_powers has k >> 1 in it too, so g_k is the map of
-        # k >> 1 applied to g_(k >> 1), then the map of 1 for odd k.
+        # g_k = t^(3^k) is the image of t under x -> x^(3^k), and
+        # g_(2k) = g_k^(3^k) is the map of k applied to g_k.
         d, mul = self.d, self._mul
         t = mul(1, 1 << 8)  # t reduced by the modulus (not t itself at d = 1)
-        images, maps = {1: mul(mul(t, t), t)}, {}
-        for k in _frobenius_powers(d):
-            if k > 1:
-                g = maps[k >> 1](images[k >> 1])
-                images[k] = maps[1](g) if k & 1 else g
-            maps[k] = _FrobeniusMap(d, images[k], mul)
-        return maps
+        g, k, maps = mul(mul(t, t), t), 1, {}
+        while True:
+            maps[k] = _FrobeniusMap(d, g, mul)
+            if 2 * k >= d - 1:
+                return maps
+            g, k = maps[k](g), 2 * k
 
     def _build_trace_weights(self) -> int:
         # Tr(t^i) is the power sum p_i of the modulus's roots, which Newton's
@@ -402,23 +401,24 @@ class FieldContext:
         return result
 
     def _repunit_pow(self, y: int, k: int, n: int) -> int:
-        """y^(sum_{i<n} 3^(k*i)), packed, by Itoh-Tsujii.
+        """y^(R_n), packed, by Itoh-Tsujii, where R_m = sum_{i<m} 3^(k*i).
 
-        With z_j = y^(sum_{i<j} 3^(k*i)): z_(2j) = z_j^(3^(k*j)) * z_j and
-        z_(j+1) = z_j^(3^k) * y. Reading n's binary digits from the top,
-        each digit costs one product and one Frobenius map, and each 1
-        after the first one more of both; the maps are those of k times
-        every binary prefix of n shorter than n (see _frobenius_powers).
+        R_(a+b) = R_a + 3^(k*a) * R_b. Reading n from its low bit j = 0, 1,
+        .., z = y^(R_(2^j)) doubles as z <- z^(3^(k*2^j)) * z, and a 1 at bit
+        j turns acc = y^(R_m), m the bits below j, into acc^(3^(k*2^j)) * z.
+        Each bit below the top costs one product and one map, and each 1
+        above the lowest one more of both. Every map is x -> x^(3^(k*2^j))
+        with k*2^j below k*n, a power of two for k = 1 and 2.
         """
-        if not n:
-            return 1
         mul, frobenius = self._mul, self._frobenius
-        z, j = y, 1
-        for bit in bin(n)[3:]:
-            z, j = mul(frobenius[k * j](z), z), 2 * j
-            if bit == "1":
-                z, j = mul(frobenius[k](z), y), j + 1
-        return z
+        acc, z, step = None, y, k
+        while True:
+            if n & 1:
+                acc = z if acc is None else mul(frobenius[step](acc), z)
+            n >>= 1
+            if not n:
+                return 1 if acc is None else acc
+            z, step = mul(frobenius[step](z), z), 2 * step
 
     def _encode(self, a: int) -> int:
         # slots may be unreduced: the digit table reads each one mod 3
@@ -508,21 +508,6 @@ class FieldContext:
     def __repr__(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
         return f"FieldContext(d={self.d}, modulus=[{mod}])"
-
-
-def _frobenius_powers(d: int) -> list[int]:
-    """The k, ascending, of every Frobenius map x -> x^(3^k) the chains apply.
-
-    k = 1 takes x^3 for the inverse and for x^6, and _repunit_pow(y, k, n)
-    applies the maps of k times each binary prefix of n shorter than n:
-    (k, n) = (1, d - 1) for the inverse and, at odd d, (2, (d - 1) / 2)
-    for the PowerChain power. Halving a prefix gives a prefix, and the
-    prefixes of (d - 1) / 2 are prefixes of d - 1, so for every k > 1 here,
-    k >> 1 is here too.
-    """
-    chains = [(1, d - 1)] + ([(2, d // 2)] if d % 2 else [])
-    prefixes = ({k * (n >> j) for j in range(1, n.bit_length())} for k, n in chains)
-    return sorted({1}.union(*prefixes))
 
 
 class _FrobeniusMap:
@@ -886,9 +871,10 @@ def _fourth_roots(x: FieldElement) -> tuple[list[FieldElement], PowerChain]:
 class LinearizedMap:
     """The F3-linear map L(x) = x^3 + c*x of GF(3^d), column-reduced once.
 
-    Building it costs 2d products (3 at d = 1) and one column elimination
-    over F3 in the power basis; preimages(y) then back-substitutes y
-    through the pivots with no product. Instances are immutable.
+    Building it costs d products, d maps x -> x^3 and one column
+    elimination over F3 in the power basis; preimages(y) then
+    back-substitutes y through the pivots with no product. Instances are
+    immutable.
     """
 
     __slots__ = ("d", "pivots", "kernel")
@@ -896,20 +882,13 @@ class LinearizedMap:
     def __init__(self, c: FieldElement):
         ctx = c.ctx
         self.d = d = ctx.d
-        mul = ctx._mul
+        mul, cube = ctx._mul, ctx._frobenius[1]
         # Column j packs L(t^j) in its low d bytes and t^j in its high d
         # bytes, so one integer operation updates the image and the preimage
-        # together.
-        t = mul(1, 1 << 8)  # t reduced by the modulus (not t itself at d = 1)
-        t3 = mul(mul(t, t), t)
-        cubes, cts = [1, t3], [c.coeffs]  # t^(3j) and c * t^j, for j < d
-        while len(cubes) < d:
-            cubes.append(mul(cubes[-1], t3))
-        while len(cts) < d:
-            cts.append(mul(cts[-1], t))
+        # together. t^j = 1 << 8j is reduced for every j < d.
         cols = [
-            _mod3(cube + ct, d) | 1 << 8 * (d + j)
-            for j, (cube, ct) in enumerate(zip(cubes, cts))
+            _mod3(cube(1 << 8 * j) + mul(c.coeffs, 1 << 8 * j), d) | 1 << 8 * (d + j)
+            for j in range(d)
         ]
         # Column echelon form: the pivot for byte i is eliminated from every
         # column left, so later pivots are zero at every earlier pivot byte.

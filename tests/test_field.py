@@ -37,7 +37,6 @@ from ss3.field import (
     _barrett_mul,
     _default_modulus,
     _encode_row,
-    _frobenius_powers,
     _lane_widths,
     _signed_roots,
 )
@@ -608,20 +607,21 @@ def test_frobenius_maps_match_pow(d):
     # dense modulus; 0 maps to 0
     for modulus in (_default_modulus(d), _dense_modulus(d)):
         ctx = make_context(d, modulus)
-        assert sorted(ctx._frobenius) == _frobenius_powers(d)
+        assert sorted(ctx._frobenius) == [1] + [2**j for j in range(1, d) if 2**j < d - 1]
         for k, frobenius in ctx._frobenius.items():
             assert frobenius(0) == 0
             for x in _frobenius_cases(ctx):
                 assert frobenius(x) == ctx._pow(x, 3**k)
 
 
-def test_frobenius_powers_of_the_chains():
-    # k * (binary prefixes of n) for (k, n) = (1, d - 1), and at odd d
-    # (2, (d - 1) / 2), plus k = 1
-    assert _frobenius_powers(1) == _frobenius_powers(2) == [1]
-    assert _frobenius_powers(21) == [1, 2, 4, 5, 10]
-    assert _frobenius_powers(30) == [1, 3, 7, 14]
-    assert _frobenius_powers(31) == [1, 2, 3, 6, 7, 14, 15]
+def test_frobenius_map_set_pinned():
+    # k = 1 and every power of two below d - 1: the maps _repunit_pow reads
+    # for (k, n) = (1, d - 1) and, at odd d, (2, (d - 1) / 2)
+    pins = {
+        1: [1], 2: [1], 4: [1, 2], 17: [1, 2, 4, 8], 18: [1, 2, 4, 8, 16], 31: [1, 2, 4, 8, 16]
+    }
+    for d, keys in pins.items():
+        assert sorted(make_context(d)._frobenius) == keys
 
 
 @pytest.mark.parametrize("d", range(1, 32))
@@ -641,12 +641,15 @@ def test_repunit_powers_match_pow(d):
             assert PowerChain(ctx, x).w == ctx._pow(x, (q - 3) // 4)
 
 
-@pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (1, 7), (1, 30), (2, 3), (2, 15)])
+@pytest.mark.parametrize(
+    "k, n", [(1, 0), (1, 1), (1, 3), (1, 7), (1, 16), (1, 30), (2, 3), (2, 8), (2, 15)]
+)
 def test_repunit_pow_cost(k, n):
     # one product and one map per binary digit after the first, and one more
-    # of each per 1 among them; the (k, n) of d = 31's chains and their prefixes
+    # of each per 1 among them (none at n = 0); the (k, n) of d = 31's chains,
+    # their prefixes, and powers of two, whose one 1 is the top digit
     ctx = make_context(31)
-    steps = n.bit_length() - 1 + bin(n).count("1") - 1
+    steps = max(0, n.bit_length() - 1 + bin(n).count("1") - 1)
     with count_muls(ctx) as calls:
         ctx._repunit_pow(ctx.beta.coeffs, k, n)
     assert calls == [steps, steps]
@@ -663,6 +666,50 @@ def test_frobenius_maps_stay_small():
     finally:
         tracemalloc.stop()
     assert len(maps) == 16 and held <= 100_000
+
+
+# Total (products, Frobenius maps) of a cold FieldContext(d, modulus) over
+# d = 16..31: the maps' build, the constants' scan and the even-d beta chain.
+COLD_BUILD_COUNTS = (11_899, 178)
+
+
+def test_cold_build_counts_pinned(monkeypatch):
+    moduli = {d: _default_modulus(d) for d in range(16, 32)}
+    calls, barrett_mul, apply = [0, 0], field._barrett_mul, field._FrobeniusMap.__call__
+
+    def counting_barrett_mul(d, modulus):
+        mul = barrett_mul(d, modulus)
+
+        def counting(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        return counting
+
+    def counting_apply(self, x):
+        calls[1] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(field, "_barrett_mul", counting_barrett_mul)
+    monkeypatch.setattr(field._FrobeniusMap, "__call__", counting_apply)
+    for d, modulus in moduli.items():
+        FieldContext(d, modulus)
+    assert tuple(calls) == COLD_BUILD_COUNTS
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_constants_are_the_smallest(d):
+    # read literally with **: the smallest non-square n, and beta is the
+    # smallest element that no prime p of q - 1 sends to 1 under x^((q-1)/p)
+    ctx = make_context(d)
+    q, one = ctx.q, ctx.one
+    n = smallest_nonsquare(ctx).encoding()
+    for enc in range(1, n):
+        assert ctx.from_int(enc) ** ((q - 1) // 2) == one
+    assert ctx.from_int(n) ** ((q - 1) // 2) != one
+    primes = set(ctx.q_minus_1_factors)
+    for enc in range(2, ctx.beta.encoding()):
+        assert any(ctx.from_int(enc) ** ((q - 1) // p) == one for p in primes)
 
 
 def test_smallest_nonsquare():
