@@ -236,14 +236,16 @@ def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
 
     Scans the at most four fourth roots u of a4/a4' in encoding order; the
     first solvable u wins, so results are deterministic. The chain that
-    finds the roots gives u^-4, and the map of a4' is built once per call.
+    finds the roots gives u^-4. The map of a4' is the one the context keeps
+    when a4' is a representative's (read, never stored), else built here.
     """
     if e1.ctx.key != e2.ctx.key:
         return None
     roots, chain = _fourth_roots(e1.a4 / e2.a4)
     if not roots:
         return None
-    return _first_witness(e1, e2, roots, chain.inverse(), LinearizedMap(e2.a4))
+    lmap = e2.ctx._linear_maps.get(e2.a4.coeffs) or LinearizedMap(e2.a4)
+    return _first_witness(e1, e2, roots, chain.inverse(), lmap)
 
 
 def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitness]:

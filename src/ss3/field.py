@@ -24,10 +24,11 @@ elements of one h over every l, so a row is built from a few products and
 encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
 read is built from the squares by the same sweep.
 
-The long exponents of the chains are base-3 repunits: x^-1 = x^(q-2) at
-every d and the odd-d PowerChain power x^((q-3)/4). Each context keeps the
-F3-linear Frobenius maps x -> x^(3^k) for k = 1 and every power of two
-below d - 1, one packed d x d matrix each, applied by one big-int product
+The long exponents of the chains are base-3 repunits at every d: x^-1 =
+x^(q-2), and the PowerChain power up to a short factor at 4 | d, taken by
+square and multiply (all of it at d = 16). Each context keeps the F3-linear
+Frobenius maps x -> x^(3^k) for k = 1 and every power of two below d - 1,
+one packed d x d matrix each, applied by one big-int product
 (_FrobeniusMap), and _repunit_pow raises to sum_{i<n} 3^(k*i) on them by
 Itoh-Tsujii, with about log2(n) + popcount(n) products and as many maps.
 
@@ -738,10 +739,18 @@ class PowerChain:
     """The Tonelli-Shanks chain of a nonzero packed x, q - 1 = 2^s * odd.
 
     w = x^((odd-1)/2), r = x*w and squares[i] = t^(2^i) for t = x^odd and
-    i < s. At odd d (s = 1), (odd-1)/2 = (q-3)/4 = 6 * sum_{j<m} 9^j with
-    m = (d-1)/2, so w = (x^6)^(sum_{j<m} 9^j) is a repunit power
-    (FieldContext._repunit_pow); even d raises to (odd-1)/2 by square and
-    multiply. One exponentiation gives every power character of x:
+    i < s. With p = d & -d, c = (3^p - 1) / 2^s and n = (d/p - 1) / 2,
+
+        (odd-1)/2 = (c-1)/2 + c * 3^p * (3^p + 1)/2 * sum_{j<n} 9^(p*j),
+
+    because d/p is odd: q - 1 = (3^p - 1) * R(2n + 1) with R(m) =
+    sum_{i<m} 3^(p*i) odd, so odd = c * R(2n + 1), and R(2n + 1) =
+    1 + 3^p * (1 + 3^p) * sum_{j<n} 9^(p*j). So w = h * phi_p(y^(sum_j
+    9^(p*j))) with h = x^((c-1)/2) by square and multiply (c = 1 at odd d
+    and at d = 2 mod 4, 5 at p = 4, 205 at p = 8) and y = x^c *
+    (x^c)^(sum_{i<p} 3^i), both repunit powers (FieldContext._repunit_pow)
+    on maps the context keeps; at n = 0 (d = 1, 2, 4, 8, 16) w = h.
+    One exponentiation gives every power character of x:
     chi(x) = t^(2^(s-1)), x^((q-1)/4) = t^(2^(s-2)) for s >= 2, and
     x^-1 = w^2 * t^(2^s - 1), the last factor being the product of squares.
     r^2 = x*t, so for odd d (s = 1) r is a square root of x*chi(x).
@@ -750,14 +759,17 @@ class PowerChain:
     __slots__ = ("ctx", "w", "r", "squares")
 
     def __init__(self, ctx: FieldContext, x: int):
-        mul, q1 = ctx._mul, ctx.q - 1
+        mul, q1, d = ctx._mul, ctx.q - 1, ctx.d
         s = (q1 & -q1).bit_length() - 1
+        p = d & -d
+        c, n = (3**p - 1) >> s, (d // p - 1) // 2
         self.ctx = ctx
-        if s == 1:
-            x3 = ctx._frobenius[1](x)
-            self.w = ctx._repunit_pow(mul(x3, x3), 2, ctx.d // 2)
-        else:
-            self.w = ctx._pow(x, (q1 >> s) // 2)  # (odd - 1) / 2
+        self.w = h = ctx._pow(x, c >> 1)  # x^((c-1)/2); never multiplied in when c = 1
+        if n:
+            xc = mul(mul(h, h), x) if c > 1 else x
+            y = mul(xc, ctx._repunit_pow(xc, 1, p))  # x^(c * (3^p + 1) / 2)
+            z = ctx._frobenius[p](ctx._repunit_pow(y, 2 * p, n))
+            self.w = mul(h, z) if c > 1 else z
         self.r = mul(x, self.w)
         t = mul(self.r, self.w)
         self.squares = [t]

@@ -185,11 +185,13 @@ def test_canonicalize_witness_equals_isomorphic(d):
 # isomorphic(e, rep). A change in the cost of the classification shows up as
 # a diff here.
 MUL_COUNTS = {
-    12: ((32.305, 0.0), (90.46, 0.0), (44.575, 0.0), (91.93, 18.0)),
-    20: ((50.27, 0.0), (139.205, 0.0), (71.385, 0.0), (138.295, 27.0)),
-    21: ((9.06, 5.0), (23.06, 10.0), (10.395, 7.425), (49.515, 37.0)),
-    30: ((73.14, 0.0), (192.755, 0.0), (105.715, 0.0), (191.98, 38.0)),
-    31: ((10.84, 7.0), (26.84, 14.0), (13.86, 10.78), (65.46, 53.0)),
+    12: ((18.305, 3.0), (55.88, 7.41), (23.155, 4.59), (51.93, 12.0)),
+    16: ((42.86, 0.0), (120.405, 0.0), (59.575, 0.0), (106.29, 7.0)),
+    20: ((18.27, 4.0), (58.565, 10.08), (24.025, 5.92), (54.295, 15.0)),
+    21: ((9.06, 5.0), (23.06, 10.0), (10.395, 7.425), (28.515, 16.0)),
+    24: ((30.01, 4.0), (86.365, 9.82), (40.815, 6.18), (79.66, 16.0)),
+    30: ((14.14, 6.0), (44.96, 15.03), (17.51, 8.97), (43.98, 20.0)),
+    31: ((10.84, 7.0), (26.84, 14.0), (13.86, 10.78), (34.46, 22.0)),
 }
 
 

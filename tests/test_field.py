@@ -627,18 +627,44 @@ def test_frobenius_map_set_pinned():
 @pytest.mark.parametrize("d", range(1, 32))
 def test_repunit_powers_match_pow(d):
     # the repunit identities, and the powers they give equal _pow with the
-    # original exponents: (q - 3) / 4 at odd d, q - 2 at every d
-    ctx = make_context(d)
-    q, m = ctx.q, (d - 1) // 2
+    # original exponents: q - 2 and PowerChain's (odd - 1) / 2 at every d,
+    # (q - 3) / 4 at odd d; on the default and a dense modulus
+    q, m = 3**d, (d - 1) // 2
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    odd = (q - 1) >> s
+    p = d & -d
+    c, n = (3**p - 1) >> s, (d // p - 1) // 2
     assert (q - 3) // 2 * 2 == q - 3 == 6 * sum(3**i for i in range(d - 1))
+    assert (odd - 1) // 2 == (c - 1) // 2 + c * 3**p * ((3**p + 1) // 2) * sum(
+        9 ** (p * j) for j in range(n)
+    )
     if d % 2:
         assert (q - 3) // 4 * 4 == q - 3 == 24 * sum(9**j for j in range(m))
-    for x in _frobenius_cases(ctx):
-        assert ctx._repunit_pow(ctx._pow(x, 3), 1, d - 1) == ctx._pow(x, (q - 3) // 2)
-        assert FieldElement(ctx, x).inverse().coeffs == ctx._pow(x, q - 2)
-        if d % 2:
-            assert ctx._repunit_pow(ctx._pow(x, 6), 2, m) == ctx._pow(x, (q - 3) // 4)
-            assert PowerChain(ctx, x).w == ctx._pow(x, (q - 3) // 4)
+    for modulus in (_default_modulus(d), _dense_modulus(d)):
+        ctx = make_context(d, modulus)
+        for x in _frobenius_cases(ctx):
+            assert ctx._repunit_pow(ctx._pow(x, 3), 1, d - 1) == ctx._pow(x, (q - 3) // 2)
+            assert FieldElement(ctx, x).inverse().coeffs == ctx._pow(x, q - 2)
+            assert PowerChain(ctx, x).w == ctx._pow(x, (odd - 1) // 2)
+            if d % 2:
+                assert ctx._repunit_pow(ctx._pow(x, 6), 2, m) == ctx._pow(x, (q - 3) // 4)
+
+
+# (products, Frobenius maps) of one PowerChain for d = 16..31: the power
+# w, then r, t and the s - 1 squares; the same for every nonzero x.
+POWER_CHAIN_COUNTS = {
+    16: (33, 0), 17: (6, 4), 18: (8, 4), 19: (7, 5), 20: (13, 4), 21: (7, 5),
+    22: (9, 5), 23: (8, 6), 24: (22, 4), 25: (7, 5), 26: (9, 5), 27: (8, 6),
+    28: (14, 5), 29: (8, 6), 30: (10, 6), 31: (9, 7),
+}
+
+
+def test_power_chain_cost_pinned():
+    for d, pin in POWER_CHAIN_COUNTS.items():
+        ctx = make_context(d)
+        with count_muls(ctx) as calls:
+            PowerChain(ctx, ctx.alpha.coeffs)
+        assert (d, tuple(calls)) == (d, pin)
 
 
 @pytest.mark.parametrize(
@@ -670,7 +696,7 @@ def test_frobenius_maps_stay_small():
 
 # Total (products, Frobenius maps) of a cold FieldContext(d, modulus) over
 # d = 16..31: the maps' build, the constants' scan and the even-d beta chain.
-COLD_BUILD_COUNTS = (11_899, 178)
+COLD_BUILD_COUNTS = (7_617, 644)
 
 
 def test_cold_build_counts_pinned(monkeypatch):
