@@ -26,7 +26,6 @@ from .field import (
     LinearizedMap,
     PowerChain,
     _fourth_roots,
-    _signed_roots,
     chi,
     fourth_roots,
     smallest_nonsquare,
@@ -105,58 +104,49 @@ def _dispatch(
 ) -> tuple[CurveClass, Callable[[], tuple[list[FieldElement], FieldElement]]]:
     """Class of e, plus the deferred data of the witness to its representative.
 
-    One PowerChain on x = -a4 and one trace decide the class: the chain's
-    last square is chi(x), its next-to-last is x^((q-1)/4), and its
-    inverse gives gamma^-3 = gamma * x^-2 for a square root gamma of x.
-    The second result gives the u with u^4 = a4/a4' that admit an r, in
-    encoding order, and x^-1 from the same chain, for every type; only
-    canonicalize calls it, as the u cost one more chain (two for IIIa and
-    IIIb, which take fourth_roots).
+    One PowerChain on x = -a4 and one trace decide the class: with x =
+    beta^k, the chain's j has j mod 4 = k mod 4, the coset of x modulo the
+    fourth powers (j is chi at odd d), and its inverse gives gamma^-3 =
+    gamma * x^-2 for a square root gamma of x. The second result gives the
+    u with u^4 = a4/a4' that admit an r, in encoding order, and x^-1 from
+    the same chain, for every type; only canonicalize calls it, as the u
+    cost one more chain (two for IIIa and IIIb, which take fourth_roots).
     """
     ctx = e.ctx
     x = -e.a4
     chain = PowerChain(ctx, x.coeffs)
+    k = chain.j % 4
     if ctx.d % 2 == 1:
         # the raw r has r^2 = x * chi(x), and chi(r) = chi(x)^((q+1)/4) =
         # chi(x), as (q+1)/4 is odd
         r = FieldElement(ctx, chain.r)
-        if chain.chi() == -1:
+        if k:
             # r^2 = a4, so u^2 = +-r; r is a non-square, and the step
             # picks -r
             return (
                 CurveClass(CurveType.I_PLUS, None),
-                lambda: (_signed_roots(r, 0), chain.inverse()),
+                lambda: (PowerChain(ctx, chain.r).roots(0), chain.inverse()),
             )
         # r is the square one of +-sqrt(x), and u^2 = r gives u^-6 = r * x^-2
         inv = chain.inverse()
         invariant = str(trace(e.a6 * r * inv * inv))
-        return CurveClass(CurveType.I, invariant), lambda: (_signed_roots(r, 1), inv)
+        return CurveClass(CurveType.I, invariant), lambda: (PowerChain(ctx, chain.r).roots(1), inv)
     beta_inv = ctx._beta_inv
-    if chain.chi() == -1:
-        # x = beta^k with k odd sits in the beta or beta^3 coset of the
-        # fourth powers; it is the beta coset iff x^((q-1)/4) = beta^((q-1)/4)
-        if chain.quartic() == ctx._beta_quartic:
-            return (
-                CurveClass(CurveType.IIIA, None),
-                lambda: (fourth_roots(x * beta_inv), chain.inverse()),
-            )
+    if k % 2:
+        # x sits in the beta (IIIa) or beta^3 (IIIb) coset: u^4 = x * beta^-k
         return (
-            CurveClass(CurveType.IIIB, None),
-            lambda: (fourth_roots(x * beta_inv * beta_inv * beta_inv), chain.inverse()),
+            CurveClass(CurveType.IIIA if k == 1 else CurveType.IIIB, None),
+            lambda: (fourth_roots(x * beta_inv**k), chain.inverse()),
         )
-    root = chain.root()
-    gamma = min(root, -root, key=FieldElement.encoding)
-    # with w = gamma for I and gamma * beta^-1 for II, u^2 = +-w sends
-    # Tr(a6*u^-6), the trace the representative must match, to +-t; so a
-    # nonzero t fixes the sign of u^2
+    gamma = chain.roots(1)[0]
+    # with w = gamma for I (k = 0) and gamma * beta^-1 for II (k = 2), u^2 =
+    # +-w sends Tr(a6*u^-6), the trace the representative must match, to
+    # +-t; so a nonzero t fixes the sign of u^2
     inv = chain.inverse()
     t = trace(e.a6 * gamma * inv * inv)
-    invariant = INV_ZERO if t == 0 else INV_NONZERO
-    if chain.quartic() == 1:  # chi(gamma) = x^((q-1)/4)
-        return CurveClass(CurveType.I, invariant), lambda: (_signed_roots(gamma, t), inv)
     return (
-        CurveClass(CurveType.II, invariant),
-        lambda: (_signed_roots(gamma * beta_inv, t), inv),
+        CurveClass(CurveType.II if k else CurveType.I, INV_ZERO if t == 0 else INV_NONZERO),
+        lambda: (PowerChain(ctx, (gamma * beta_inv if k else gamma).coeffs).roots(t), inv),
     )
 
 

@@ -10,13 +10,14 @@ hold at most 8d <= 248, which is why d is capped at 31 (DEGREE_CAP).
 
 A FieldContext fixes the modulus together with the constants the
 classification machinery needs: a primitive root beta, a trace-one element
-alpha, (for even d) a square root tau of -1, and for PowerChain the
-Tonelli-Shanks seed n^odd of the smallest non-square n and (for even d)
-beta^-1 and beta^((q-1)/4). All constants are chosen
-deterministically by one scan of the elements in encoding order, where the
-encoding of (c0, ..., c_{d-1}) is the base-3 integer
-c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d, modulus) computes all
-of them when constructed; make_context adds validation and the one cache.
+alpha, (for even d) a square root tau of -1 and beta^-1, and for
+PowerChain the table of the 2-Sylow subgroup of the units, q - 1 =
+2^s * odd: the powers of g = beta^odd by exponent and back, 2^s <= 64 of
+them. The smallest non-square n and beta are found by one scan of the
+elements in encoding order, where the encoding of (c0, ..., c_{d-1}) is
+the base-3 integer c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d,
+modulus) computes all of them when constructed; make_context adds
+validation and the one cache.
 
 The brute-force oracles sweep the field one row at a time: each x is h + l
 over two digit halves (_digit_halves), and one packed big int holds the
@@ -25,8 +26,9 @@ encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
 read is built from the squares by the same sweep.
 
 The long exponents of the chains are base-3 repunits at every d: x^-1 =
-x^(q-2), and the PowerChain power up to a short factor at 4 | d, taken by
-square and multiply (all of it at d = 16). Each context keeps the F3-linear
+x^(q-2), Euler's criterion x^((q-1)/2), and the PowerChain power up to a
+short factor at 4 | d, taken by square and multiply (all of it at
+d = 16). Each context keeps the F3-linear
 Frobenius maps x -> x^(3^k) for k = 1 and every power of two below d - 1,
 one packed d x d matrix each, applied by one big-int product
 (_FrobeniusMap), and _repunit_pow raises to sum_{i<n} 3^(k*i) on them by
@@ -281,9 +283,12 @@ class FieldContext:
     The Frobenius slot _frobenius maps k = 1 and every power of two below
     d - 1 to the packed map x -> x^(3^k) (_FrobeniusMap); it is built with
     the context, before the scan that finds its constants, and _repunit_pow
-    reads it. Two slots fill later: the chi table on first use, and the
-    LinearizedMap of each class representative's a4 (at most 2 at odd d
-    and 4 at even d) when classify first needs it.
+    reads it. With q - 1 = 2^s * odd, _sylow holds g^j for j < 2^s, packed,
+    where g = beta^odd generates the 2-Sylow subgroup, and _dlog maps each
+    back to its j; every PowerChain reads its exponent there. Two slots
+    fill later: the chi table on first use, and the LinearizedMap of each
+    class representative's a4 (at most 2 at odd d and 4 at even d) when
+    classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -313,9 +318,9 @@ class FieldContext:
         "_chi_table",
         "_linear_maps",
         "_nonsquare",
-        "_seed",
         "_beta_inv",
-        "_beta_quartic",
+        "_sylow",
+        "_dlog",
     )
 
     def __init__(self, d: int, modulus: tuple[int, ...]):
@@ -332,21 +337,30 @@ class FieldContext:
         self._linear_maps: dict[int, "LinearizedMap"] = {}  # packed a4 -> its map
         self._trace_weights = self._build_trace_weights()
         self.q_minus_1_factors = tuple(factorize(q - 1))
-        # One scan from 2 (1 is a square), one chain per candidate: its chi
-        # is the p = 2 test. The first non-square n gives the Tonelli-Shanks
-        # seed n^odd, and the first non-square that passes the odd primes of
-        # q - 1 is the primitive root beta.
+        # One scan from 2 (1 is a square). Its p = 2 test is Euler's
+        # criterion x^((q-1)/2) = x * (x^3)^(sum_{i<d-1} 3^i), the repunit
+        # power inverse takes. The first non-square is n, and the first one
+        # that passes the odd primes of q - 1 is the primitive root beta.
         exps = [(q - 1) // p for p in sorted(set(self.q_minus_1_factors)) if p > 2]
+        mul, cube = self._mul, self._frobenius[1]
         self._nonsquare = None
         for x in map(self.from_int, range(2, q)):
-            chain = PowerChain(self, x.coeffs)
-            if chain.chi() == 1:
+            if mul(x.coeffs, self._repunit_pow(cube(x.coeffs), 1, d - 1)) == 1:
                 continue
             if self._nonsquare is None:
-                self._nonsquare, self._seed = x, chain.squares[0]
+                self._nonsquare = x
             if all(self._pow(x.coeffs, e) != 1 for e in exps):
                 break
         self.beta = x
+        # The chain of beta has t = beta^odd = g and j = 1. The labels II,
+        # IIIa and IIIb are cosets relative to beta, which j mod 4 reads
+        # only because g is a power of beta.
+        chain, size = PowerChain(self, x.coeffs), (q - 1) & (1 - q)  # 2^s
+        sylow = [1, chain.t]
+        for _ in range(size - 2):
+            sylow.append(mul(sylow[-1], chain.t))
+        self._sylow = tuple(sylow)
+        self._dlog = {g_j: j for j, g_j in enumerate(sylow)}
         # Smallest-encoding trace-1 element, constructed rather than scanned:
         # every digit below the first basis index with nonzero trace contributes
         # nothing, so the minimum is a single digit at that index (the trace
@@ -356,12 +370,12 @@ class FieldContext:
         # w * w = 1 mod 3, so w is its own inverse
         self.alpha = FieldElement(self, weights[i0] << 8 * i0)
         # For even d, the only degrees with types II, IIIa and IIIb, the
-        # chain of beta gives beta^-1 and beta^((q-1)/4), whose square is
-        # beta^((q-1)/2) = -1: it is one of +-tau.
-        self._beta_inv = self._beta_quartic = self.tau = None
+        # chain of beta gives beta^-1, and g^(2^(s-2)) = beta^((q-1)/4) squares
+        # to -1: it is one of +-tau.
+        self._beta_inv = self.tau = None
         if d % 2 == 0:
-            self._beta_inv, self._beta_quartic = chain.inverse(), chain.quartic()
-            quartic = FieldElement(self, self._beta_quartic)
+            self._beta_inv = chain.inverse()
+            quartic = FieldElement(self, sylow[size // 4])
             self.tau = min(quartic, -quartic, key=FieldElement.encoding)
 
     def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
@@ -736,10 +750,10 @@ def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
 
 
 class PowerChain:
-    """The Tonelli-Shanks chain of a nonzero packed x, q - 1 = 2^s * odd.
+    """The power x^odd of a nonzero packed x and its exponent j, q - 1 = 2^s * odd.
 
-    w = x^((odd-1)/2), r = x*w and squares[i] = t^(2^i) for t = x^odd and
-    i < s. With p = d & -d, c = (3^p - 1) / 2^s and n = (d/p - 1) / 2,
+    w = x^((odd-1)/2), r = x*w and t = r*w = x^odd. With p = d & -d,
+    c = (3^p - 1) / 2^s and n = (d/p - 1) / 2,
 
         (odd-1)/2 = (c-1)/2 + c * 3^p * (3^p + 1)/2 * sum_{j<n} 9^(p*j),
 
@@ -750,13 +764,16 @@ class PowerChain:
     and at d = 2 mod 4, 5 at p = 4, 205 at p = 8) and y = x^c *
     (x^c)^(sum_{i<p} 3^i), both repunit powers (FieldContext._repunit_pow)
     on maps the context keeps; at n = 0 (d = 1, 2, 4, 8, 16) w = h.
-    One exponentiation gives every power character of x:
-    chi(x) = t^(2^(s-1)), x^((q-1)/4) = t^(2^(s-2)) for s >= 2, and
-    x^-1 = w^2 * t^(2^s - 1), the last factor being the product of squares.
-    r^2 = x*t, so for odd d (s = 1) r is a square root of x*chi(x).
+
+    t lies in the 2-Sylow subgroup, cyclic of order 2^s <= 64 and
+    generated by g = beta^odd, and j = ctx._dlog[t] has t = g^j. For
+    x = beta^k, t = g^k, so j = k mod 2^s, and j answers by lookup: x is a
+    square iff j is even, j mod 4 is the coset of x modulo the fourth
+    powers relative to beta (at even d, where s >= 3), x^-1 = w^2 * g^-j,
+    and for even j, r * g^(-j/2) squares to x, since r^2 = x*t.
     """
 
-    __slots__ = ("ctx", "w", "r", "squares")
+    __slots__ = ("ctx", "w", "r", "t")
 
     def __init__(self, ctx: FieldContext, x: int):
         mul, q1, d = ctx._mul, ctx.q - 1, ctx.d
@@ -771,98 +788,65 @@ class PowerChain:
             z = ctx._frobenius[p](ctx._repunit_pow(y, 2 * p, n))
             self.w = mul(h, z) if c > 1 else z
         self.r = mul(x, self.w)
-        t = mul(self.r, self.w)
-        self.squares = [t]
-        for _ in range(s - 1):
-            t = mul(t, t)
-            self.squares.append(t)
+        self.t = mul(self.r, self.w)
+
+    @property
+    def j(self) -> int:
+        """The exponent of t = g^j, read from the context's table."""
+        return self.ctx._dlog[self.t]
+
+    def _times_g(self, a: int, k: int) -> int:
+        """a * g^k, packed: a negation when g^k = -1, and a itself when g^k = 1."""
+        ctx, size = self.ctx, len(self.ctx._sylow)
+        k %= size
+        if not k:
+            return a
+        if 2 * k == size:
+            return _mod3(2 * a, ctx.d)
+        return ctx._mul(a, ctx._sylow[k])
 
     def chi(self) -> int:
         """Quadratic character of x."""
-        return 1 if self.squares[-1] == 1 else -1
-
-    def quartic(self) -> int:
-        """x^((q-1)/4), packed; for even d only."""
-        return self.squares[-2]
+        return -1 if self.j & 1 else 1
 
     def inverse(self) -> FieldElement:
-        """x^-1."""
-        ctx = self.ctx
-        inv = ctx._mul(self.w, self.w)
-        for t in self.squares:
-            if t == 1:  # so is every later square
-                break
-            inv = _mod3(2 * inv, ctx.d) if t == 2 else ctx._mul(inv, t)  # t = -1: negate
-        return FieldElement(ctx, inv)
+        """x^-1 = w^2 * g^-j."""
+        return FieldElement(self.ctx, self._times_g(self.ctx._mul(self.w, self.w), -self.j))
 
-    def root(self) -> FieldElement:
-        """A square root of x; x must be a square (chi(x) = 1).
+    def roots(self, sign: int) -> list[FieldElement]:
+        """Every u with u^2 = sign*x, or u^2 = +-x when sign is 0, sorted by encoding.
 
-        The Tonelli-Shanks tail: while t != 1, with t of order 2^i, r and t
-        are moved by a power of the seed, which lowers the order of t.
+        As -1 = g^(2^(s-1)), y = +-x has y^odd = g^i with i = j for x and
+        i = j + 2^(s-1) for -x, and y * y^((odd-1)/2) = +-r. So y is a square
+        iff i is even, and then its roots are +-r * g^(-i/2). At odd d, where
+        g = -1, these are +-r for the square one of +-x, with no product.
         """
-        ctx, mul = self.ctx, self.ctx._mul
-        r, t, m, c = self.r, self.squares[0], len(self.squares), ctx._seed
-        i = self.squares.index(1)
-        while i:
-            b = c
-            for _ in range(m - i - 1):
-                b = mul(b, b)
-            m, c = i, mul(b, b)
-            t, r = mul(t, c), mul(r, b)
-            i, probe = 0, t
-            while probe != 1:
-                probe, i = mul(probe, probe), i + 1
-        return FieldElement(ctx, r)
+        j, half = self.j, len(self.ctx._sylow) // 2
+        exponents = (j,) if sign == 1 else (j + half,) if sign == -1 else (j, j + half)
+        roots = []
+        for i in exponents:
+            if i % 2 == 0:
+                v = FieldElement(self.ctx, self._times_g(self.r, -i // 2))
+                roots += [v, -v]
+        return sorted(roots, key=FieldElement.encoding)
 
 
 def sqrt(x: FieldElement) -> Optional[FieldElement]:
     """Square root with the smaller encoding, or None for non-squares.
 
-    The first of _signed_roots(x, 1), which are sorted by encoding.
+    The first of the roots(1) of one PowerChain, which are sorted by encoding.
     """
     if x.is_zero():
         return x.ctx.zero
-    roots = _signed_roots(x, 1)
+    roots = PowerChain(x.ctx, x.coeffs).roots(1)
     return roots[0] if roots else None
-
-
-def _signed_roots(w: FieldElement, sign: int) -> list[FieldElement]:
-    """Every u with u^2 = sign*w, or u^2 = +-w when sign is 0, sorted by encoding.
-
-    w must be nonzero; one PowerChain on w, see _chain_roots.
-    """
-    return _chain_roots(PowerChain(w.ctx, w.coeffs), sign)
-
-
-def _chain_roots(chain: PowerChain, sign: int) -> list[FieldElement]:
-    """_signed_roots of the chain's w, from the chain alone.
-
-    For odd d, -1 is a non-square and the raw r has r^2 = w*chi(w), so +-r
-    are the roots of the square one of +-w; for even d, -1 = tau^2 is a
-    square, and the roots of -w are tau times the roots of w.
-    """
-    ctx = chain.ctx
-    if ctx.tau is None:
-        if sign and chain.chi() != sign:
-            return []
-        r = FieldElement(ctx, chain.r)
-        return sorted((r, -r), key=FieldElement.encoding)
-    if chain.chi() == -1:  # then -w is a non-square too
-        return []
-    v = chain.root()
-    roots = [] if sign == -1 else [v, -v]
-    if sign != 1:
-        tv = ctx.tau * v
-        roots += [tv, -tv]
-    return sorted(roots, key=FieldElement.encoding)
 
 
 def fourth_roots(x: FieldElement) -> list[FieldElement]:
     """All v with v^4 = x, sorted by encoding (possibly empty).
 
     v^4 = x iff v^2 = +-s for either square root s of x: two chains, one
-    for sqrt(x) and one in _signed_roots.
+    for sqrt(x) and one for the roots of +-s.
     """
     if x.is_zero():
         return [x.ctx.zero]
@@ -872,12 +856,13 @@ def fourth_roots(x: FieldElement) -> list[FieldElement]:
 def _fourth_roots(x: FieldElement) -> tuple[list[FieldElement], PowerChain]:
     """fourth_roots of a nonzero x, and the chain of x that found sqrt(x).
 
-    The chain's inverse() is x^-1 for a few products, and that is v^-4 for
-    every root v.
+    The chain's inverse() is x^-1 for at most two products, and that is
+    v^-4 for every root v.
     """
-    chain = PowerChain(x.ctx, x.coeffs)
-    squares = _chain_roots(chain, 1)  # sqrt(x) is the first
-    return (_signed_roots(squares[0], 0) if squares else []), chain
+    ctx = x.ctx
+    chain = PowerChain(ctx, x.coeffs)
+    squares = chain.roots(1)  # sqrt(x) is the first
+    return (PowerChain(ctx, squares[0].coeffs).roots(0) if squares else []), chain
 
 
 class LinearizedMap:
@@ -966,22 +951,16 @@ def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]
 
 
 def decode_element(ctx: FieldContext, text: str) -> FieldElement:
-    """Parse either a coefficient list "c0,c1,..." or a base-3 integer."""
-    text = text.strip()
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != ctx.d:
-            raise ParseError(f"expected {ctx.d} coefficients, got {len(parts)}")
-        coeffs = []
-        for p in parts:
-            if p not in ("0", "1", "2"):
-                raise ParseError(f"bad coefficient {p!r}, must be 0, 1 or 2")
-            coeffs.append(int(p))
-        return FieldElement(ctx, int.from_bytes(bytes(coeffs), "little"))
-    try:
-        enc = int(text)
-    except ValueError:
-        raise ParseError(f"cannot parse element {text!r}")
-    if not 0 <= enc < ctx.q:
-        raise ParseError(f"value {enc} out of range [0, {ctx.q})")
-    return ctx.from_int(enc)
+    """Parse either a coefficient list "c0,c1,..." or a base-3 integer.
+
+    Every comma-separated part, spaces around it aside, is ASCII decimal
+    digits: no sign, underscore or other script's digits. A list goes to
+    FieldContext.element, which checks its length and digits, and one
+    integer to from_int, which checks its range.
+    """
+    parts = [p.strip() for p in text.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ParseError(f"cannot parse element {text!r}: expected ASCII decimal digits")
+    if len(parts) == 1:
+        return ctx.from_int(int(parts[0]))
+    return ctx.element([int(p) for p in parts])

@@ -185,12 +185,12 @@ def test_canonicalize_witness_equals_isomorphic(d):
 # isomorphic(e, rep). A change in the cost of the classification shows up as
 # a diff here.
 MUL_COUNTS = {
-    12: ((18.305, 3.0), (55.88, 7.41), (23.155, 4.59), (51.93, 12.0)),
-    16: ((42.86, 0.0), (120.405, 0.0), (59.575, 0.0), (106.29, 7.0)),
-    20: ((18.27, 4.0), (58.565, 10.08), (24.025, 5.92), (54.295, 15.0)),
+    12: ((12.045, 3.0), (36.89, 7.41), (14.67, 4.59), (36.495, 12.0)),
+    16: ((31.025, 0.0), (84.29, 0.0), (43.395, 0.0), (75.99, 7.0)),
+    20: ((12.695, 4.0), (39.84, 10.08), (15.66, 5.92), (39.29, 15.0)),
     21: ((9.06, 5.0), (23.06, 10.0), (10.395, 7.425), (28.515, 16.0)),
-    24: ((30.01, 4.0), (86.365, 9.82), (40.815, 6.18), (79.66, 16.0)),
-    30: ((14.14, 6.0), (44.96, 15.03), (17.51, 8.97), (43.98, 20.0)),
+    24: ((21.155, 4.0), (58.98, 9.82), (28.765, 6.18), (56.87, 16.0)),
+    30: ((10.625, 6.0), (33.815, 15.03), (12.665, 8.97), (35.205, 20.0)),
     31: ((10.84, 7.0), (26.84, 14.0), (13.86, 10.78), (34.46, 22.0)),
 }
 
@@ -274,6 +274,12 @@ def test_distinct_f3_classes_not_isomorphic():
     e1 = ShortCurve(ctx.element(2), ctx.element(1))
     e2 = ShortCurve(ctx.element(2), ctx.element(2))
     assert isomorphic(e1, e2) is None
+
+
+def test_isomorphic_across_contexts_is_none():
+    e = ShortCurve(make_context(2).one, make_context(2).zero)
+    for ctx in (make_context(3), make_context(2, [2, 1, 1])):
+        assert isomorphic(e, ShortCurve(ctx.one, ctx.zero)) is None
 
 
 def test_gf9_negated_b_isomorphic_via_tau():

@@ -73,6 +73,43 @@ def test_classify_type_I_plus_vector(capsys):
     assert obj["representative"]["equation"] == "y^2 = x^3 + x"
 
 
+# (d, a4, a6, type, invariant, representative equation): the first curve of
+# every class in enumeration order, which runs every branch of equation_text
+CLASSIFY_EQUATIONS = [
+    (1, "1", "0", "I+", None, "y^2 = x^3 + x"),
+    (1, "2", "0", "I", "0", "y^2 = x^3 - x"),
+    (1, "2", "1", "I", "1", "y^2 = x^3 - x + 1"),
+    (1, "2", "2", "I", "-1", "y^2 = x^3 - x - 1"),
+    (2, "1,0", "0,0", "I", "0", "y^2 = x^3 - x"),
+    (2, "1,0", "0,1", "I", "nonzero", "y^2 = x^3 - x - 1"),
+    (2, "0,1", "0,0", "II", "0", "y^2 = x^3 + (0,1)*x"),
+    (2, "0,1", "1,0", "II", "nonzero", "y^2 = x^3 + (0,1)*x + (2,1)"),
+    (2, "1,1", "0,0", "IIIa", None, "y^2 = x^3 + (2,2)*x"),
+    (2, "2,1", "0,0", "IIIb", None, "y^2 = x^3 + (2,1)*x"),
+]
+
+
+def test_classify_representative_equation_of_every_class(capsys):
+    for d, a4, a6, ctype, invariant, equation in CLASSIFY_EQUATIONS:
+        rc, out, _ = run(capsys, "classify", "--d", str(d), "--a4", a4, "--a6", a6)
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["class"]["type"] == ctype and obj["class"]["invariant"] == invariant
+        assert obj["representative"]["equation"] == equation
+
+
+def test_classify_element_text_outside_the_grammar_exits_2(capsys):
+    # ASCII decimal digits only: "0_1" is not 1, nor is an Arabic-Indic one
+    for text in ("1_0", "0_1", "\u0661", "+1", "-0"):
+        rc, out, err = run(capsys, "classify", "--d", "2", "--a4", "1", "--a6", text)
+        assert rc == 2 and out == "", text
+        assert sum("error:" in line for line in err.splitlines()) == 1, text
+        assert "ParseError" in err
+    for text in ("4", "0,2", " 1 , 0 "):
+        rc, _, _ = run(capsys, "classify", "--d", "2", "--a4", text, "--a6", text)
+        assert rc == 0, text
+
+
 def test_classify_rejects_zero_a4(capsys):
     rc, _, err = run(capsys, "classify", "--d", "1", "--a4", "0", "--a6", "1")
     assert rc == 2 and "InvalidCurve" in err
@@ -135,6 +172,13 @@ def test_count_respects_oracle_cap_env(capsys, monkeypatch):
     # the closed form is unaffected by the cap
     rc, out, _ = run(capsys, "count", "--d", "3", "--a4", "1", "--a6", "1")
     assert rc == 0 and json.loads(out)["order"] == "28"
+
+
+def test_oracle_cap_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SS3_ORACLE_CAP", "abc")
+    rc, out, err = run(capsys, "count", "--d", "2", "--a4", "1", "--a6", "1", "--naive")
+    assert rc == 2 and out == ""
+    assert err.count("error:") == 1 and "ParseError" in err
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,11 @@ def test_s_closed_rejects_bad_arguments():
         s_closed(3, 2)
 
 
+def test_s_brute_rejects_a_outside_f3():
+    with pytest.raises(ValueError):
+        s_brute(make_context(2), 2)
+
+
 def test_s_brute_small_fibers():
     c1 = make_context(1)
     assert s_brute(c1, 0) == 0  # fiber {0}

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import count_muls, literal_chi, sample_curves
 from ss3 import (
+    ContextMismatch,
     GeneralCurve,
     InvalidCurve,
     OracleTooLarge,
@@ -125,6 +126,16 @@ def test_short_curve_requires_nonzero_a4():
         ShortCurve(ctx.zero, ctx.one)
 
 
+def test_curves_and_points_reject_mixed_contexts():
+    c2, c3 = make_context(2), make_context(3)
+    with pytest.raises(ContextMismatch):
+        ShortCurve(c2.one, c3.one)
+    with pytest.raises(ContextMismatch):
+        GeneralCurve(a1=c2.zero, a2=c2.zero, a3=c2.zero, a4=c3.one, a6=c2.one)
+    with pytest.raises(ContextMismatch):
+        add(ShortCurve(c2.one, c2.zero).infinity(), ShortCurve(c2.minus_one, c2.zero).infinity())
+
+
 # ----------------------------------------------------------------------
 # Group law
 # ----------------------------------------------------------------------
@@ -204,6 +215,14 @@ def test_point_validation():
     e = ShortCurve(ctx.element(2), ctx.element(1))
     with pytest.raises(PointNotOnCurve):
         e.point(ctx.element(0), ctx.element(0))
+
+
+def test_point_hash_and_repr():
+    ctx = make_context(1)
+    e = ShortCurve(ctx.element(2), ctx.element(1))
+    p, again = e.point(ctx.zero, ctx.one), e.point(ctx.zero, ctx.one)
+    assert hash(p) == hash(again) and len({p, again, e.infinity()}) == 2
+    assert repr(p) == "Point(0, 1)" and repr(e.infinity()) == "Point(infinity)"
 
 
 def test_random_point_on_empty_curve_returns_infinity():

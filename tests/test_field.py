@@ -30,6 +30,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
+from ss3.factor import factorize
 from ss3.field import (
     DEGREE_CAP,
     _LANE_FORMATS,
@@ -38,7 +39,6 @@ from ss3.field import (
     _default_modulus,
     _encode_row,
     _lane_widths,
-    _signed_roots,
 )
 
 # Base-3 encodings c0 + 3*c1 + ... of the default moduli's low coefficients
@@ -97,6 +97,20 @@ def test_irreducibility_reads_coefficients_mod_3():
     # gcd need reduced slots, and a negative one does not fit a byte
     for c in ([3, 0, 1], [4, 0, 1], [-1, 0, 1]):
         assert is_irreducible(c) == is_irreducible([x % 3 for x in c])
+
+
+def test_irreducibility_rejects_non_monic_and_constant_polynomials():
+    assert not is_irreducible([1, 0, 2])  # 2t^2 + 1: leading coefficient 2
+    assert not is_irreducible([1, 2])  # 2t + 1
+    for constant in ([1], [2], [0]):
+        assert not is_irreducible(constant)
+
+
+def test_factorize_rejects_non_positive_integers():
+    assert factorize(1) == [] and factorize(80) == [2, 2, 2, 2, 5]
+    for n in (0, -8):
+        with pytest.raises(ValueError):
+            factorize(n)
 
 
 def test_irreducible_counts_match_gauss_formula():
@@ -199,15 +213,29 @@ def test_direct_construction_is_complete(d):
     assert context_to_json(direct) == context_to_json(ctx)
     assert direct.q_minus_1_factors == ctx.q_minus_1_factors
     assert smallest_nonsquare(direct) == smallest_nonsquare(ctx)
-    # the chain constants: seed n^odd and, for even d, beta^-1 and beta^((q-1)/4)
+    # the chain constants: the 2-Sylow table of g = beta^odd and, for even
+    # d, beta^-1; tau is one of +-g^(2^(s-2)) = +-beta^((q-1)/4)
     q1 = ctx.q - 1
     odd = q1 // (q1 & -q1)
     even = d % 2 == 0
     for c in (direct, ctx):
-        assert c._seed == (smallest_nonsquare(ctx) ** odd).coeffs
+        assert c._sylow == ctx._sylow and c._dlog == ctx._dlog
+        assert c._sylow[1] == (ctx.beta ** odd).coeffs
         assert c._beta_inv == (ctx.beta.inverse() if even else None)
-        assert c._beta_quartic == ((ctx.beta ** (q1 // 4)).coeffs if even else None)
         assert c.tau == (sqrt(ctx.minus_one) if even else None)
+        if even:
+            quartic = ctx.beta ** (q1 // 4)
+            assert c.tau in (quartic, -quartic)
+
+
+def test_context_equality_hash_and_repr():
+    # equal by (d, modulus), whichever object holds it
+    ctx = make_context(2)
+    direct = FieldContext(2, ctx.modulus)
+    assert direct is not ctx and direct == ctx and hash(direct) == hash(ctx)
+    assert ctx != make_context(2, [2, 1, 1]) and ctx != make_context(3)
+    assert ctx != "GF(9)"
+    assert repr(ctx) == "FieldContext(d=2, modulus=[1,0,1])"
 
 
 def test_context_caching_and_json():
@@ -504,18 +532,15 @@ def test_chi_multiplicative_random(d):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_is_fourth_power_matches_table(d):
     # fourth-power membership as the library decides it: fourth_roots, and
-    # the coset test of the classification dispatch on the PowerChain
+    # the coset test of the classification dispatch, j mod 4, on the
+    # PowerChain (at odd d, j is 0 or 1 and squares are fourth powers)
     ctx = make_context(d)
     table = {(x**4).coeffs for x in (ctx.from_int(e) for e in range(1, ctx.q))}
     for enc in range(1, ctx.q):
         x = ctx.from_int(enc)
         member = x.coeffs in table
         assert bool(fourth_roots(x)) == member
-        chain = PowerChain(ctx, x.coeffs)
-        if d % 2 == 1:
-            assert (chain.chi() == 1) == member  # squares are fourth powers for odd d
-        else:
-            assert (chain.quartic() == 1) == member
+        assert (PowerChain(ctx, x.coeffs).j % 4 == 0) == member
 
 
 def test_is_fourth_power_gf9_vectors():
@@ -580,18 +605,22 @@ def test_power_chain_matches_direct_powers(d):
         else:
             rng = random.Random(d)
             xs = [ctx.random_nonzero(rng) for _ in range(200)]
+        size = q1 & -q1  # 2^s
+        odd = q1 // size
         for x in xs:
             chain = PowerChain(ctx, x.coeffs)
             assert chain.inverse() == x.inverse()
             assert chain.chi() == chi(x)
-            if d % 2 == 0:
-                assert chain.quartic() == (x ** (q1 // 4)).coeffs
-            # r^2 = x * t with t = x^odd; for odd d t = chi(x)
-            r, t = FieldElement(ctx, chain.r), FieldElement(ctx, chain.squares[0])
+            # t = x^odd = g^j, and r^2 = x * t; for odd d t = chi(x)
+            r, t = FieldElement(ctx, chain.r), FieldElement(ctx, chain.t)
+            assert t == x**odd and chain.t == ctx._sylow[chain.j]
             assert r * r == x * t
-            if chain.chi() == 1:
-                root = chain.root()
-                assert root * root == x
+            # x^((q-1)/4) = t^(2^(s-2)), read through j
+            if d % 2 == 0:
+                assert ctx._sylow[chain.j * (size // 4) % size] == (x ** (q1 // 4)).coeffs
+            roots = chain.roots(1)
+            assert len(roots) == (2 if chain.j % 2 == 0 else 0)
+            assert all(root * root == x for root in roots)
 
 
 def _frobenius_cases(ctx):
@@ -651,11 +680,11 @@ def test_repunit_powers_match_pow(d):
 
 
 # (products, Frobenius maps) of one PowerChain for d = 16..31: the power
-# w, then r, t and the s - 1 squares; the same for every nonzero x.
+# w, then r and t; the same for every nonzero x.
 POWER_CHAIN_COUNTS = {
-    16: (33, 0), 17: (6, 4), 18: (8, 4), 19: (7, 5), 20: (13, 4), 21: (7, 5),
-    22: (9, 5), 23: (8, 6), 24: (22, 4), 25: (7, 5), 26: (9, 5), 27: (8, 6),
-    28: (14, 5), 29: (8, 6), 30: (10, 6), 31: (9, 7),
+    16: (28, 0), 17: (6, 4), 18: (6, 4), 19: (7, 5), 20: (10, 4), 21: (7, 5),
+    22: (7, 5), 23: (8, 6), 24: (18, 4), 25: (7, 5), 26: (7, 5), 27: (8, 6),
+    28: (11, 5), 29: (8, 6), 30: (8, 6), 31: (9, 7),
 }
 
 
@@ -665,6 +694,32 @@ def test_power_chain_cost_pinned():
         with count_muls(ctx) as calls:
             PowerChain(ctx, ctx.alpha.coeffs)
         assert (d, tuple(calls)) == (d, pin)
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_sylow_table_holds_the_powers_of_beta_odd(d):
+    # 2^s distinct g^j for g = beta^odd, read literally with **, and _dlog
+    # their inverse
+    ctx = make_context(d)
+    q1 = ctx.q - 1
+    size = q1 & -q1
+    g = ctx.beta ** (q1 // size)
+    assert len(ctx._sylow) == len(set(ctx._sylow)) == size <= 64
+    for j, g_j in enumerate(ctx._sylow):
+        assert g_j == (g**j).coeffs
+        assert ctx._dlog[g_j] == j
+    assert len(ctx._dlog) == size
+
+
+def test_chain_exponent_is_relative_to_beta():
+    # at d = 8 the smallest non-square n = 3 is not beta = 38, so a table
+    # built from n^odd would give other exponents: j is k mod 2^s for beta^k
+    ctx = make_context(8)
+    assert (smallest_nonsquare(ctx).encoding(), ctx.beta.encoding()) == (3, 38)
+    x = ctx.one
+    for k in range(ctx.q - 1):
+        assert PowerChain(ctx, x.coeffs).j == k % 32
+        x *= ctx.beta
 
 
 @pytest.mark.parametrize(
@@ -695,8 +750,9 @@ def test_frobenius_maps_stay_small():
 
 
 # Total (products, Frobenius maps) of a cold FieldContext(d, modulus) over
-# d = 16..31: the maps' build, the constants' scan and the even-d beta chain.
-COLD_BUILD_COUNTS = (7_617, 644)
+# d = 16..31: the maps' build, the constants' scan (Euler's criterion per
+# candidate), the beta chain, its 2-Sylow table and the even-d beta^-1.
+COLD_BUILD_COUNTS = (7_062, 1_061)
 
 
 def test_cold_build_counts_pinned(monkeypatch):
@@ -768,7 +824,8 @@ def test_fourth_roots_exhaustive(d):
         w = ctx.from_int(enc)
         for sign, targets in ((1, [w]), (-1, [-w]), (0, [w, -w])):
             expected = [x for t in targets for x in by_square.get(t.coeffs, [])]
-            assert _signed_roots(w, sign) == sorted(expected, key=lambda e: e.encoding())
+            got = PowerChain(ctx, w.coeffs).roots(sign)
+            assert got == sorted(expected, key=lambda e: e.encoding())
 
 
 # ----------------------------------------------------------------------
@@ -786,6 +843,13 @@ def test_solver_kernel_and_spec_vectors():
     assert r == c2.element("0,2")
     roots = [x for x in c2.elements() if x * x * x + c2.minus_one * x + t == c2.zero]
     assert sorted(x.encoding() for x in roots) == [6, 7, 8]
+
+
+def test_solver_rejects_mixed_contexts():
+    with pytest.raises(ContextMismatch):
+        solve_linearized(make_context(2).one, make_context(3).one)
+    with pytest.raises(ContextMismatch):
+        solve_linearized(make_context(2).one, make_context(2, [2, 1, 1]).one)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -862,6 +926,38 @@ def test_encode_decode_vectors():
         decode_element(ctx, "-1")
     with pytest.raises(ParseError):
         decode_element(ctx, "zebra")
+    assert decode_element(ctx, " 1 , 0 ") == ctx.from_int(1)
+    # ASCII decimal digits only: no underscore, other script's digits or sign
+    for text in ("1_0", "0_1", "\u0661", "+1", "-0", "", "1,", "0x1", "1.0"):
+        with pytest.raises(ParseError):
+            decode_element(ctx, text)
+
+
+def test_element_from_a_coefficient_sequence():
+    ctx = make_context(2)
+    assert ctx.element([1, 2]) == ctx.from_int(7) == ctx.element((1, 2))
+    assert ctx.element(ctx.one) is ctx.one
+    for bad in ([1], [1, 2, 0], [3, 0], [0, -1]):
+        with pytest.raises(ParseError):
+            ctx.element(bad)
+    with pytest.raises(ContextMismatch):
+        ctx.element(make_context(3).one)
+
+
+def test_from_int_checks_the_range():
+    ctx = make_context(2)
+    assert ctx.from_int(0) == ctx.zero and ctx.from_int(8) == ctx.element("2,2")
+    for enc in (-1, 9, 3**5):
+        with pytest.raises(ParseError):
+            ctx.from_int(enc)
+
+
+def test_oracle_cap_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("SS3_ORACLE_CAP", "abc")
+    with pytest.raises(ParseError):
+        field.oracle_cap()
+    with pytest.raises(ParseError):
+        field.check_oracle_cap(9)
 
 
 @given(st.integers(1, 8), st.data())
