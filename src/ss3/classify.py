@@ -27,7 +27,6 @@ from .field import (
     PowerChain,
     _fourth_roots,
     chi,
-    fourth_roots,
     smallest_nonsquare,
     trace,
 )
@@ -109,35 +108,35 @@ def _dispatch(
     fourth powers (j is chi at odd d), and its inverse gives gamma^-3 =
     gamma * x^-2 for a square root gamma of x. The second result gives the
     u with u^4 = a4/a4' that admit an r, in encoding order, and x^-1 from
-    the same chain, for every type; only canonicalize calls it, as the u
-    cost one more chain (two for IIIa and IIIb, which take fourth_roots).
+    the same chain, for every type; only canonicalize calls it. At odd d
+    the u are the chain's quartic_roots, one product. At even d they cost
+    one more chain: for I and II on gamma or gamma * beta^-1, gamma the
+    smaller square root of x, and for IIIa and IIIb on the chain's
+    coset_root, a square root of x * beta^-k.
     """
     ctx = e.ctx
     x = -e.a4
     chain = PowerChain(ctx, x.coeffs)
     k = chain.j % 4
     if ctx.d % 2 == 1:
-        # the raw r has r^2 = x * chi(x), and chi(r) = chi(x)^((q+1)/4) =
-        # chi(x), as (q+1)/4 is odd
-        r = FieldElement(ctx, chain.r)
+        # u^4 = a4/a4' = chi(x) * x for the representative's a4' = -chi(x)
         if k:
-            # r^2 = a4, so u^2 = +-r; r is a non-square, and the step
-            # picks -r
             return (
                 CurveClass(CurveType.I_PLUS, None),
-                lambda: (PowerChain(ctx, chain.r).roots(0), chain.inverse()),
+                lambda: (chain.quartic_roots(), chain.inverse()),
             )
-        # r is the square one of +-sqrt(x), and u^2 = r gives u^-6 = r * x^-2
+        # the raw r is the square one of +-sqrt(x), and u^2 = r gives
+        # u^-6 = r * x^-2
         inv = chain.inverse()
-        invariant = str(trace(e.a6 * r * inv * inv))
-        return CurveClass(CurveType.I, invariant), lambda: (PowerChain(ctx, chain.r).roots(1), inv)
-    beta_inv = ctx._beta_inv
+        invariant = str(trace(e.a6 * FieldElement(ctx, chain.r) * inv * inv))
+        return CurveClass(CurveType.I, invariant), lambda: (chain.quartic_roots(), inv)
     if k % 2:
         # x sits in the beta (IIIa) or beta^3 (IIIb) coset: u^4 = x * beta^-k
         return (
             CurveClass(CurveType.IIIA if k == 1 else CurveType.IIIB, None),
-            lambda: (fourth_roots(x * beta_inv**k), chain.inverse()),
+            lambda: (PowerChain(ctx, chain.coset_root(k).coeffs).roots(0), chain.inverse()),
         )
+    beta_inv = ctx._beta_inv
     gamma = chain.roots(1)[0]
     # with w = gamma for I (k = 0) and gamma * beta^-1 for II (k = 2), u^2 =
     # +-w sends Tr(a6*u^-6), the trace the representative must match, to

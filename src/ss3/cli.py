@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 from .classify import canonicalize
 from .count import char_sum_order, count_general, count_supersingular, list_classes
 from .curve import GeneralCurve, ShortCurve, reduce_curve
-from .errors import SS3Error
+from .errors import ParseError, SS3Error
 from .export import export_csv_text, export_json_text
-from .field import FieldContext, context_to_json, make_context
+from .field import FieldContext, _digit_list, context_to_json, make_context
 from .verify import run_verification
 
 
@@ -32,10 +32,10 @@ def _compact(obj) -> str:
 def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
     if text is None:
         return None
-    try:
-        return [int(p) for p in text.split(",")]
-    except ValueError:
-        raise SS3Error(f"modulus must be a comma-separated integer list, got {text!r}")
+    values = _digit_list(text)
+    if values is None:
+        raise ParseError(f"modulus must be a comma-separated list of ASCII digits, got {text!r}")
+    return values
 
 
 def _context(d: int, modulus: Optional[str]) -> FieldContext:

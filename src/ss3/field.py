@@ -10,7 +10,8 @@ hold at most 8d <= 248, which is why d is capped at 31 (DEGREE_CAP).
 
 A FieldContext fixes the modulus together with the constants the
 classification machinery needs: a primitive root beta, a trace-one element
-alpha, (for even d) a square root tau of -1 and beta^-1, and for
+alpha, (for even d) a square root tau of -1, beta^-1 and the two coset
+constants beta^(-k(odd+1)/2), k = 1, 3, and for
 PowerChain the table of the 2-Sylow subgroup of the units, q - 1 =
 2^s * odd: the powers of g = beta^odd by exponent and back, 2^s <= 64 of
 them. The smallest non-square n and beta are found by one scan of the
@@ -25,14 +26,14 @@ elements of one h over every l, so a row is built from a few products and
 encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
 read is built from the squares by the same sweep.
 
-The long exponents of the chains are base-3 repunits at every d: x^-1 =
-x^(q-2), Euler's criterion x^((q-1)/2), and the PowerChain power up to a
-short factor at 4 | d, taken by square and multiply (all of it at
-d = 16). Each context keeps the F3-linear
-Frobenius maps x -> x^(3^k) for k = 1 and every power of two below d - 1,
-one packed d x d matrix each, applied by one big-int product
-(_FrobeniusMap), and _repunit_pow raises to sum_{i<n} 3^(k*i) on them by
-Itoh-Tsujii, with about log2(n) + popcount(n) products and as many maps.
+The long exponents of the chains are made of base-3 repunits at every d:
+x^-1 = x^(q-2), Euler's criterion x^((q-1)/2), and the PowerChain powers,
+among them v = x^((q-3)/8) at odd d, whose r*v are fourth roots. Each
+context keeps the F3-linear Frobenius maps x -> x^(3^k) for k = 1 and
+every power of two below d - 1, one packed d x d matrix each, applied by
+one big-int product (_FrobeniusMap), and _repunit_pow raises to
+sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with about log2(n) +
+popcount(n) products and as many maps.
 
 Contexts are immutable after construction and safe to share across
 threads. Two slots fill lazily, and both idempotently: the character table
@@ -285,7 +286,9 @@ class FieldContext:
     the context, before the scan that finds its constants, and _repunit_pow
     reads it. With q - 1 = 2^s * odd, _sylow holds g^j for j < 2^s, packed,
     where g = beta^odd generates the 2-Sylow subgroup, and _dlog maps each
-    back to its j; every PowerChain reads its exponent there. Two slots
+    back to its j; every PowerChain reads its exponent there. At even d,
+    _coset_r_inv maps k = 1, 3 to beta^(-k(odd+1)/2), the inverse of r for
+    beta^k, which PowerChain.coset_root reads. Two slots
     fill later: the chi table on first use, and the LinearizedMap of each
     class representative's a4 (at most 2 at odd d and 4 at even d) when
     classify first needs it.
@@ -319,6 +322,7 @@ class FieldContext:
         "_linear_maps",
         "_nonsquare",
         "_beta_inv",
+        "_coset_r_inv",
         "_sylow",
         "_dlog",
     )
@@ -370,11 +374,14 @@ class FieldContext:
         # w * w = 1 mod 3, so w is its own inverse
         self.alpha = FieldElement(self, weights[i0] << 8 * i0)
         # For even d, the only degrees with types II, IIIa and IIIb, the
-        # chain of beta gives beta^-1, and g^(2^(s-2)) = beta^((q-1)/4) squares
-        # to -1: it is one of +-tau.
-        self._beta_inv = self.tau = None
+        # chain of beta gives beta^-1 and e_k = beta^(-k(odd+1)/2) for k = 1,
+        # 3, the inverse of r for beta^k (e_1 = w * g^-1), and g^(2^(s-2)) =
+        # beta^((q-1)/4) squares to -1: it is one of +-tau.
+        self._beta_inv = self._coset_r_inv = self.tau = None
         if d % 2 == 0:
             self._beta_inv = chain.inverse()
+            e1 = mul(chain.w, sylow[-1])
+            self._coset_r_inv = {1: e1, 3: mul(mul(e1, e1), e1)}
             quartic = FieldElement(self, sylow[size // 4])
             self.tau = min(quartic, -quartic, key=FieldElement.encoding)
 
@@ -752,18 +759,27 @@ def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
 class PowerChain:
     """The power x^odd of a nonzero packed x and its exponent j, q - 1 = 2^s * odd.
 
-    w = x^((odd-1)/2), r = x*w and t = r*w = x^odd. With p = d & -d,
-    c = (3^p - 1) / 2^s and n = (d/p - 1) / 2,
+    w = x^((odd-1)/2), r = x*w and t = r*w = x^odd, all by repunit powers
+    (FieldContext._repunit_pow) on maps the context keeps.
+
+    At odd d, s = 1 and (q-3)/8 = 3 * sum_{j<m} 9^j with m = (d-1)/2, so
+    v = x^((q-3)/8) = phi_1(x^(sum_j 9^j)) and w = v^2. u = r*v has
+    u^2 = t*r and u^4 = t*x, and -1 is a non-square: +-u are the fourth
+    roots of the square one of +-x, and no root of the other. At d = 1,
+    m = 0 and v = w = 1 with no product; at even d, v is None.
+
+    At even d, with p = d & -d, c = (3^p - 1) / 2^s and n = (d/p - 1) / 2,
 
         (odd-1)/2 = (c-1)/2 + c * 3^p * (3^p + 1)/2 * sum_{j<n} 9^(p*j),
 
     because d/p is odd: q - 1 = (3^p - 1) * R(2n + 1) with R(m) =
     sum_{i<m} 3^(p*i) odd, so odd = c * R(2n + 1), and R(2n + 1) =
     1 + 3^p * (1 + 3^p) * sum_{j<n} 9^(p*j). So w = h * phi_p(y^(sum_j
-    9^(p*j))) with h = x^((c-1)/2) by square and multiply (c = 1 at odd d
-    and at d = 2 mod 4, 5 at p = 4, 205 at p = 8) and y = x^c *
-    (x^c)^(sum_{i<p} 3^i), both repunit powers (FieldContext._repunit_pow)
-    on maps the context keeps; at n = 0 (d = 1, 2, 4, 8, 16) w = h.
+    9^(p*j))) with h = x^((c-1)/2) and y = x^c * (x^c)^(sum_{i<p} 3^i);
+    at n = 0 (d = 2, 4, 8, 16) w = h. c = 1 at d = 2 mod 4, and for
+    p = 2^a, c = prod_{0<i<a} b_i with b_i = (3^(2^i) + 1)/2 (5, 41,
+    3281), whose (b_i - 1)/2 = 2 * sum_{j<2^(i-1)} 9^j: h takes one
+    factor at a time by (ab - 1)/2 = a * (b-1)/2 + (a-1)/2.
 
     t lies in the 2-Sylow subgroup, cyclic of order 2^s <= 64 and
     generated by g = beta^odd, and j = ctx._dlog[t] has t = g^j. For
@@ -773,20 +789,29 @@ class PowerChain:
     and for even j, r * g^(-j/2) squares to x, since r^2 = x*t.
     """
 
-    __slots__ = ("ctx", "w", "r", "t")
+    __slots__ = ("ctx", "v", "w", "r", "t")
 
     def __init__(self, ctx: FieldContext, x: int):
         mul, q1, d = ctx._mul, ctx.q - 1, ctx.d
-        s = (q1 & -q1).bit_length() - 1
-        p = d & -d
-        c, n = (3**p - 1) >> s, (d // p - 1) // 2
-        self.ctx = ctx
-        self.w = h = ctx._pow(x, c >> 1)  # x^((c-1)/2); never multiplied in when c = 1
-        if n:
-            xc = mul(mul(h, h), x) if c > 1 else x
-            y = mul(xc, ctx._repunit_pow(xc, 1, p))  # x^(c * (3^p + 1) / 2)
-            z = ctx._frobenius[p](ctx._repunit_pow(y, 2 * p, n))
-            self.w = mul(h, z) if c > 1 else z
+        self.ctx, self.v = ctx, None
+        if d % 2:
+            self.v = v = ctx._frobenius[1](ctx._repunit_pow(x, 2, d // 2)) if d > 1 else 1
+            self.w = mul(v, v) if d > 1 else 1
+        else:
+            s = (q1 & -q1).bit_length() - 1
+            p = d & -d
+            c, n = (3**p - 1) >> s, (d // p - 1) // 2
+            h, k = 1, 2  # h = x^((a-1)/2) for a the product of the b_i with 2^i < k
+            while k < p:
+                xa = mul(mul(h, h), x) if k > 2 else x
+                y = ctx._repunit_pow(mul(xa, xa), 2, k // 2)  # x^(a * (b-1)/2)
+                h, k = mul(y, h) if k > 2 else y, 2 * k
+            self.w = h  # never multiplied in when c = 1
+            if n:
+                xc = mul(mul(h, h), x) if c > 1 else x
+                y = mul(xc, ctx._repunit_pow(xc, 1, p))  # x^(c * (3^p + 1) / 2)
+                z = ctx._frobenius[p](ctx._repunit_pow(y, 2 * p, n))
+                self.w = mul(h, z) if c > 1 else z
         self.r = mul(x, self.w)
         self.t = mul(self.r, self.w)
 
@@ -830,6 +855,21 @@ class PowerChain:
                 roots += [v, -v]
         return sorted(roots, key=FieldElement.encoding)
 
+    def quartic_roots(self) -> list[FieldElement]:
+        """At odd d, every u with u^4 = +-x, sorted by encoding: +-r*v, one product."""
+        u = FieldElement(self.ctx, self.ctx._mul(self.r, self.v))
+        return sorted([u, -u], key=FieldElement.encoding)
+
+    def coset_root(self, k: int) -> FieldElement:
+        """A square root of x * beta^-k at even d, for k = 1, 3 and j = k mod 4.
+
+        y = x * beta^-k has y^odd = g^(j-k) and y^((odd+1)/2) = r * e_k,
+        where e_k = beta^(-k*(odd+1)/2) is kept by the context. As 4 divides
+        j - k, r * e_k * g^((k-j)/2) squares to y: at most two products.
+        """
+        e_k = self.ctx._coset_r_inv[k]
+        return FieldElement(self.ctx, self._times_g(self.ctx._mul(self.r, e_k), (k - self.j) // 2))
+
 
 def sqrt(x: FieldElement) -> Optional[FieldElement]:
     """Square root with the smaller encoding, or None for non-squares.
@@ -845,8 +885,9 @@ def sqrt(x: FieldElement) -> Optional[FieldElement]:
 def fourth_roots(x: FieldElement) -> list[FieldElement]:
     """All v with v^4 = x, sorted by encoding (possibly empty).
 
-    v^4 = x iff v^2 = +-s for either square root s of x: two chains, one
-    for sqrt(x) and one for the roots of +-s.
+    At odd d, one chain: the quartic_roots of x when x is a square. At
+    even d, v^4 = x iff v^2 = +-s for either square root s of x: two
+    chains, one for sqrt(x) and one for the roots of +-s.
     """
     if x.is_zero():
         return [x.ctx.zero]
@@ -854,13 +895,15 @@ def fourth_roots(x: FieldElement) -> list[FieldElement]:
 
 
 def _fourth_roots(x: FieldElement) -> tuple[list[FieldElement], PowerChain]:
-    """fourth_roots of a nonzero x, and the chain of x that found sqrt(x).
+    """fourth_roots of a nonzero x, and the chain of x.
 
     The chain's inverse() is x^-1 for at most two products, and that is
     v^-4 for every root v.
     """
     ctx = x.ctx
     chain = PowerChain(ctx, x.coeffs)
+    if ctx.d % 2:
+        return (chain.quartic_roots() if chain.j == 0 else []), chain
     squares = chain.roots(1)  # sqrt(x) is the first
     return (PowerChain(ctx, squares[0].coeffs).roots(0) if squares else []), chain
 
@@ -950,17 +993,29 @@ def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]
 # ----------------------------------------------------------------------
 
 
-def decode_element(ctx: FieldContext, text: str) -> FieldElement:
-    """Parse either a coefficient list "c0,c1,..." or a base-3 integer.
+def _digit_list(text: str) -> Optional[list[int]]:
+    """The comma-separated parts of text as ints, or None unless each is digits.
 
-    Every comma-separated part, spaces around it aside, is ASCII decimal
-    digits: no sign, underscore or other script's digits. A list goes to
-    FieldContext.element, which checks its length and digits, and one
-    integer to from_int, which checks its range.
+    Every part, spaces around it aside, must be ASCII decimal digits: no
+    sign, underscore or other script's digits. Elements and the modulus
+    text share this grammar.
     """
     parts = [p.strip() for p in text.split(",")]
     if not all(p.isascii() and p.isdigit() for p in parts):
+        return None
+    return [int(p) for p in parts]
+
+
+def decode_element(ctx: FieldContext, text: str) -> FieldElement:
+    """Parse either a coefficient list "c0,c1,..." or a base-3 integer.
+
+    The text follows _digit_list's grammar. A list goes to
+    FieldContext.element, which checks its length and digits, and one
+    integer to from_int, which checks its range.
+    """
+    values = _digit_list(text)
+    if values is None:
         raise ParseError(f"cannot parse element {text!r}: expected ASCII decimal digits")
-    if len(parts) == 1:
-        return ctx.from_int(int(parts[0]))
-    return ctx.element([int(p) for p in parts])
+    if len(values) == 1:
+        return ctx.from_int(values[0])
+    return ctx.element(values)

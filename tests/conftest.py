@@ -3,7 +3,7 @@ import random
 
 from hypothesis import HealthCheck, settings
 
-from ss3 import ShortCurve, make_context
+from ss3 import ShortCurve, field, make_context
 
 settings.register_profile(
     "ci",
@@ -48,6 +48,26 @@ def count_muls(ctx):
         yield calls
     finally:
         ctx._mul, ctx._frobenius = mul, frobenius
+
+
+@contextlib.contextmanager
+def count_chains():
+    """Count PowerChain constructions inside a with-block, in every module.
+
+    Yields the running count as a list [chains]; PowerChain.__init__ is
+    restored on exit.
+    """
+    init, calls = field.PowerChain.__init__, [0]
+
+    def counting(self, ctx, x):
+        calls[0] += 1
+        init(self, ctx, x)
+
+    field.PowerChain.__init__ = counting
+    try:
+        yield calls
+    finally:
+        field.PowerChain.__init__ = init
 
 
 def literal_chi(ctx):

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from conftest import count_muls, sample_curves
+from conftest import count_chains, count_muls, sample_curves
 from ss3 import (
     CurveClass,
     CurveType,
     NotANonSquare,
     ShortCurve,
     canonicalize,
+    chi,
     count_supersingular,
     curve_type,
     fourth_roots,
@@ -25,6 +26,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
+from ss3.classify import _dispatch
 from ss3.curve import all_short_curves
 
 
@@ -185,13 +187,13 @@ def test_canonicalize_witness_equals_isomorphic(d):
 # isomorphic(e, rep). A change in the cost of the classification shows up as
 # a diff here.
 MUL_COUNTS = {
-    12: ((12.045, 3.0), (36.89, 7.41), (14.67, 4.59), (36.495, 12.0)),
-    16: ((31.025, 0.0), (84.29, 0.0), (43.395, 0.0), (75.99, 7.0)),
-    20: ((12.695, 4.0), (39.84, 10.08), (15.66, 5.92), (39.29, 15.0)),
-    21: ((9.06, 5.0), (23.06, 10.0), (10.395, 7.425), (28.515, 16.0)),
-    24: ((21.155, 4.0), (58.98, 9.82), (28.765, 6.18), (56.87, 16.0)),
-    30: ((10.625, 6.0), (33.815, 15.03), (12.665, 8.97), (35.205, 20.0)),
-    31: ((10.84, 7.0), (26.84, 14.0), (13.86, 10.78), (34.46, 22.0)),
+    12: ((12.045, 3.0), (32.17, 6.0), (14.67, 4.59), (36.495, 12.0)),
+    16: ((17.025, 3.0), (42.3, 6.0), (22.185, 4.545), (47.99, 13.0)),
+    20: ((12.695, 4.0), (34.08, 8.0), (15.66, 5.92), (39.29, 15.0)),
+    21: ((9.06, 5.0), (17.06, 5.0), (7.485, 5.0), (22.515, 11.0)),
+    24: ((18.155, 5.0), (44.42, 10.0), (24.13, 7.725), (50.87, 18.0)),
+    30: ((10.625, 6.0), (29.375, 12.0), (12.665, 8.97), (35.205, 20.0)),
+    31: ((10.84, 7.0), (18.84, 7.0), (9.54, 7.0), (26.46, 15.0)),
 }
 
 
@@ -212,6 +214,40 @@ def test_multiplication_counts_pinned(d):
                 fn(e, rep)
         means.append(tuple(count / len(curves) for count in calls))
     assert tuple(means) == MUL_COUNTS[d]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 20, 31])
+def test_chains_per_call_pinned(d):
+    # canonicalize runs one PowerChain at odd d, where its u are the
+    # dispatch chain's quartic roots, and two at even d for every type;
+    # fourth_roots runs one at odd d and two on an even-d square
+    make_context(d)
+    for e in _witness_cases(d):
+        with count_chains() as chains:
+            cls = canonicalize(e)[1]
+        assert chains == [1 if d % 2 else 2], cls
+        with count_chains() as chains:
+            fourth_roots(e.a4)
+        assert chains == [1 if d % 2 or chi(e.a4) == -1 else 2]
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_coset_roots_exhaustive(d):
+    # for every x = -a4 in the beta (IIIa) and beta^3 (IIIb) cosets, the
+    # coset root squares to y = x * beta^-k and the dispatch's u are
+    # fourth_roots(y), which takes y's own two chains
+    ctx = make_context(d)
+    seen = set()
+    for enc in range(1, ctx.q):
+        x = ctx.from_int(enc)
+        cls, witness_data = _dispatch(ShortCurve(-x, ctx.zero))
+        if cls.ctype in (CurveType.IIIA, CurveType.IIIB):
+            k = 1 if cls.ctype == CurveType.IIIA else 3
+            y = x * ctx.beta**-k
+            assert field.PowerChain(ctx, x.coeffs).coset_root(k) ** 2 == y
+            assert witness_data()[0] == fourth_roots(y)
+            seen.add(k)
+    assert seen == {1, 3}
 
 
 def _check_map_slot(ctx, rng):

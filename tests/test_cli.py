@@ -51,6 +51,17 @@ def test_field_info_modulus_override(capsys):
     assert rc == 2 and "ModulusReducible" in err
 
 
+def test_modulus_text_outside_the_grammar_exits_2(capsys):
+    # the element grammar: ASCII decimal digits only, no sign or underscore
+    for text in ("\u0661,0,4", "1_0", "+1", "-2", "1,0,-2", "1,+0,1"):
+        rc, out, err = run(capsys, "field-info", "2", "--modulus", text)
+        assert rc == 2 and out == "", text
+        assert sum("error:" in line for line in err.splitlines()) == 1, text
+        assert "ParseError" in err
+    rc, out, _ = run(capsys, "field-info", "2", "--modulus", " 1 , 0 , 1 ")
+    assert rc == 0 and json.loads(out)["modulus"] == [1, 0, 1]
+
+
 # ----------------------------------------------------------------------
 # classify
 # ----------------------------------------------------------------------

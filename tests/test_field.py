@@ -657,7 +657,7 @@ def test_frobenius_map_set_pinned():
 def test_repunit_powers_match_pow(d):
     # the repunit identities, and the powers they give equal _pow with the
     # original exponents: q - 2 and PowerChain's (odd - 1) / 2 at every d,
-    # (q - 3) / 4 at odd d; on the default and a dense modulus
+    # its v = x^((q - 3) / 8) at odd d; on the default and a dense modulus
     q, m = 3**d, (d - 1) // 2
     s = ((q - 1) & (1 - q)).bit_length() - 1
     odd = (q - 1) >> s
@@ -668,7 +668,7 @@ def test_repunit_powers_match_pow(d):
         9 ** (p * j) for j in range(n)
     )
     if d % 2:
-        assert (q - 3) // 4 * 4 == q - 3 == 24 * sum(9**j for j in range(m))
+        assert (q - 3) % 8 == 0 and (q - 3) // 8 == 3 * sum(9**j for j in range(m))
     for modulus in (_default_modulus(d), _dense_modulus(d)):
         ctx = make_context(d, modulus)
         for x in _frobenius_cases(ctx):
@@ -676,14 +676,14 @@ def test_repunit_powers_match_pow(d):
             assert FieldElement(ctx, x).inverse().coeffs == ctx._pow(x, q - 2)
             assert PowerChain(ctx, x).w == ctx._pow(x, (odd - 1) // 2)
             if d % 2:
-                assert ctx._repunit_pow(ctx._pow(x, 6), 2, m) == ctx._pow(x, (q - 3) // 4)
+                assert PowerChain(ctx, x).v == ctx._pow(x, (q - 3) // 8)
 
 
 # (products, Frobenius maps) of one PowerChain for d = 16..31: the power
 # w, then r and t; the same for every nonzero x.
 POWER_CHAIN_COUNTS = {
-    16: (28, 0), 17: (6, 4), 18: (6, 4), 19: (7, 5), 20: (10, 4), 21: (7, 5),
-    22: (7, 5), 23: (8, 6), 24: (18, 4), 25: (7, 5), 26: (7, 5), 27: (8, 6),
+    16: (14, 3), 17: (6, 4), 18: (6, 4), 19: (7, 5), 20: (10, 4), 21: (7, 5),
+    22: (7, 5), 23: (8, 6), 24: (15, 5), 25: (7, 5), 26: (7, 5), 27: (8, 6),
     28: (11, 5), 29: (8, 6), 30: (8, 6), 31: (9, 7),
 }
 
@@ -751,8 +751,9 @@ def test_frobenius_maps_stay_small():
 
 # Total (products, Frobenius maps) of a cold FieldContext(d, modulus) over
 # d = 16..31: the maps' build, the constants' scan (Euler's criterion per
-# candidate), the beta chain, its 2-Sylow table and the even-d beta^-1.
-COLD_BUILD_COUNTS = (7_062, 1_061)
+# candidate), the beta chain, its 2-Sylow table, and the even-d beta^-1
+# and coset constants e_1, e_3.
+COLD_BUILD_COUNTS = (7_069, 1_065)
 
 
 def test_cold_build_counts_pinned(monkeypatch):
@@ -826,6 +827,22 @@ def test_fourth_roots_exhaustive(d):
             expected = [x for t in targets for x in by_square.get(t.coeffs, [])]
             got = PowerChain(ctx, w.coeffs).roots(sign)
             assert got == sorted(expected, key=lambda e: e.encoding())
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_quartic_roots_exhaustive(d):
+    # at odd d, +-r*v of x's chain are the fourth roots of whichever of +-x
+    # is a square, and the other has none; against every element's u^4
+    ctx = make_context(d)
+    by_fourth = {}
+    for u in ctx.elements():
+        by_fourth.setdefault((u**4).coeffs, []).append(u)
+    for enc in range(1, ctx.q):
+        x = ctx.from_int(enc)
+        plus, minus = by_fourth.get(x.coeffs, []), by_fourth.get((-x).coeffs, [])
+        assert len(plus + minus) == 2 and not (plus and minus)
+        got = PowerChain(ctx, x.coeffs).quartic_roots()
+        assert got == sorted(plus + minus, key=FieldElement.encoding)
 
 
 # ----------------------------------------------------------------------
