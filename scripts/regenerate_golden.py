@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Rebuild the golden vectors under tests/golden/.
 
-Writes the export vectors for d = 1, 2 and classification.sha256, the
-SHA-256 of one (curve, rep, class, u, r, order) line for every curve with
-d <= 4 and 20 seeded curves for each d = 5..31. Run only after an
+Writes the export vectors for d = 1, 2, the report of
+run_verification(4, 200, 7) and classification.sha256, the SHA-256 of one
+(curve, rep, class, u, r, order) line for every curve with d <= 4 and 20
+seeded curves for each d = 5..31. Run only after an
 intentional change of output, then review the diff:
 
     PYTHONPATH=src python scripts/regenerate_golden.py
@@ -16,6 +17,7 @@ from pathlib import Path
 from ss3 import canonicalize, count_supersingular, make_context
 from ss3.curve import all_short_curves, random_supersingular_curve
 from ss3.export import export_csv_text, export_json_text
+from ss3.verify import run_verification
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 DIGEST_EXHAUSTIVE_MAX_D = 4
@@ -49,6 +51,8 @@ def main() -> None:
         (GOLDEN / f"export_d{d}.csv").write_text(export_csv_text(ctx))
         (GOLDEN / f"export_d{d}.json").write_text(export_json_text(ctx))
         print(f"wrote export_d{d}.csv and export_d{d}.json")
+    (GOLDEN / "verify_d4_seed7.txt").write_text(run_verification(4, 200, 7).text())
+    print("wrote verify_d4_seed7.txt")
     (GOLDEN / "classification.sha256").write_text(classification_digest() + "\n")
     print("wrote classification.sha256")
 

@@ -32,9 +32,10 @@ def _compact(obj) -> str:
 def _parse_modulus(text: Optional[str]) -> Optional[list[int]]:
     if text is None:
         return None
+    # the library reads a modulus mod 3; the text takes only digits 0, 1 and 2
     values = _digit_list(text)
-    if values is None:
-        raise ParseError(f"modulus must be a comma-separated list of ASCII digits, got {text!r}")
+    if values is None or any(c > 2 for c in values):
+        raise ParseError(f"modulus must be a comma-separated list of digits 0, 1, 2, got {text!r}")
     return values
 
 

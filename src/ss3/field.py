@@ -4,9 +4,13 @@ An element is one Kronecker-packed int: byte i holds the coefficient
 c_i in {0, 1, 2} of t^i in the power basis of a monic irreducible modulus.
 Sums and differences are plain integer additions whose bytes are reduced
 mod 3 by one bytes.translate; a product is one big-integer multiply
-followed by polynomial Barrett reduction, the same path for every modulus.
-A product may take one operand unreduced (slots <= 4); its slots then
-hold at most 8d <= 248, which is why d is capped at 31 (DEGREE_CAP).
+followed by polynomial Barrett reduction, the same code for every modulus
+of degree d >= 5. A product may take one operand unreduced (slots <= 4);
+its slots then hold at most 8d <= 248, which is why d is capped at 31
+(DEGREE_CAP). Fields of at most 81 elements (d <= 4) swap both kernels
+for lookups once the constants' scan has found beta: a product is one
+read of log and antilog tables and a Frobenius map one dict read
+(_table_kernels). Callers reach either kernel through the same slots.
 
 A FieldContext fixes the modulus together with the constants the
 classification machinery needs: a primitive root beta, a trace-one element
@@ -67,6 +71,9 @@ from .factor import factorize
 # a slot holds at most 8d <= 248, so for d <= 31 no slot carries into the
 # next one.
 DEGREE_CAP = 31
+# Fields of at most this many elements (d <= 4) multiply by log and antilog
+# tables and apply their Frobenius maps by lookup (_table_kernels).
+_LOG_TABLE_LIMIT = 3**4
 DEFAULT_ORACLE_CAP = 3**13
 ORACLE_CAP_ENV = "SS3_ORACLE_CAP"
 _CUBE_TABLE_LIMIT = 3**8
@@ -130,7 +137,9 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
     t^{3^k} - t for some k <= d/2, since any irreducible factor of degree
     k divides that polynomial. u = t^{3^k} mod m advances by cubing with
     m's own packed Barrett product (_barrett_mul), and the gcd with m runs
-    on packed remainders (_pdivmod). Coefficients are read mod 3.
+    on packed remainders (_pdivmod). Coefficients are read mod 3. From
+    degree 2 on, a root 0, 1 or -1 rejects m before any of that is built
+    (_ben_or runs the test alone).
 
     Raises:
         DegreeOutOfRange: for degree above DEGREE_CAP, the packed
@@ -142,6 +151,15 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
         raise DegreeOutOfRange(f"degree {d} exceeds {DEGREE_CAP}")
     if d < 1 or m[-1] != 1:
         return False
+    # m(0) = c0, m(1) = sum c_i and m(-1) = sum (-1)^i c_i, mod 3
+    if d >= 2 and 0 in (m[0], sum(m) % 3, (sum(m[::2]) - sum(m[1::2])) % 3):
+        return False
+    return _ben_or(m)
+
+
+def _ben_or(m: list[int]) -> bool:
+    """Ben-Or's test of a monic m, coefficients in {0, 1, 2}, of degree 1..DEGREE_CAP."""
+    d = len(m) - 1
     mul, packed = _barrett_mul(d, m), int.from_bytes(bytes(m), "little")
     u = 1 << 8  # t, reduced for every d >= 2, the only degrees the loop runs at
     for _ in range(d // 2):
@@ -284,14 +302,17 @@ class FieldContext:
     The Frobenius slot _frobenius maps k = 1 and every power of two below
     d - 1 to the packed map x -> x^(3^k) (_FrobeniusMap); it is built with
     the context, before the scan that finds its constants, and _repunit_pow
-    reads it. With q - 1 = 2^s * odd, _sylow holds g^j for j < 2^s, packed,
-    where g = beta^odd generates the 2-Sylow subgroup, and _dlog maps each
-    back to its j; every PowerChain reads its exponent there. At even d,
-    _coset_r_inv maps k = 1, 3 to beta^(-k(odd+1)/2), the inverse of r for
-    beta^k, which PowerChain.coset_root reads. Two slots
-    fill later: the chi table on first use, and the LinearizedMap of each
-    class representative's a4 (at most 2 at odd d and 4 at even d) when
-    classify first needs it.
+    reads it. The product slot _mul holds the Barrett product. For
+    q <= _LOG_TABLE_LIMIT both slots are replaced by lookups on the powers
+    of beta right after the scan (_table_kernels), so the beta chain, the
+    tables below and the chi table run on them. With q - 1 = 2^s * odd,
+    _sylow holds g^j for j < 2^s, packed, where g = beta^odd generates the
+    2-Sylow subgroup, and _dlog maps each back to its j; every PowerChain
+    reads its exponent there. At even d, _coset_r_inv maps k = 1, 3 to
+    beta^(-k(odd+1)/2), the inverse of r for beta^k, which
+    PowerChain.coset_root reads. Two slots fill later: the chi table on
+    first use, and the LinearizedMap of each class representative's a4 (at
+    most 2 at odd d and 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -356,6 +377,9 @@ class FieldContext:
             if all(self._pow(x.coeffs, e) != 1 for e in exps):
                 break
         self.beta = x
+        if q <= _LOG_TABLE_LIMIT:  # everything below runs on the tables
+            self._mul, self._frobenius = _table_kernels(d, x.coeffs, mul, self._frobenius)
+            mul = self._mul
         # The chain of beta has t = beta^odd = g and j = 1. The labels II,
         # IIIa and IIIb are cosets relative to beta, which j mod 4 reads
         # only because g is a power of beta.
@@ -559,6 +583,49 @@ class _FrobeniusMap:
         d = self.d
         column = (x * self.matrix).to_bytes(d * d + d - 1, "little")[d - 1::d]
         return int.from_bytes(column.translate(_MOD3), "little")
+
+
+class _Logs(dict):
+    """Packed element -> discrete log; an unreduced key (slots <= 4) is read mod 3."""
+
+    __slots__ = ("d",)
+
+    def __missing__(self, a: int) -> int:
+        return self[_mod3(a, self.d)]
+
+
+def _table_kernels(
+    d: int, beta: int, mul: Callable[[int, int], int], keys: Iterable[int]
+) -> tuple[Callable[[int, int], int], dict[int, Callable[[int], int]]]:
+    """The product and the map x -> x^(3^k) of each k in keys by lookup, for q <= 81.
+
+    exp[i] = beta^i costs (q-3)/2 products mul, and the second half of exp
+    is the first one negated, as beta^((q-1)/2) = -1. 0 has log 2(q-1) and
+    exp is padded with zeros up to 4(q-1), so the product is
+    exp[log a + log b] with no branch, and it takes the operands
+    _barrett_mul takes. The map of k sends exp[i] to exp[i * 3^k mod (q-1)]
+    and 0 to 0; it reads reduced elements only, which every caller of the
+    maps passes.
+    """
+    q1 = 3**d - 1
+    exp = [1]
+    for _ in range(q1 // 2 - 1):
+        exp.append(mul(exp[-1], beta))
+    exp += [_mod3(2 * a, d) for a in exp]
+    log = _Logs(zip(exp, range(q1)))
+    log.d, log[0] = d, 2 * q1
+    frobenius = {}
+    for k in keys:
+        step = 3**k % q1
+        image = {a: exp[i * step % q1] for i, a in enumerate(exp)}
+        image[0] = 0
+        frobenius[k] = image.__getitem__
+    exp = exp * 2 + [0] * (2 * q1 + 1)
+
+    def table_mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]]
+
+    return table_mul, frobenius
 
 
 @functools.lru_cache(maxsize=None)

@@ -220,12 +220,13 @@ def test_criterion_8_beyond_oracle_consistency_and_speed():
 
 
 def test_criterion_9_determinism_and_golden_vectors():
-    summary = "verify reports byte-identical; d<=2 exports match golden files"
+    summary = "verify reports byte-identical and match a golden file; d<=2 exports too"
     with criterion(9, summary):
         first = run_verification(4, samples=200, seed=7)
         second = run_verification(4, samples=200, seed=7)
         assert first.passed and second.passed
         assert first.text() == second.text()
+        assert first.text() == (GOLDEN / "verify_d4_seed7.txt").read_text()
         for d in (1, 2):
             ctx = make_context(d)
             assert export_csv_text(ctx) == (GOLDEN / f"export_d{d}.csv").read_text()

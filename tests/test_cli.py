@@ -52,8 +52,11 @@ def test_field_info_modulus_override(capsys):
 
 
 def test_modulus_text_outside_the_grammar_exits_2(capsys):
-    # the element grammar: ASCII decimal digits only, no sign or underscore
-    for text in ("\u0661,0,4", "1_0", "+1", "-2", "1,0,-2", "1,+0,1"):
+    # the element grammar: ASCII decimal digits only, no sign or underscore,
+    # and coefficients 0, 1 and 2 only, though the library reads a modulus
+    # mod 3
+    assert make_context(2, [4, 0, 1]) is make_context(2, [1, 0, 1])
+    for text in ("\u0661,0,4", "1_0", "+1", "-2", "1,0,-2", "1,+0,1", "1,0,4", "3,1,1"):
         rc, out, err = run(capsys, "field-info", "2", "--modulus", text)
         assert rc == 2 and out == "", text
         assert sum("error:" in line for line in err.splitlines()) == 1, text

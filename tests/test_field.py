@@ -35,6 +35,7 @@ from ss3.field import (
     DEGREE_CAP,
     _LANE_FORMATS,
     PowerChain,
+    _FrobeniusMap,
     _barrett_mul,
     _default_modulus,
     _encode_row,
@@ -128,6 +129,15 @@ def test_default_moduli_pinned():
     for d, enc in enumerate(DEFAULT_MODULUS_ENCODINGS, start=1):
         low = tuple(enc // 3**i % 3 for i in range(d))
         assert make_context(d).modulus == low + (1,)
+
+
+def test_default_moduli_match_a_ben_or_scan():
+    # is_irreducible rejects a root 0, 1 or -1 before Ben-Or's test runs;
+    # the same scan on Ben-Or's test alone finds the same modulus at every d
+    for d in range(1, DEGREE_CAP + 1):
+        lows = (high_first[::-1] for high_first in itertools.product(range(3), repeat=d))
+        scanned = next(low + (1,) for low in lows if field._ben_or(list(low) + [1]))
+        assert _default_modulus(d) == scanned, d
 
 
 def test_override_must_be_monic_of_right_degree():
@@ -633,14 +643,38 @@ def _frobenius_cases(ctx):
 @pytest.mark.parametrize("d", range(1, 32))
 def test_frobenius_maps_match_pow(d):
     # every map the context builds is x -> x^(3^k), on the default and a
-    # dense modulus; 0 maps to 0
+    # dense modulus; 0 maps to 0. Lookups at d <= 4, packed matrices above
     for modulus in (_default_modulus(d), _dense_modulus(d)):
         ctx = make_context(d, modulus)
         assert sorted(ctx._frobenius) == [1] + [2**j for j in range(1, d) if 2**j < d - 1]
+        assert all(isinstance(f, _FrobeniusMap) for f in ctx._frobenius.values()) == (d > 4)
         for k, frobenius in ctx._frobenius.items():
             assert frobenius(0) == 0
             for x in _frobenius_cases(ctx):
                 assert frobenius(x) == ctx._pow(x, 3**k)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_table_kernels_match_barrett_and_matrix_maps(d):
+    # at d <= 4 the context multiplies and maps by lookup, and _pow runs on
+    # the same tables, so these are checked against the packed kernels:
+    # the product equals a fresh Barrett product on every element times
+    # every operand with slots <= 4 (every element among them), and each
+    # map equals the _FrobeniusMap of t^(3^k) on every element
+    for modulus in (_default_modulus(d), _dense_modulus(d)):
+        ctx = make_context(d, modulus)
+        barrett = _barrett_mul(d, modulus)
+        elements = [x.coeffs for x in ctx.elements()]
+        for a in map(_packed, itertools.product(range(5), repeat=d)):
+            for b in elements:
+                want = barrett(a, b)
+                assert ctx._mul(a, b) == want and ctx._mul(b, a) == want, (a, b)
+        for k, frobenius in ctx._frobenius.items():
+            g = barrett(1, 1 << 8)  # t, reduced
+            for _ in range(k):
+                g = barrett(barrett(g, g), g)
+            matrix = _FrobeniusMap(d, g, barrett)
+            assert [frobenius(x) for x in elements] == [matrix(x) for x in elements], k
 
 
 def test_frobenius_map_set_pinned():
