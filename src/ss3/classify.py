@@ -25,9 +25,7 @@ from .field import (
     FieldElement,
     LinearizedMap,
     PowerChain,
-    _fourth_roots,
     chi,
-    smallest_nonsquare,
     trace,
 )
 
@@ -230,7 +228,8 @@ def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
     """
     if e1.ctx.key != e2.ctx.key:
         return None
-    roots, chain = _fourth_roots(e1.a4 / e2.a4)
+    chain = PowerChain(e1.ctx, (e1.a4 / e2.a4).coeffs)
+    roots = chain.fourth_roots()
     if not roots:
         return None
     lmap = e2.ctx._linear_maps.get(e2.a4.coeffs) or LinearizedMap(e2.a4)
@@ -259,9 +258,9 @@ def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitn
 def quadratic_twist(e: ShortCurve, g: FieldElement) -> ShortCurve:
     """Twist by a non-square g: (a4, a6) -> (a4*g^2, a6*g^3).
 
-    The context's smallest non-square is one by construction: no chi chain.
+    chi(g) is Euler's criterion, one repunit power and no PowerChain.
     """
-    if g != smallest_nonsquare(g.ctx) and chi(g) != -1:
+    if chi(g) != -1:
         raise NotANonSquare(f"{g} is a square (or zero); twists need chi(g) = -1")
     g2 = g * g
     return ShortCurve(e.a4 * g2, e.a6 * g2 * g)

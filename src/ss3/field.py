@@ -30,14 +30,15 @@ elements of one h over every l, so a row is built from a few products and
 encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
 read is built from the squares by the same sweep.
 
-The long exponents of the chains are made of base-3 repunits at every d:
-x^-1 = x^(q-2), Euler's criterion x^((q-1)/2), and the PowerChain powers,
-among them v = x^((q-3)/8) at odd d, whose r*v are fourth roots. Each
-context keeps the F3-linear Frobenius maps x -> x^(3^k) for k = 1 and
-every power of two below d - 1, one packed d x d matrix each, applied by
-one big-int product (_FrobeniusMap), and _repunit_pow raises to
-sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with about log2(n) +
-popcount(n) products and as many maps.
+The long exponents are made of base-3 repunits at every d. One Euler
+power z = x^((q-3)/2) gives chi, as Euler's criterion z*x, x^-1 = z^2*x
+and the scan's quadratic test; PowerChain takes its powers by one
+identity at every d, among them v = x^((q-3)/8) at odd d, whose r*v are
+fourth roots. Each context keeps the F3-linear Frobenius maps
+x -> x^(3^k) for k = 1 and every power of two below d - 1, one packed
+d x d matrix each, applied by one big-int product (_FrobeniusMap), and
+_repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
+about log2(n) + popcount(n) products and as many maps.
 
 Contexts are immutable after construction and safe to share across
 threads. Two slots fill lazily, and both idempotently: the character table
@@ -269,11 +270,11 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx._pow(self.coeffs, n))
 
     def inverse(self) -> "FieldElement":
-        """x^(q-2) = (y^(sum_{i<d-1} 3^i))^2 * x with y = x^3, a repunit power."""
+        """x^(q-2) = z^2 * x for z = x^((q-3)/2), the context's Euler power."""
         if self.is_zero():
             raise DivisionByZero("cannot invert 0")
         ctx, x = self.ctx, self.coeffs
-        z = ctx._repunit_pow(ctx._frobenius[1](x), 1, ctx.d - 1)  # x^((q-3)/2)
+        z = ctx._euler_power(x)
         return FieldElement(ctx, ctx._mul(ctx._mul(z, z), x))
 
     # -- comparisons ---------------------------------------------------
@@ -363,14 +364,14 @@ class FieldContext:
         self._trace_weights = self._build_trace_weights()
         self.q_minus_1_factors = tuple(factorize(q - 1))
         # One scan from 2 (1 is a square). Its p = 2 test is Euler's
-        # criterion x^((q-1)/2) = x * (x^3)^(sum_{i<d-1} 3^i), the repunit
-        # power inverse takes. The first non-square is n, and the first one
-        # that passes the odd primes of q - 1 is the primitive root beta.
+        # criterion x^((q-1)/2) = x * _euler_power(x). The first non-square
+        # is n, and the first one that passes the odd primes of q - 1 is the
+        # primitive root beta.
         exps = [(q - 1) // p for p in sorted(set(self.q_minus_1_factors)) if p > 2]
-        mul, cube = self._mul, self._frobenius[1]
+        mul = self._mul
         self._nonsquare = None
         for x in map(self.from_int, range(2, q)):
-            if mul(x.coeffs, self._repunit_pow(cube(x.coeffs), 1, d - 1)) == 1:
+            if mul(x.coeffs, self._euler_power(x.coeffs)) == 1:
                 continue
             if self._nonsquare is None:
                 self._nonsquare = x
@@ -465,6 +466,11 @@ class FieldContext:
             if not n:
                 return 1 if acc is None else acc
             z, step = mul(frobenius[step](z), z), 2 * step
+
+    def _euler_power(self, a: int) -> int:
+        # a^((q-3)/2) = (a^3)^(sum_{i<d-1} 3^i), one repunit power: Euler's
+        # criterion a^((q-1)/2) is a times it, and a^-1 its square times a
+        return self._repunit_pow(self._frobenius[1](a), 1, self.d - 1)
 
     def _encode(self, a: int) -> int:
         # slots may be unreduced: the digit table reads each one mod 3
@@ -813,9 +819,13 @@ def trace(x: FieldElement) -> int:
 def chi(x: FieldElement) -> int:
     """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0.
 
-    One PowerChain; the brute-force oracles read the chi table instead.
+    Euler's criterion x^((q-1)/2) = x * x^((q-3)/2), on the context's Euler
+    power and no PowerChain; the brute-force oracles read the chi table.
     """
-    return 0 if x.is_zero() else PowerChain(x.ctx, x.coeffs).chi()
+    if x.is_zero():
+        return 0
+    ctx, a = x.ctx, x.coeffs
+    return 1 if ctx._mul(a, ctx._euler_power(a)) == 1 else -1
 
 
 def smallest_nonsquare(ctx: FieldContext) -> FieldElement:
@@ -827,26 +837,27 @@ class PowerChain:
     """The power x^odd of a nonzero packed x and its exponent j, q - 1 = 2^s * odd.
 
     w = x^((odd-1)/2), r = x*w and t = r*w = x^odd, all by repunit powers
-    (FieldContext._repunit_pow) on maps the context keeps.
-
-    At odd d, s = 1 and (q-3)/8 = 3 * sum_{j<m} 9^j with m = (d-1)/2, so
-    v = x^((q-3)/8) = phi_1(x^(sum_j 9^j)) and w = v^2. u = r*v has
-    u^2 = t*r and u^4 = t*x, and -1 is a non-square: +-u are the fourth
-    roots of the square one of +-x, and no root of the other. At d = 1,
-    m = 0 and v = w = 1 with no product; at even d, v is None.
-
-    At even d, with p = d & -d, c = (3^p - 1) / 2^s and n = (d/p - 1) / 2,
+    (FieldContext._repunit_pow) on maps the context keeps. With p = d & -d
+    (1 at odd d), c = (3^p - 1) / 2^s and n = (d/p - 1) / 2, one identity
+    holds at every d:
 
         (odd-1)/2 = (c-1)/2 + c * 3^p * (3^p + 1)/2 * sum_{j<n} 9^(p*j),
 
     because d/p is odd: q - 1 = (3^p - 1) * R(2n + 1) with R(m) =
     sum_{i<m} 3^(p*i) odd, so odd = c * R(2n + 1), and R(2n + 1) =
-    1 + 3^p * (1 + 3^p) * sum_{j<n} 9^(p*j). So w = h * phi_p(y^(sum_j
-    9^(p*j))) with h = x^((c-1)/2) and y = x^c * (x^c)^(sum_{i<p} 3^i);
-    at n = 0 (d = 2, 4, 8, 16) w = h. c = 1 at d = 2 mod 4, and for
-    p = 2^a, c = prod_{0<i<a} b_i with b_i = (3^(2^i) + 1)/2 (5, 41,
-    3281), whose (b_i - 1)/2 = 2 * sum_{j<2^(i-1)} 9^j: h takes one
-    factor at a time by (ab - 1)/2 = a * (b-1)/2 + (a-1)/2.
+    1 + 3^p * (1 + 3^p) * sum_{j<n} 9^(p*j). So with h = x^((c-1)/2) and
+    v = phi_p((x^c)^(sum_j 9^(p*j))) = x^(c * 3^p * sum_j 9^(p*j)),
+    w = h * v^((3^p + 1)/2) = h * v * v^(sum_{i<p} 3^i); at n = 0 (d = 1,
+    2, 4, 8, 16) v = 1 and w = h. c = 1 at odd d and at d = 2 mod 4, where
+    h = 1 is never multiplied in, and for p = 2^a, c = prod_{0<i<a} b_i
+    with b_i = (3^(2^i) + 1)/2 (5, 41, 3281), whose (b_i - 1)/2 =
+    2 * sum_{j<2^(i-1)} 9^j: h takes one factor at a time by
+    (ab - 1)/2 = a * (b-1)/2 + (a-1)/2.
+
+    At odd d, s = 1 and p = c = 1, so v = x^(3 * sum_{j<m} 9^j) =
+    x^((q-3)/8) with m = (d-1)/2, and w = v^2. u = r*v has u^2 = t*r and
+    u^4 = t*x, and -1 is a non-square: +-u are the fourth roots of the
+    square one of +-x, and no root of the other.
 
     t lies in the 2-Sylow subgroup, cyclic of order 2^s <= 64 and
     generated by g = beta^odd, and j = ctx._dlog[t] has t = g^j. For
@@ -860,25 +871,20 @@ class PowerChain:
 
     def __init__(self, ctx: FieldContext, x: int):
         mul, q1, d = ctx._mul, ctx.q - 1, ctx.d
-        self.ctx, self.v = ctx, None
-        if d % 2:
-            self.v = v = ctx._frobenius[1](ctx._repunit_pow(x, 2, d // 2)) if d > 1 else 1
-            self.w = mul(v, v) if d > 1 else 1
-        else:
-            s = (q1 & -q1).bit_length() - 1
-            p = d & -d
-            c, n = (3**p - 1) >> s, (d // p - 1) // 2
-            h, k = 1, 2  # h = x^((a-1)/2) for a the product of the b_i with 2^i < k
-            while k < p:
-                xa = mul(mul(h, h), x) if k > 2 else x
-                y = ctx._repunit_pow(mul(xa, xa), 2, k // 2)  # x^(a * (b-1)/2)
-                h, k = mul(y, h) if k > 2 else y, 2 * k
-            self.w = h  # never multiplied in when c = 1
-            if n:
-                xc = mul(mul(h, h), x) if c > 1 else x
-                y = mul(xc, ctx._repunit_pow(xc, 1, p))  # x^(c * (3^p + 1) / 2)
-                z = ctx._frobenius[p](ctx._repunit_pow(y, 2 * p, n))
-                self.w = mul(h, z) if c > 1 else z
+        s = (q1 & -q1).bit_length() - 1
+        p = d & -d
+        c, n = (3**p - 1) >> s, (d // p - 1) // 2
+        h, k = 1, 2  # h = x^((a-1)/2) for a the product of the b_i with 2^i < k
+        while k < p:
+            xa = mul(mul(h, h), x) if k > 2 else x
+            y = ctx._repunit_pow(mul(xa, xa), 2, k // 2)  # x^(a * (b-1)/2)
+            h, k = mul(y, h) if k > 2 else y, 2 * k
+        self.ctx, self.v, self.w = ctx, 1, h
+        if n:
+            xc = mul(mul(h, h), x) if c > 1 else x
+            self.v = v = ctx._frobenius[p](ctx._repunit_pow(xc, 2 * p, n))
+            y = mul(v, ctx._repunit_pow(v, 1, p))  # v^((3^p + 1) / 2)
+            self.w = mul(h, y) if c > 1 else y
         self.r = mul(x, self.w)
         self.t = mul(self.r, self.w)
 
@@ -896,10 +902,6 @@ class PowerChain:
         if 2 * k == size:
             return _mod3(2 * a, ctx.d)
         return ctx._mul(a, ctx._sylow[k])
-
-    def chi(self) -> int:
-        """Quadratic character of x."""
-        return -1 if self.j & 1 else 1
 
     def inverse(self) -> FieldElement:
         """x^-1 = w^2 * g^-j."""
@@ -927,6 +929,18 @@ class PowerChain:
         u = FieldElement(self.ctx, self.ctx._mul(self.r, self.v))
         return sorted([u, -u], key=FieldElement.encoding)
 
+    def fourth_roots(self) -> list[FieldElement]:
+        """Every u with u^4 = x, sorted by encoding (possibly empty).
+
+        At odd d, the quartic_roots when x is a square (j = 0), one product.
+        At even d, u^4 = x iff u^2 = +-s for either square root s of x: one
+        more chain, on the first of roots(1), for the roots of +-s.
+        """
+        if self.ctx.d % 2:
+            return self.quartic_roots() if self.j == 0 else []
+        squares = self.roots(1)
+        return PowerChain(self.ctx, squares[0].coeffs).roots(0) if squares else []
+
     def coset_root(self, k: int) -> FieldElement:
         """A square root of x * beta^-k at even d, for k = 1, 3 and j = k mod 4.
 
@@ -952,27 +966,12 @@ def sqrt(x: FieldElement) -> Optional[FieldElement]:
 def fourth_roots(x: FieldElement) -> list[FieldElement]:
     """All v with v^4 = x, sorted by encoding (possibly empty).
 
-    At odd d, one chain: the quartic_roots of x when x is a square. At
-    even d, v^4 = x iff v^2 = +-s for either square root s of x: two
-    chains, one for sqrt(x) and one for the roots of +-s.
+    The chain of x gives them (PowerChain.fourth_roots): one chain at odd
+    d, and at even d two, one for sqrt(x) and one for the roots of +-sqrt(x).
     """
     if x.is_zero():
         return [x.ctx.zero]
-    return _fourth_roots(x)[0]
-
-
-def _fourth_roots(x: FieldElement) -> tuple[list[FieldElement], PowerChain]:
-    """fourth_roots of a nonzero x, and the chain of x.
-
-    The chain's inverse() is x^-1 for at most two products, and that is
-    v^-4 for every root v.
-    """
-    ctx = x.ctx
-    chain = PowerChain(ctx, x.coeffs)
-    if ctx.d % 2:
-        return (chain.quartic_roots() if chain.j == 0 else []), chain
-    squares = chain.roots(1)  # sqrt(x) is the first
-    return (PowerChain(ctx, squares[0].coeffs).roots(0) if squares else []), chain
+    return PowerChain(x.ctx, x.coeffs).fourth_roots()
 
 
 class LinearizedMap:

@@ -220,7 +220,8 @@ def test_multiplication_counts_pinned(d):
 def test_chains_per_call_pinned(d):
     # canonicalize runs one PowerChain at odd d, where its u are the
     # dispatch chain's quartic roots, and two at even d for every type;
-    # fourth_roots runs one at odd d and two on an even-d square
+    # fourth_roots runs one at odd d and two on an even-d square; chi and
+    # inverse take the Euler power and run none
     make_context(d)
     for e in _witness_cases(d):
         with count_chains() as chains:
@@ -229,6 +230,10 @@ def test_chains_per_call_pinned(d):
         with count_chains() as chains:
             fourth_roots(e.a4)
         assert chains == [1 if d % 2 or chi(e.a4) == -1 else 2]
+        with count_chains() as chains:
+            chi(e.a4)
+            e.a4.inverse()
+        assert chains == [0]
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
@@ -409,16 +414,20 @@ def test_twist_requires_nonsquare():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_twist_by_smallest_nonsquare_runs_no_chain(d, monkeypatch):
-    # the smallest non-square is one by construction, so no chi chain runs
+    # chi is Euler's criterion, so no twist runs a chain: every non-square
+    # g, the smallest one among them
     ctx = make_context(d)
     e = ShortCurve(ctx.one, ctx.one)
-    g = smallest_nonsquare(ctx)
+    squares = {x * x for x in ctx.elements()}
+    nonsquares = [g for g in ctx.elements() if g not in squares]
+    assert smallest_nonsquare(ctx) in nonsquares and len(nonsquares) == (ctx.q - 1) // 2
 
     def no_chain(*args):
         raise AssertionError("quadratic_twist ran a PowerChain")
 
     monkeypatch.setattr(field, "PowerChain", no_chain)
-    assert quadratic_twist(e, g) == ShortCurve(g * g, g * g * g)
+    for g in nonsquares:
+        assert quadratic_twist(e, g) == ShortCurve(g * g, g * g * g)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -520,7 +520,8 @@ def test_row_slots_and_lane_reads_fit_every_degree():
 
 @pytest.mark.parametrize("d", range(1, 5))
 def test_chi_ignores_a_planted_table(d):
-    # chi is one PowerChain: a wrong table on the context must not reach it
+    # chi is Euler's criterion on the Euler power: a wrong table on the
+    # context must not reach it
     ctx = FieldContext(d, _default_modulus(d))
     ctx._chi_table = bytearray([2]) * ctx.q  # claims every element is a square
     squares = {(x * x).coeffs for x in ctx.elements()}
@@ -620,7 +621,7 @@ def test_power_chain_matches_direct_powers(d):
         for x in xs:
             chain = PowerChain(ctx, x.coeffs)
             assert chain.inverse() == x.inverse()
-            assert chain.chi() == chi(x)
+            assert (-1) ** chain.j == chi(x)
             # t = x^odd = g^j, and r^2 = x * t; for odd d t = chi(x)
             r, t = FieldElement(ctx, chain.r), FieldElement(ctx, chain.t)
             assert t == x**odd and chain.t == ctx._sylow[chain.j]
@@ -679,7 +680,8 @@ def test_table_kernels_match_barrett_and_matrix_maps(d):
 
 def test_frobenius_map_set_pinned():
     # k = 1 and every power of two below d - 1: the maps _repunit_pow reads
-    # for (k, n) = (1, d - 1) and, at odd d, (2, (d - 1) / 2)
+    # for the Euler power's (k, n) = (1, d - 1) and PowerChain's (2p, n)
+    # and (1, p), and the chain's map of p, p = d & -d
     pins = {
         1: [1], 2: [1], 4: [1, 2], 17: [1, 2, 4, 8], 18: [1, 2, 4, 8, 16], 31: [1, 2, 4, 8, 16]
     }
@@ -690,8 +692,11 @@ def test_frobenius_map_set_pinned():
 @pytest.mark.parametrize("d", range(1, 32))
 def test_repunit_powers_match_pow(d):
     # the repunit identities, and the powers they give equal _pow with the
-    # original exponents: q - 2 and PowerChain's (odd - 1) / 2 at every d,
-    # its v = x^((q - 3) / 8) at odd d; on the default and a dense modulus
+    # original exponents: the Euler power's (q - 3) / 2, q - 2 and
+    # PowerChain's (odd - 1) / 2 at every d, and its one-path identity
+    # v = x^(c * 3^p * sum_{j<n} 9^(p*j)), w = h * v^((3^p + 1) / 2) when
+    # n > 0, with v = x^((q - 3) / 8) at odd d; on the default and a dense
+    # modulus
     q, m = 3**d, (d - 1) // 2
     s = ((q - 1) & (1 - q)).bit_length() - 1
     odd = (q - 1) >> s
@@ -706,11 +711,17 @@ def test_repunit_powers_match_pow(d):
     for modulus in (_default_modulus(d), _dense_modulus(d)):
         ctx = make_context(d, modulus)
         for x in _frobenius_cases(ctx):
-            assert ctx._repunit_pow(ctx._pow(x, 3), 1, d - 1) == ctx._pow(x, (q - 3) // 2)
+            assert ctx._euler_power(x) == ctx._pow(x, (q - 3) // 2)
             assert FieldElement(ctx, x).inverse().coeffs == ctx._pow(x, q - 2)
-            assert PowerChain(ctx, x).w == ctx._pow(x, (odd - 1) // 2)
+            chain = PowerChain(ctx, x)
+            assert chain.w == ctx._pow(x, (odd - 1) // 2)
+            if n:
+                h = ctx._pow(x, (c - 1) // 2)
+                v_exponent = c * 3**p * sum(9 ** (p * j) for j in range(n))
+                assert chain.v == ctx._pow(x, v_exponent)
+                assert chain.w == ctx._mul(h, ctx._pow(chain.v, (3**p + 1) // 2))
             if d % 2:
-                assert PowerChain(ctx, x).v == ctx._pow(x, (q - 3) // 8)
+                assert chain.v == ctx._pow(x, (q - 3) // 8)
 
 
 # (products, Frobenius maps) of one PowerChain for d = 16..31: the power
@@ -727,6 +738,29 @@ def test_power_chain_cost_pinned():
         ctx = make_context(d)
         with count_muls(ctx) as calls:
             PowerChain(ctx, ctx.alpha.coeffs)
+        assert (d, tuple(calls)) == (d, pin)
+
+
+# (products, Frobenius maps) of one public chi for d = 16..31: Euler's
+# criterion, x^3, the repunit power of length d - 1 and the product by x,
+# (steps + 1, steps + 1) with steps = bitlen(d - 1) - 1 + popcount(d - 1) - 1.
+CHI_COUNTS = {
+    16: (7, 7), 17: (5, 5), 18: (6, 6), 19: (6, 6), 20: (7, 7), 21: (6, 6),
+    22: (7, 7), 23: (7, 7), 24: (8, 8), 25: (6, 6), 26: (7, 7), 27: (7, 7),
+    28: (8, 8), 29: (7, 7), 30: (8, 8), 31: (8, 8),
+}
+
+
+def test_chi_cost_pinned():
+    assert CHI_COUNTS == {
+        d: (steps + 1, steps + 1)
+        for d in range(16, 32)
+        for steps in [(d - 1).bit_length() - 1 + bin(d - 1).count("1") - 1]
+    }
+    for d, pin in CHI_COUNTS.items():
+        ctx = make_context(d)
+        with count_muls(ctx) as calls:
+            chi(ctx.alpha)
         assert (d, tuple(calls)) == (d, pin)
 
 
