@@ -4,13 +4,16 @@ An element is one Kronecker-packed int: byte i holds the coefficient
 c_i in {0, 1, 2} of t^i in the power basis of a monic irreducible modulus.
 Sums and differences are plain integer additions whose bytes are reduced
 mod 3 by one bytes.translate; a product is one big-integer multiply
-followed by polynomial Barrett reduction, the same code for every modulus
-of degree d >= 5. A product may take one operand unreduced (slots <= 4);
-its slots then hold at most 8d <= 248, which is why d is capped at 31
-(DEGREE_CAP). Fields of at most 81 elements (d <= 4) swap both kernels
-for lookups once the constants' scan has found beta: a product is one
-read of log and antilog tables and a Frobenius map one dict read
-(_table_kernels). Callers reach either kernel through the same slots.
+reduced mod the modulus by one of two kernels, chosen once per modulus
+(_packed_mul): two folds of the high part times t^d mod m when that
+polynomial is short and sparse, as in every default modulus, and
+polynomial Barrett reduction otherwise. A product may take one operand
+unreduced (slots <= 4); its slots then hold at most 8d <= 248, which is
+why d is capped at 31 (DEGREE_CAP). Fields of at most 81 elements
+(d <= 4) swap the product and the Frobenius maps for lookups once the
+constants' scan has found beta: a product is one read of log and antilog
+tables and a Frobenius map one dict read (_table_kernels). Callers reach
+every kernel through the same slots.
 
 A FieldContext fixes the modulus together with the constants the
 classification machinery needs: a primitive root beta, a trace-one element
@@ -70,7 +73,9 @@ from .factor import factorize
 # A product slot sums at most d byte products. With one operand unreduced
 # (slots <= 4, as the oracles' Horner steps pass it) and the other reduced,
 # a slot holds at most 8d <= 248, so for d <= 31 no slot carries into the
-# next one.
+# next one. The sparse fold then reduces the product mod 3 and adds
+# products by t^d mod m of weight w <= 5: its slots hold at most
+# 2 + 4w + 8w^2 <= 222 (_fold_mul), whatever d is.
 DEGREE_CAP = 31
 # Fields of at most this many elements (d <= 4) multiply by log and antilog
 # tables and apply their Frobenius maps by lookup (_table_kernels).
@@ -137,7 +142,7 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
     A degree-d polynomial m is reducible iff it shares a factor with
     t^{3^k} - t for some k <= d/2, since any irreducible factor of degree
     k divides that polynomial. u = t^{3^k} mod m advances by cubing with
-    m's own packed Barrett product (_barrett_mul), and the gcd with m runs
+    m's own packed product (_packed_mul), and the gcd with m runs
     on packed remainders (_pdivmod). Coefficients are read mod 3. From
     degree 2 on, a root 0, 1 or -1 rejects m before any of that is built
     (_ben_or runs the test alone).
@@ -161,7 +166,7 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
 def _ben_or(m: list[int]) -> bool:
     """Ben-Or's test of a monic m, coefficients in {0, 1, 2}, of degree 1..DEGREE_CAP."""
     d = len(m) - 1
-    mul, packed = _barrett_mul(d, m), int.from_bytes(bytes(m), "little")
+    mul, packed = _packed_mul(d, m), int.from_bytes(bytes(m), "little")
     u = 1 << 8  # t, reduced for every d >= 2, the only degrees the loop runs at
     for _ in range(d // 2):
         u = mul(mul(u, u), u)  # Frobenius: u -> u^3
@@ -173,6 +178,43 @@ def _ben_or(m: list[int]) -> bool:
     return True
 
 
+def _packed_mul(d: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
+    """Packed product mod the modulus: the sparse fold where it is exact, else Barrett.
+
+    The fold (_fold_mul) is exact when R = t^d mod m = -(c_0 + ... +
+    c_{d-1} t^{d-1}), of degree e with w nonzero terms, has 2(e - 1) < d
+    and w <= 5. Every default modulus passes. Dense moduli, where a fold
+    lowers the degree by only d - e, and some Ben-Or candidates keep Barrett.
+    """
+    low = bytes(-c % 3 for c in modulus[:d])
+    e, w = len(low.rstrip(b"\0")) - 1, d - low.count(0)
+    if 2 * (e - 1) < d and 2 + 4 * w + 8 * w * w <= 255:
+        return _fold_mul(d, int.from_bytes(low, "little"))
+    return _barrett_mul(d, modulus)
+
+
+def _fold_mul(d: int, r: int) -> Callable[[int, int], int]:
+    """Packed product mod t^d - r by two folds p -> (p mod t^d) + (p // t^d) * r.
+
+    r is R = t^d mod m, packed, of degree e with 2(e - 1) < d and w <= 5
+    nonzero terms (_packed_mul checks both). One operand may be unreduced
+    (slots <= 4). After one translate the product p has degree <= 2d - 2
+    and slots <= 2. Its high part H has degree <= d - 2, so the first fold
+    leaves a high part H' of degree <= e - 2 and slots <= 4w, and the
+    second a sum of degree <= 2e - 2 < d with slots <= 2 + 4w + 8w^2 <=
+    222; one more translate reduces them.
+    """
+    mask, width, shift, from_bytes = (1 << 8 * d) - 1, 2 * d, 8 * d, int.from_bytes
+
+    def mul(a: int, b: int) -> int:
+        p = from_bytes((a * b).to_bytes(width, "little").translate(_MOD3), "little")
+        p = (p & mask) + (p >> shift) * r
+        p = (p & mask) + (p >> shift) * r
+        return from_bytes(p.to_bytes(d, "little").translate(_MOD3), "little")
+
+    return mul
+
+
 def _barrett_mul(d: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
     """Packed product mod the modulus, by polynomial Barrett reduction.
 
@@ -180,8 +222,8 @@ def _barrett_mul(d: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
     p of degree <= 2d - 1 the quotient by the modulus is exactly
     (p // t^d) * mu // t^d with mu = t^(2d) // modulus, the packed quotient
     of _pdivmod: unlike integer Barrett reduction, no correction step is
-    needed. The same code serves sparse and dense moduli, and any monic
-    modulus, so is_irreducible runs its Frobenius steps on it too.
+    needed. It serves any monic modulus, dense or sparse, so _packed_mul
+    gives it every modulus the sparse fold cannot reduce exactly.
     """
     m = int.from_bytes(bytes(modulus), "little")
     mu = _pdivmod(1 << 16 * d, m)[0]
@@ -303,10 +345,11 @@ class FieldContext:
     The Frobenius slot _frobenius maps k = 1 and every power of two below
     d - 1 to the packed map x -> x^(3^k) (_FrobeniusMap); it is built with
     the context, before the scan that finds its constants, and _repunit_pow
-    reads it. The product slot _mul holds the Barrett product. For
-    q <= _LOG_TABLE_LIMIT both slots are replaced by lookups on the powers
-    of beta right after the scan (_table_kernels), so the beta chain, the
-    tables below and the chi table run on them. With q - 1 = 2^s * odd,
+    reads it. The product slot _mul holds the kernel _packed_mul picks for
+    the modulus, the sparse fold or Barrett. For q <= _LOG_TABLE_LIMIT
+    both slots are replaced by lookups on the powers of beta right after
+    the scan (_table_kernels), so the beta chain, the tables below and the
+    chi table run on them. With q - 1 = 2^s * odd,
     _sylow holds g^j for j < 2^s, packed, where g = beta^odd generates the
     2-Sylow subgroup, and _dlog maps each back to its j; every PowerChain
     reads its exponent there. At even d, _coset_r_inv maps k = 1, 3 to
@@ -354,7 +397,7 @@ class FieldContext:
         self.q = q = 3**d
         self.modulus = modulus
         self.key = (d, modulus)
-        self._mul = _barrett_mul(d, modulus)  # packed product mod the modulus
+        self._mul = _packed_mul(d, modulus)  # packed product mod the modulus
         self._frobenius = self._build_frobenius()  # k -> x -> x^(3^k), packed
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -608,8 +651,8 @@ def _table_kernels(
     exp[i] = beta^i costs (q-3)/2 products mul, and the second half of exp
     is the first one negated, as beta^((q-1)/2) = -1. 0 has log 2(q-1) and
     exp is padded with zeros up to 4(q-1), so the product is
-    exp[log a + log b] with no branch, and it takes the operands
-    _barrett_mul takes. The map of k sends exp[i] to exp[i * 3^k mod (q-1)]
+    exp[log a + log b] with no branch, and it takes the operands the
+    packed product takes. The map of k sends exp[i] to exp[i * 3^k mod (q-1)]
     and 0 to 0; it reads reduced elements only, which every caller of the
     maps passes.
     """

@@ -40,6 +40,7 @@ from ss3.field import (
     _default_modulus,
     _encode_row,
     _lane_widths,
+    _packed_mul,
 )
 
 # Base-3 encodings c0 + 3*c1 + ... of the default moduli's low coefficients
@@ -288,9 +289,37 @@ def _dense_modulus(d):
     return None
 
 
+def _sparse_modulus(d, e, w):
+    # a seeded irreducible whose t^d mod m has degree e and w nonzero terms
+    # (the constant one among them), or None when 2,000 draws find none
+    rng = random.Random(f"sparse-{d}-{e}-{w}")
+    for _ in range(2000):
+        low = [0] * d
+        for i in {0, e} | set(rng.sample(range(1, e), w - len({0, e}))):
+            low[i] = rng.choice((1, 2))
+        if is_irreducible(low + [1]):
+            return tuple(low) + (1,)
+    return None
+
+
+def _fold_moduli(d):
+    # (name, modulus) at the edges of the sparse fold's test 2(e - 1) < d
+    # and w <= 5 on t^d mod m of degree e and weight w: the largest e that
+    # passes, with w = 5 where e allows it, the fold's worst slot case; one
+    # degree more; and one term more
+    edge = min((d + 1) // 2, d - 1)
+    cases = [("fold edge", _sparse_modulus(d, edge, min(5, edge + 1)))]
+    if edge + 1 < d:
+        cases.append(("degree too high", _sparse_modulus(d, edge + 1, min(5, edge + 2))))
+    if edge >= 5:
+        cases.append(("weight too high", _sparse_modulus(d, edge, 6)))
+    return cases
+
+
 def _pmulmod(a, b, m):
     # schoolbook product and long division on coefficient lists: shares no
-    # code with the packed Barrett product it checks; m is monic of degree d
+    # code with the packed products it checks, the sparse fold and Barrett;
+    # m is monic of degree d
     d = len(m) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -305,13 +334,15 @@ def _pmulmod(a, b, m):
 
 @pytest.mark.parametrize("d", range(1, 32))
 def test_mul_matches_polynomial_reference(d):
-    # the packed Barrett product against schoolbook multiply-and-divide on
-    # coefficient lists, for the default and a dense modulus
+    # the kernel _packed_mul picks and the Barrett product against
+    # schoolbook multiply-and-divide on coefficient lists, for the default
+    # modulus (the fold at every d), a dense one (Barrett from d = 4 on)
+    # and the moduli at the edges of the fold's test
     rng = random.Random(d)
-    dense = _dense_modulus(d)
-    assert dense is not None
-    for modulus in (_default_modulus(d), dense):
-        mul = _barrett_mul(d, modulus)
+    moduli = [_default_modulus(d), _dense_modulus(d)] + [m for _, m in _fold_moduli(d)]
+    assert None not in moduli
+    for modulus in moduli:
+        kernels = (_packed_mul(d, modulus), _barrett_mul(d, modulus))
         twos, fours = [2] * d, [4] * d
         # the byte bound's worst cases: all-2 operands, and an unreduced
         # all-4 operand as the oracle's Horner loop passes it
@@ -322,8 +353,27 @@ def test_mul_matches_polynomial_reference(d):
             unreduced = [rng.choice((c, c + 3)) if c < 2 else c for c in a]  # slots <= 4
             pairs += [(a, b), (unreduced, b)]
         for a, b in pairs:
-            want = _pmulmod([c % 3 for c in a], b, modulus)
-            assert mul(_packed(a), _packed(b)) == _packed(want)
+            want = _packed(_pmulmod([c % 3 for c in a], b, modulus))
+            assert [mul(_packed(a), _packed(b)) for mul in kernels] == [want, want]
+
+
+def test_packed_mul_folds_exactly_where_its_test_holds(monkeypatch):
+    # every default modulus takes the sparse fold, d = 27's with w = 5
+    # among them; a modulus failing 2(e - 1) < d or w <= 5 takes Barrett
+    def kernel(modulus):
+        picked = []
+        with monkeypatch.context() as patch:
+            patch.setattr(field, "_fold_mul", lambda *args: picked.append("fold"))
+            patch.setattr(field, "_barrett_mul", lambda *args: picked.append("barrett"))
+            _packed_mul(len(modulus) - 1, modulus)
+        return picked
+
+    assert _default_modulus(27)[:6] == (2, 2, 1, 1, 0, 1)  # t^27 mod m: 1 + t + 2t^2 + 2t^3 + 2t^5
+    for d in range(1, 32):
+        assert kernel(_default_modulus(d)) == ["fold"], d
+        assert kernel(_dense_modulus(d)) == ["fold" if d <= 3 else "barrett"], d
+        for name, modulus in _fold_moduli(d):
+            assert kernel(modulus) == ["fold" if name == "fold edge" else "barrett"], (d, name)
 
 
 @given(st.integers(1, 6), st.data())
@@ -826,10 +876,10 @@ COLD_BUILD_COUNTS = (7_069, 1_065)
 
 def test_cold_build_counts_pinned(monkeypatch):
     moduli = {d: _default_modulus(d) for d in range(16, 32)}
-    calls, barrett_mul, apply = [0, 0], field._barrett_mul, field._FrobeniusMap.__call__
+    calls, packed_mul, apply = [0, 0], field._packed_mul, field._FrobeniusMap.__call__
 
-    def counting_barrett_mul(d, modulus):
-        mul = barrett_mul(d, modulus)
+    def counting_packed_mul(d, modulus):
+        mul = packed_mul(d, modulus)
 
         def counting(a, b):
             calls[0] += 1
@@ -841,7 +891,7 @@ def test_cold_build_counts_pinned(monkeypatch):
         calls[1] += 1
         return apply(self, x)
 
-    monkeypatch.setattr(field, "_barrett_mul", counting_barrett_mul)
+    monkeypatch.setattr(field, "_packed_mul", counting_packed_mul)
     monkeypatch.setattr(field._FrobeniusMap, "__call__", counting_apply)
     for d, modulus in moduli.items():
         FieldContext(d, modulus)
