@@ -65,7 +65,6 @@ from .field import (
     fourth_roots,
     is_irreducible,
     make_context,
-    oracle_cap,
     smallest_nonsquare,
     solve_linearized,
     sqrt,

@@ -20,9 +20,9 @@ from typing import Mapping, Optional
 from .classify import (
     CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch, class_representative
 )
-from .curve import GeneralCurve, ReductionResult, ShortCurve, _chi_sum_cubic, reduce_curve
+from .curve import GeneralCurve, ReductionResult, ShortCurve, reduce_curve
 from .errors import DParityError, NotSupersingularError
-from .field import FieldContext, FieldElement, _digit_halves, _picker, check_oracle_cap
+from .field import FieldContext, FieldElement, chi_sum_cubic, chi_sum_fiber
 
 
 @dataclass(frozen=True)
@@ -68,30 +68,15 @@ def s_closed(d: int, a: int) -> int:
 
 
 def s_brute(ctx: FieldContext, a: int) -> int:
-    """Literal sum of chi(x) over the fiber Tr(x) = a.
+    """Literal sum of chi(x) over the fiber Tr(x) = a (field.chi_sum_fiber).
 
-    Each x is h + l over the digit halves (field._digit_halves). The trace
-    is F3-linear, so x is in the fiber iff Tr(l) = a - Tr(h), and the
-    halves share no digit, so x encodes as enc(h) + enc(l): the elements
-    h + l over all the lows are one slice of the chi table, and the fiber
-    picks one trace class of it. No product is made: each half's trace is
-    read from the packed int as field.trace does, with no element built.
+    Raises:
+        ValueError: for a outside {0, 1, -1}, checked before the oracle cap.
+        OracleTooLarge: for q above the oracle cap.
     """
-    check_oracle_cap(ctx.q)
     if a not in (0, 1, -1):
         raise ValueError(f"a must be 0, 1 or -1, got {a}")
-    table = ctx.chi_table()
-    lows, highs = _digit_halves(ctx.d)
-    weights, shift = ctx._trace_weights, 8 * (ctx.d - 1)
-    n, by_trace = len(lows), ([], [], [])  # low encodings, by trace mod 3
-    for enc, x in enumerate(lows):
-        by_trace[(x * weights >> shift & 255) % 3].append(enc)
-    picks = [_picker(encs) for encs in by_trace]
-    total = 0
-    for j, h in enumerate(highs):  # highs[j] encodes as j * 3^k
-        values = picks[(a - (h * weights >> shift & 255)) % 3](table[j * n:j * n + n])
-        total += sum(values) - len(values)  # the table holds chi + 1
-    return total
+    return chi_sum_fiber(ctx, a)
 
 
 @functools.lru_cache(maxsize=64)
@@ -181,5 +166,5 @@ def char_sum_order(red: ReductionResult) -> CountResult:
     red.short. No class is attached.
     """
     ctx = red.b2.ctx
-    order = _chi_sum_cubic(ctx, red.b2, -red.b4, red.b6)
+    order = chi_sum_cubic(ctx, red.b2, -red.b4, red.b6)
     return _result(ctx.q, order, None)

@@ -19,9 +19,7 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .field import (
-    FieldContext, FieldElement, _digit_halves, _picker, _sweep_rows, check_oracle_cap, chi, sqrt
-)
+from .field import FieldContext, FieldElement, check_oracle_cap, chi, chi_sum_cubic, sqrt
 
 
 def _common_ctx(*elements: FieldElement) -> FieldContext:
@@ -229,33 +227,6 @@ def all_short_curves(ctx: FieldContext) -> Iterator[ShortCurve]:
             yield ShortCurve(a4, ctx.from_int(a6e))
 
 
-def _chi_sum_cubic(
-    ctx: FieldContext,
-    c2: FieldElement,
-    c1: FieldElement,
-    c0: FieldElement,
-) -> int:
-    """q + 1 + sum of chi(f(x)) over the field, f(x) = x^3 + c2 x^2 + c1 x + c0.
-
-    Each x is h + l over the digit halves (field._digit_halves). Cubing is
-    additive in characteristic 3, so f(h + l) = f(h) + (f(l) - c0) +
-    2*c2*h*l: products run per half, not per element, and the cross term
-    is the sum over the low digits l_j of l_j times the k products
-    2*c2*h*t^j. The split sweep (field._sweep_rows) adds these up for all
-    the lows of one h at once and encodes the row in one pass, and one
-    itemgetter call (field._picker) reads the row's chi table entries.
-    """
-    mul, c2, c1, c0 = ctx._mul, c2.coeffs, c1.coeffs, c0.coeffs
-    table = ctx.chi_table()  # checks the oracle cap
-    # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
-    # accepts and which f(h) keeps, as _sweep_rows allows.
-    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
-    cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
-    rows = _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
-    # the table holds chi + 1, so its q reads sum to q + the sum of chi
-    return 1 + sum(sum(_picker(encodings)(table)) for encodings in rows)
-
-
 def naive_count(e: ShortCurve) -> int:
     """Exact order of E(GF(3^d)) by the quadratic-character sum.
 
@@ -263,7 +234,7 @@ def naive_count(e: ShortCurve) -> int:
     projective points directly. Partial sums over any partition of the
     x-range add up to the same integer, so this parallelizes trivially.
     """
-    return _chi_sum_cubic(e.ctx, e.ctx.zero, e.a4, e.a6)
+    return chi_sum_cubic(e.ctx, e.ctx.zero, e.a4, e.a6)
 
 
 def count_points_by_enumeration(e: ShortCurve) -> int:

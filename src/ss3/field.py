@@ -27,11 +27,16 @@ the base-3 integer c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d,
 modulus) computes all of them when constructed; make_context adds
 validation and the one cache.
 
-The brute-force oracles sweep the field one row at a time: each x is h + l
-over two digit halves (_digit_halves), and one packed big int holds the
+The brute-force oracles live here too, each bounded by ORACLE_CAP
+(check_oracle_cap). They sweep the field one row at a time: each x is
+h + l over two digit halves, the low one on t^0..t^(k-1) and the high one
+on t^k..t^(d-1), k = d // 2 (_digit_halves). The halves share no digit,
+so x encodes as enc(h) + enc(l), and one packed big int holds the
 elements of one h over every l, so a row is built from a few products and
-encoded in one pass (_sweep_rows, _encode_row). The chi table the oracles
-read is built from the squares by the same sweep.
+encoded in one pass (_sweep_rows, _encode_row). The chi table holds
+chi + 1 by encoding and is built from the squares by the same sweep; the
+cubic sum (chi_sum_cubic) and the trace-fiber sum (chi_sum_fiber) read it
+one row at a time (_picker).
 
 The long exponents are made of base-3 repunits at every d. One Euler
 power z = x^((q-3)/2) gives chi, as Euler's criterion z*x, x^-1 = z^2*x
@@ -55,7 +60,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import os
 import sys
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -80,8 +84,8 @@ DEGREE_CAP = 31
 # Fields of at most this many elements (d <= 4) multiply by log and antilog
 # tables and apply their Frobenius maps by lookup (_table_kernels).
 _LOG_TABLE_LIMIT = 3**4
-DEFAULT_ORACLE_CAP = 3**13
-ORACLE_CAP_ENV = "SS3_ORACLE_CAP"
+# The most elements a brute-force oracle enumerates.
+ORACLE_CAP = 3**13
 _CUBE_TABLE_LIMIT = 3**8
 
 # slot value -> slot value mod 3, and -> its ASCII digit mod 3
@@ -94,22 +98,10 @@ def _mod3(x: int, width: int) -> int:
     return int.from_bytes(x.to_bytes(width, "little").translate(_MOD3), "little")
 
 
-def oracle_cap() -> int:
-    """Brute-force enumeration cap: SS3_ORACLE_CAP env override or 3^13."""
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}")
-
-
 def check_oracle_cap(q: int) -> None:
-    """Raise OracleTooLarge when a brute-force sweep over q elements exceeds the cap."""
-    cap = oracle_cap()
-    if q > cap:
-        raise OracleTooLarge(f"q = {q} exceeds the enumeration cap {cap}")
+    """Raise OracleTooLarge when a brute-force sweep over q elements exceeds ORACLE_CAP."""
+    if q > ORACLE_CAP:
+        raise OracleTooLarge(f"q = {q} exceeds the enumeration cap {ORACLE_CAP}")
 
 
 # ----------------------------------------------------------------------
@@ -679,11 +671,9 @@ def _table_kernels(
 
 @functools.lru_cache(maxsize=None)
 def _digit_halves(d: int) -> tuple[list[int], list[int]]:
-    """The packed elements on t^0..t^(k-1) and on t^k..t^(d-1), k = d // 2.
+    """The low and high digit halves of degree d, each in encoding order.
 
-    Both lists run in encoding order, so lows[i] + highs[j] encodes as
-    i + j * 3^k, and these sums visit the field once: the brute-force
-    oracles sweep it so. The lists depend on d alone, not on the modulus.
+    lows[i] + highs[j] encodes as i + j * 3^k. The lists depend on d alone.
     """
     k, digits = d // 2, b"\x00\x01\x02"
     lows = [int.from_bytes(bytes(c), "big") for c in itertools.product(digits, repeat=k)]
@@ -782,6 +772,52 @@ def _sweep_rows(
         for b, digit in zip(cross, digits):
             row += mul(b, h) * digit
         yield _encode_row(d, row)
+
+
+def chi_sum_cubic(ctx: FieldContext, c2: FieldElement, c1: FieldElement, c0: FieldElement) -> int:
+    """q + 1 + sum of chi(f(x)) over the field, f(x) = x^3 + c2 x^2 + c1 x + c0.
+
+    Cubing is additive in characteristic 3, so f(h + l) = f(h) + (f(l) -
+    c0) + 2*c2*h*l: products run per half, not per element, and the cross
+    term is the sum over the low digits l_j of l_j times 2*c2*h*t^j.
+
+    Raises:
+        OracleTooLarge: for q above ORACLE_CAP.
+    """
+    mul, c2, c1, c0 = ctx._mul, c2.coeffs, c1.coeffs, c0.coeffs
+    table = ctx.chi_table()  # checks the oracle cap
+    # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
+    # accepts and which f(h) keeps, as _sweep_rows allows.
+    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
+    cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
+    rows = _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
+    # the table holds chi + 1, so its q reads sum to q + the sum of chi
+    return 1 + sum(sum(_picker(encodings)(table)) for encodings in rows)
+
+
+def chi_sum_fiber(ctx: FieldContext, a: int) -> int:
+    """Sum of chi(x) over the trace fiber Tr(x) = a, a in {0, 1, -1}.
+
+    The trace is F3-linear, so h + l is in the fiber iff Tr(l) = a -
+    Tr(h): the row of h is one slice of the chi table, and the fiber picks
+    one trace class of its lows. No product is made: each half's trace is
+    read from the packed int as trace does.
+
+    Raises:
+        OracleTooLarge: for q above ORACLE_CAP.
+    """
+    table = ctx.chi_table()  # checks the oracle cap
+    lows, highs = _digit_halves(ctx.d)
+    weights, shift = ctx._trace_weights, 8 * (ctx.d - 1)
+    n, by_trace = len(lows), ([], [], [])  # low encodings, by trace mod 3
+    for enc, x in enumerate(lows):
+        by_trace[(x * weights >> shift & 255) % 3].append(enc)
+    picks = [_picker(encs) for encs in by_trace]
+    total = 0
+    for j, h in enumerate(highs):  # highs[j] encodes as j * 3^k
+        values = picks[(a - (h * weights >> shift & 255)) % 3](table[j * n:j * n + n])
+        total += sum(values) - len(values)  # the table holds chi + 1
+    return total
 
 
 # ----------------------------------------------------------------------

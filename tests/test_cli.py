@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ss3 import CountResult, make_context
+from ss3 import CountResult, field, make_context
 from ss3.cli import main
 from ss3.export import EXPORT_SCHEMA
 
@@ -180,19 +180,12 @@ def test_count_ordinary_curve_rejected_without_naive(capsys):
 
 
 def test_count_respects_oracle_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("SS3_ORACLE_CAP", "10")
+    monkeypatch.setattr(field, "ORACLE_CAP", 10)
     rc, _, err = run(capsys, "count", "--d", "3", "--a4", "1", "--a6", "1", "--naive")
     assert rc == 2 and "OracleTooLarge" in err
     # the closed form is unaffected by the cap
     rc, out, _ = run(capsys, "count", "--d", "3", "--a4", "1", "--a6", "1")
     assert rc == 0 and json.loads(out)["order"] == "28"
-
-
-def test_oracle_cap_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SS3_ORACLE_CAP", "abc")
-    rc, out, err = run(capsys, "count", "--d", "2", "--a4", "1", "--a6", "1", "--naive")
-    assert rc == 2 and out == ""
-    assert err.count("error:") == 1 and "ParseError" in err
 
 
 # ----------------------------------------------------------------------

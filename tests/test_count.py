@@ -28,6 +28,7 @@ from ss3 import (
     sqrt,
     trace,
 )
+from ss3 import field
 from ss3.count import char_sum_order
 from ss3.curve import all_short_curves
 
@@ -111,7 +112,7 @@ def test_s_brute_makes_no_products_on_a_built_table():
 
 
 def test_s_brute_cap(monkeypatch):
-    monkeypatch.setenv("SS3_ORACLE_CAP", "100")
+    monkeypatch.setattr(field, "ORACLE_CAP", 100)
     with pytest.raises(OracleTooLarge):
         s_brute(make_context(5), 0)
 

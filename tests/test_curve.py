@@ -288,13 +288,23 @@ def test_oracle_cap_enforced(monkeypatch):
     ctx = make_context(5)
     e = ShortCurve(ctx.one, ctx.one)
     expected = naive_count(e)
-    monkeypatch.setenv("SS3_ORACLE_CAP", str(3**5))
+    monkeypatch.setattr(field, "ORACLE_CAP", 3**5)
     assert naive_count(e) == expected
-    monkeypatch.setenv("SS3_ORACLE_CAP", "100")
+    monkeypatch.setattr(field, "ORACLE_CAP", 100)
     with pytest.raises(OracleTooLarge):
         naive_count(e)
-    monkeypatch.setenv("SS3_ORACLE_CAP", "1000000")
+    monkeypatch.setattr(field, "ORACLE_CAP", 1000000)
     assert naive_count(e) == count_points_by_enumeration(e)
+
+
+def test_oracle_cap_ignores_the_environment(monkeypatch):
+    # the cap is the constant alone: no environment value moves it
+    ctx = make_context(2)
+    e = ShortCurve(ctx.one, ctx.one)
+    expected = naive_count(e)
+    for value in ("8", "abc"):
+        monkeypatch.setenv("SS3_ORACLE_CAP", value)
+        assert naive_count(e) == expected
 
 
 def _cli_count_naive(ctx):
@@ -327,11 +337,11 @@ _ORACLE_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(_ORACLE_ENTRY_POINTS))
 def test_every_oracle_honours_the_cap(entry, monkeypatch):
     call, ctx = _ORACLE_ENTRY_POINTS[entry], make_context(2)
-    monkeypatch.setenv("SS3_ORACLE_CAP", str(ctx.q - 1))
+    monkeypatch.setattr(field, "ORACLE_CAP", ctx.q - 1)
     with pytest.raises(OracleTooLarge) as err:
         call(ctx)
     assert str(err.value) == f"q = {ctx.q} exceeds the enumeration cap {ctx.q - 1}"
-    monkeypatch.setenv("SS3_ORACLE_CAP", str(ctx.q))
+    monkeypatch.setattr(field, "ORACLE_CAP", ctx.q)
     call(ctx)
 
 

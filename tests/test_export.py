@@ -31,14 +31,27 @@ def test_golden_files(d, fmt):
     assert text == golden
 
 
-def test_classification_digest():
-    # (curve, rep, class, u, r, order) on every curve with d <= 4 and 20
-    # seeded curves per d = 5..31, hashed by the script that stores it
+def _regenerate_script():
     spec = importlib.util.spec_from_file_location("regenerate_golden", REGENERATE)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_classification_digest():
+    # (curve, rep, class, u, r, order) on every curve with d <= 4 and 20
+    # seeded curves per d = 5..31, hashed by the script that stores it
+    script = _regenerate_script()
     golden = (GOLDEN / "classification.sha256").read_text().strip()
     assert script.classification_digest() == golden
+
+
+def test_operations_digest():
+    # the public field, curve, classify and oracle operations on seeded
+    # curves at every d = 1..31 and on dense moduli, hashed by the script
+    script = _regenerate_script()
+    golden = (GOLDEN / "operations.sha256").read_text().strip()
+    assert script.operations_digest() == golden
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1087,14 +1087,6 @@ def test_from_int_checks_the_range():
             ctx.from_int(enc)
 
 
-def test_oracle_cap_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("SS3_ORACLE_CAP", "abc")
-    with pytest.raises(ParseError):
-        field.oracle_cap()
-    with pytest.raises(ParseError):
-        field.check_oracle_cap(9)
-
-
 @given(st.integers(1, 8), st.data())
 def test_encode_decode_roundtrip(d, data):
     ctx = make_context(d)

@@ -1,4 +1,4 @@
-"""Package layering: the modules of ss3 import each other without a cycle."""
+"""Package layering: no import cycle, and only field.py reaches into its sweeps."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,24 @@ def test_package_imports_form_no_cycle():
 def test_census_lives_in_count():
     assert ss3.list_classes is count.list_classes
     assert ss3.ClassEntry is count.ClassEntry
+
+
+# the brute-force sweep helpers and the context slots they run on
+SWEEP_HELPERS = {"_digit_halves", "_picker", "_sweep_rows", "_row_layout", "_encode_row"}
+PRIVATE_SLOTS = {"_mul", "_trace_weights", "_chi_table"}
+
+
+def test_only_field_touches_the_sweeps():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & SWEEP_HELPERS
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & (SWEEP_HELPERS | PRIVATE_SLOTS)
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    assert found == []
