@@ -93,9 +93,12 @@ class GeneralCurve:
         return b2, b4, b6, delta
 
     def count_points_directly(self) -> int:
-        """Literal (x, y) enumeration on this model, plus infinity."""
+        """Literal (x, y) enumeration on this model, plus infinity.
+
+        It visits q^2 pairs, so the oracle cap bounds the pairs: d <= 6.
+        """
         ctx = self.ctx
-        check_oracle_cap(ctx.q)
+        check_oracle_cap(ctx.q, pairs=True)
         total = 1
         for x in ctx.elements():
             rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6

@@ -28,7 +28,8 @@ modulus) computes all of them when constructed; make_context adds
 validation and the one cache.
 
 The brute-force oracles live here too, each bounded by ORACLE_CAP
-(check_oracle_cap). They sweep the field one row at a time: each x is
+(check_oracle_cap) on the elements or, for a sweep over pairs, the pairs
+it visits. They sweep the field one row at a time: each x is
 h + l over two digit halves, the low one on t^0..t^(k-1) and the high one
 on t^k..t^(d-1), k = d // 2 (_digit_halves). The halves share no digit,
 so x encodes as enc(h) + enc(l), and one packed big int holds the
@@ -72,7 +73,7 @@ from .errors import (
     OracleTooLarge,
     ParseError,
 )
-from .factor import factorize
+from .factor import factorize_q_minus_1
 
 # A product slot sums at most d byte products. With one operand unreduced
 # (slots <= 4, as the oracles' Horner steps pass it) and the other reduced,
@@ -98,8 +99,13 @@ def _mod3(x: int, width: int) -> int:
     return int.from_bytes(x.to_bytes(width, "little").translate(_MOD3), "little")
 
 
-def check_oracle_cap(q: int) -> None:
-    """Raise OracleTooLarge when a brute-force sweep over q elements exceeds ORACLE_CAP."""
+def check_oracle_cap(q: int, pairs: bool = False) -> None:
+    """Raise OracleTooLarge when a brute-force sweep exceeds ORACLE_CAP.
+
+    A sweep visits the q elements, or with pairs the q^2 pairs (x, y).
+    """
+    if pairs and q * q > ORACLE_CAP:
+        raise OracleTooLarge(f"q^2 = {q * q} pairs (x, y) exceed the enumeration cap {ORACLE_CAP}")
     if q > ORACLE_CAP:
         raise OracleTooLarge(f"q = {q} exceeds the enumeration cap {ORACLE_CAP}")
 
@@ -133,11 +139,12 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
 
     A degree-d polynomial m is reducible iff it shares a factor with
     t^{3^k} - t for some k <= d/2, since any irreducible factor of degree
-    k divides that polynomial. u = t^{3^k} mod m advances by cubing with
-    m's own packed product (_packed_mul), and the gcd with m runs
-    on packed remainders (_pdivmod). Coefficients are read mod 3. From
-    degree 2 on, a root 0, 1 or -1 rejects m before any of that is built
-    (_ben_or runs the test alone).
+    k divides that polynomial; so iff gcd(m, prod_{k <= d/2} (t^{3^k} - t)
+    mod m) != 1: one gcd covers every k (Gao and Panario, 1997). _ben_or
+    builds that product with m's own packed product (_packed_mul) and runs
+    the gcd on packed remainders (_pdivmod). Coefficients are read mod 3.
+    From degree 2 on, a root 0, 1 or -1 rejects m before any of that is
+    built (_ben_or runs the test alone).
 
     Raises:
         DegreeOutOfRange: for degree above DEGREE_CAP, the packed
@@ -156,18 +163,22 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
 
 
 def _ben_or(m: list[int]) -> bool:
-    """Ben-Or's test of a monic m, coefficients in {0, 1, 2}, of degree 1..DEGREE_CAP."""
+    """Ben-Or's test of a monic m, coefficients in {0, 1, 2}, of degree 1..DEGREE_CAP.
+
+    m is irreducible iff gcd(m, P) = 1 for P = prod_{k <= d/2} (t^{3^k} - t)
+    mod m: m shares a factor with the product iff it shares one with some
+    t^{3^k} - t. Each k costs three products and the test one gcd; at
+    d = 1 the product is empty, P = 1.
+    """
     d = len(m) - 1
-    mul, packed = _packed_mul(d, m), int.from_bytes(bytes(m), "little")
+    mul, a, b = _packed_mul(d, m), int.from_bytes(bytes(m), "little"), 1
     u = 1 << 8  # t, reduced for every d >= 2, the only degrees the loop runs at
     for _ in range(d // 2):
         u = mul(mul(u, u), u)  # Frobenius: u -> u^3
-        a, b = packed, _mod3(u + (2 << 8), d)  # m and u - t
-        while b:
-            a, b = b, _pdivmod(a, b)[1]
-        if a >> 8:  # the gcd has degree >= 1
-            return False
-    return True
+        b = mul(b, u + (2 << 8))  # times u - t, its slots <= 4 unreduced
+    while b:  # gcd(m, P)
+        a, b = b, _pdivmod(a, b)[1]
+    return not a >> 8  # the gcd has degree 0
 
 
 def _packed_mul(d: int, modulus: Sequence[int]) -> Callable[[int, int], int]:
@@ -397,7 +408,7 @@ class FieldContext:
         self._chi_table: Optional[bytearray] = None
         self._linear_maps: dict[int, "LinearizedMap"] = {}  # packed a4 -> its map
         self._trace_weights = self._build_trace_weights()
-        self.q_minus_1_factors = tuple(factorize(q - 1))
+        self.q_minus_1_factors = tuple(factorize_q_minus_1(d))
         # One scan from 2 (1 is a square). Its p = 2 test is Euler's
         # criterion x^((q-1)/2) = x * _euler_power(x). The first non-square
         # is n, and the first one that passes the odd primes of q - 1 is the

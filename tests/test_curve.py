@@ -9,6 +9,7 @@ import pytest
 from conftest import count_muls, literal_chi, sample_curves
 from ss3 import (
     ContextMismatch,
+    FieldContext,
     GeneralCurve,
     InvalidCurve,
     OracleTooLarge,
@@ -336,13 +337,32 @@ _ORACLE_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(_ORACLE_ENTRY_POINTS))
 def test_every_oracle_honours_the_cap(entry, monkeypatch):
+    # count_points_directly visits q^2 pairs (x, y), so the cap bounds those
     call, ctx = _ORACLE_ENTRY_POINTS[entry], make_context(2)
-    monkeypatch.setattr(field, "ORACLE_CAP", ctx.q - 1)
+    if entry == "count_points_directly":
+        size, what = ctx.q**2, f"q^2 = {ctx.q**2} pairs (x, y) exceed"
+    else:
+        size, what = ctx.q, f"q = {ctx.q} exceeds"
+    monkeypatch.setattr(field, "ORACLE_CAP", size - 1)
     with pytest.raises(OracleTooLarge) as err:
         call(ctx)
-    assert str(err.value) == f"q = {ctx.q} exceeds the enumeration cap {ctx.q - 1}"
-    monkeypatch.setattr(field, "ORACLE_CAP", ctx.q)
+    assert str(err.value) == f"{what} the enumeration cap {size - 1}"
+    monkeypatch.setattr(field, "ORACLE_CAP", size)
     call(ctx)
+
+
+def test_count_points_directly_refuses_d7_before_enumerating(monkeypatch):
+    # 3^14 pairs exceed the cap 3^13; d = 6 (3^12 pairs) is the largest admitted
+    g = _general(make_context(7), a2=1, a6=1)
+
+    def no_elements(self):
+        raise AssertionError("an element was enumerated")
+
+    monkeypatch.setattr(FieldContext, "elements", no_elements)
+    with pytest.raises(OracleTooLarge) as err:
+        g.count_points_directly()
+    assert str(err.value) == f"q^2 = {3**14} pairs (x, y) exceed the enumeration cap {3**13}"
+    assert field.ORACLE_CAP == 3**13
 
 
 def test_oracles_run_without_power_chain(monkeypatch):

@@ -4,7 +4,7 @@ import itertools
 import random
 import struct
 import tracemalloc
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +30,8 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.factor import factorize
+from ss3 import factor
+from ss3.factor import factorize, factorize_q_minus_1
 from ss3.field import (
     DEGREE_CAP,
     _LANE_FORMATS,
@@ -113,6 +114,35 @@ def test_factorize_rejects_non_positive_integers():
     for n in (0, -8):
         with pytest.raises(ValueError):
             factorize(n)
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            factorize_q_minus_1(d)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_factorize_q_minus_1_matches_trial_division(d):
+    # the cyclotomic split gives factorize's answer, and every factor is
+    # prime by literal trial division
+    factors = factorize_q_minus_1(d)
+    assert factors == factorize(3**d - 1)
+    assert prod(factors) == 3**d - 1
+    for p in factors:
+        assert _is_prime(p), p
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_cyclotomic_primes_are_one_mod_k(d):
+    # Phi_k(3) = (3^k - 1) / prod of Phi_j(3) over j | k, j < k: each of its
+    # primes divides 2k or is 1 mod k, the fact the split's divisors rest on
+    phi = {}
+    for k in (k for k in range(1, d + 1) if d % k == 0):
+        phi[k] = (3**k - 1) // prod(phi[j] for j in phi if k % j == 0)
+        for p in set(factorize(phi[k])):
+            assert (2 * k) % p == 0 or p % k == 1, (k, p)
 
 
 def test_irreducible_counts_match_gauss_formula():
@@ -132,13 +162,51 @@ def test_default_moduli_pinned():
         assert make_context(d).modulus == low + (1,)
 
 
+def _ben_or_reference(m):
+    # Ben-Or's test with one gcd per k: m of degree d is reducible iff
+    # gcd(m, t^(3^k) - t) != 1 for some k <= d/2. field._ben_or takes one
+    # gcd of the product over k instead
+    d = len(m) - 1
+    mul, packed = _packed_mul(d, m), _packed(m)
+    u = 1 << 8  # t
+    for _ in range(d // 2):
+        u = mul(mul(u, u), u)  # u -> u^3
+        a, b = packed, field._mod3(u + (2 << 8), d)  # m and u - t
+        while b:
+            a, b = b, field._pdivmod(a, b)[1]
+        if a >> 8:  # the gcd has degree >= 1
+            return False
+    return True
+
+
 def test_default_moduli_match_a_ben_or_scan():
     # is_irreducible rejects a root 0, 1 or -1 before Ben-Or's test runs;
-    # the same scan on Ben-Or's test alone finds the same modulus at every d
+    # the same scan on the one-gcd-per-k reference alone finds the same
+    # modulus at every d
     for d in range(1, DEGREE_CAP + 1):
         lows = (high_first[::-1] for high_first in itertools.product(range(3), repeat=d))
-        scanned = next(low + (1,) for low in lows if field._ben_or(list(low) + [1]))
+        scanned = next(low + (1,) for low in lows if _ben_or_reference(list(low) + [1]))
         assert _default_modulus(d) == scanned, d
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_ben_or_matches_the_reference_on_every_monic(d):
+    for high_first in itertools.product(range(3), repeat=d):
+        m = list(high_first[::-1]) + [1]
+        want = _ben_or_reference(m)
+        assert field._ben_or(m) == want and is_irreducible(m) == want, m
+
+
+@pytest.mark.parametrize("d", range(9, 32))
+def test_ben_or_matches_the_reference_on_random_candidates(d):
+    # 200 seeded monic candidates: half with uniform coefficients, half
+    # dense (every low coefficient nonzero, so Barrett reduces them)
+    rng = random.Random(f"ben-or-{d}")
+    for i in range(200):
+        digits = (0, 1, 2) if i % 2 else (1, 2)
+        m = [rng.choice(digits) for _ in range(d)] + [1]
+        want = _ben_or_reference(m)
+        assert field._ben_or(m) == want and is_irreducible(m) == want, m
 
 
 def test_override_must_be_monic_of_right_degree():
@@ -164,7 +232,7 @@ def test_context_invariants(d):
     assert ctx.q == q
     prod = 1
     for p in ctx.q_minus_1_factors:
-        assert p > 1 and all(p % f for f in range(2, isqrt(p) + 1))  # prime
+        assert _is_prime(p), p
         prod *= p
     assert prod == q - 1
     # beta has full multiplicative order
@@ -874,9 +942,9 @@ def test_frobenius_maps_stay_small():
 COLD_BUILD_COUNTS = (7_069, 1_065)
 
 
-def test_cold_build_counts_pinned(monkeypatch):
-    moduli = {d: _default_modulus(d) for d in range(16, 32)}
-    calls, packed_mul, apply = [0, 0], field._packed_mul, field._FrobeniusMap.__call__
+def _count_products(monkeypatch, calls):
+    """Make every product kernel _packed_mul picks add 1 to calls[0]."""
+    packed_mul = field._packed_mul
 
     def counting_packed_mul(d, modulus):
         mul = packed_mul(d, modulus)
@@ -887,15 +955,55 @@ def test_cold_build_counts_pinned(monkeypatch):
 
         return counting
 
+    monkeypatch.setattr(field, "_packed_mul", counting_packed_mul)
+
+
+def test_cold_build_counts_pinned(monkeypatch):
+    moduli = {d: _default_modulus(d) for d in range(16, 32)}
+    calls, apply = [0, 0], field._FrobeniusMap.__call__
+
     def counting_apply(self, x):
         calls[1] += 1
         return apply(self, x)
 
-    monkeypatch.setattr(field, "_packed_mul", counting_packed_mul)
+    _count_products(monkeypatch, calls)
     monkeypatch.setattr(field._FrobeniusMap, "__call__", counting_apply)
     for d, modulus in moduli.items():
         FieldContext(d, modulus)
     assert tuple(calls) == COLD_BUILD_COUNTS
+
+
+# Total (products, _pdivmod calls) of the default modulus search over
+# d = 16..31: the products of each Ben-Or candidate's t^(3^k) and running
+# product, and the long divisions of its one gcd and of Barrett's mu.
+SEARCH_COUNTS = (8_796, 1_816)
+# Total trial divisors factorize_q_minus_1 tries over d = 1..31: the
+# primes of 2k and the f = 1 mod lcm(2, k) of each piece Phi_k(3).
+TRIAL_DIVISOR_COUNT = 3_439
+
+
+def test_search_counts_pinned(monkeypatch):
+    calls, pdivmod = [0, 0], field._pdivmod
+
+    def counting_pdivmod(a, m):
+        calls[1] += 1
+        return pdivmod(a, m)
+
+    _count_products(monkeypatch, calls)
+    monkeypatch.setattr(field, "_pdivmod", counting_pdivmod)
+    for d in range(16, 32):
+        _default_modulus(d)
+    assert tuple(calls) == SEARCH_COUNTS
+
+
+def test_trial_divisor_count_pinned(monkeypatch):
+    tried, divide_out = [], factor._divide_out
+    monkeypatch.setattr(
+        factor, "_divide_out", lambda n, f, factors: tried.append(f) or divide_out(n, f, factors)
+    )
+    for d in range(1, 32):
+        factorize_q_minus_1(d)
+    assert len(tried) == TRIAL_DIVISOR_COUNT
 
 
 @pytest.mark.parametrize("d", range(1, 32))
