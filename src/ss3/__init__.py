@@ -11,7 +11,6 @@ from .classify import (
     IsomorphismWitness,
     canonicalize,
     class_representative,
-    curve_type,
     isomorphic,
     quadratic_twist,
 )
@@ -31,7 +30,6 @@ from .curve import (
     ReductionResult,
     ShortCurve,
     add,
-    count_points_by_enumeration,
     double,
     naive_count,
     negate,

@@ -147,11 +147,6 @@ def _dispatch(
     )
 
 
-def curve_type(e: ShortCurve) -> CurveType:
-    """Assign the fourth-power-coset type of -a4."""
-    return _dispatch(e)[0].ctype
-
-
 def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
     """The canonical curve for a class, exactly as the census lists them."""
     one = ctx.one

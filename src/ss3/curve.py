@@ -9,7 +9,6 @@ ordinary (j != 0) and outside this library's counting scope.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -19,7 +18,7 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .field import FieldContext, FieldElement, check_oracle_cap, chi, chi_sum_cubic, sqrt
+from .field import FieldContext, FieldElement, chi, chi_sum_cubic, sqrt
 
 
 def _common_ctx(*elements: FieldElement) -> FieldContext:
@@ -91,22 +90,6 @@ class GeneralCurve:
         b6 = self.a3 * self.a3 + self.a6
         delta = -(b2 * b2) * (b2 * b6 - b4 * b4) + b4 * b4 * b4
         return b2, b4, b6, delta
-
-    def count_points_directly(self) -> int:
-        """Literal (x, y) enumeration on this model, plus infinity.
-
-        It visits q^2 pairs, so the oracle cap bounds the pairs: d <= 6.
-        """
-        ctx = self.ctx
-        check_oracle_cap(ctx.q, pairs=True)
-        total = 1
-        for x in ctx.elements():
-            rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6
-            lhs_lin = self.a1 * x + self.a3
-            for y in ctx.elements():
-                if y * y + lhs_lin * y == rhs:
-                    total += 1
-        return total
 
 
 @dataclass(frozen=True)
@@ -238,14 +221,6 @@ def naive_count(e: ShortCurve) -> int:
     x-range add up to the same integer, so this parallelizes trivially.
     """
     return chi_sum_cubic(e.ctx, e.ctx.zero, e.a4, e.a6)
-
-
-def count_points_by_enumeration(e: ShortCurve) -> int:
-    """Cross-check: count solutions (x, y) of the curve equation directly."""
-    ctx = e.ctx
-    check_oracle_cap(ctx.q)
-    squares = Counter(y * y for y in ctx.elements())
-    return 1 + sum(squares[e.rhs(x)] for x in ctx.elements())  # 1 for infinity
 
 
 def random_point(e: ShortCurve, rng) -> Point:

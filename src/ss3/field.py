@@ -28,16 +28,16 @@ modulus) computes all of them when constructed; make_context adds
 validation and the one cache.
 
 The brute-force oracles live here too, each bounded by ORACLE_CAP
-(check_oracle_cap) on the elements or, for a sweep over pairs, the pairs
-it visits. They sweep the field one row at a time: each x is
-h + l over two digit halves, the low one on t^0..t^(k-1) and the high one
-on t^k..t^(d-1), k = d // 2 (_digit_halves). The halves share no digit,
-so x encodes as enc(h) + enc(l), and one packed big int holds the
-elements of one h over every l, so a row is built from a few products and
-encoded in one pass (_sweep_rows, _encode_row). The chi table holds
-chi + 1 by encoding and is built from the squares by the same sweep; the
-cubic sum (chi_sum_cubic) and the trace-fiber sum (chi_sum_fiber) read it
-one row at a time (_picker).
+(check_oracle_cap) on the elements it visits. They sweep the field one
+row at a time: each x is h + l over two digit halves, the low one on
+t^0..t^(k-1) and the high one on t^k..t^(d-1), k = d // 2
+(_digit_halves). The halves share no digit, so x encodes as enc(h) +
+enc(l), and one packed big int holds the elements of one h over every l,
+so a row is built from a few products and encoded in one pass
+(_sweep_rows, _encode_row). The chi table holds chi + 1 by encoding and
+is built from the squares by the same sweep; the cubic sum
+(chi_sum_cubic) and the trace-fiber sum (chi_sum_fiber) read it one row
+at a time (_picker).
 
 The long exponents are made of base-3 repunits at every d. One Euler
 power z = x^((q-3)/2) gives chi, as Euler's criterion z*x, x^-1 = z^2*x
@@ -99,13 +99,8 @@ def _mod3(x: int, width: int) -> int:
     return int.from_bytes(x.to_bytes(width, "little").translate(_MOD3), "little")
 
 
-def check_oracle_cap(q: int, pairs: bool = False) -> None:
-    """Raise OracleTooLarge when a brute-force sweep exceeds ORACLE_CAP.
-
-    A sweep visits the q elements, or with pairs the q^2 pairs (x, y).
-    """
-    if pairs and q * q > ORACLE_CAP:
-        raise OracleTooLarge(f"q^2 = {q * q} pairs (x, y) exceed the enumeration cap {ORACLE_CAP}")
+def check_oracle_cap(q: int) -> None:
+    """Raise OracleTooLarge when a sweep over the q elements exceeds ORACLE_CAP."""
     if q > ORACLE_CAP:
         raise OracleTooLarge(f"q = {q} exceeds the enumeration cap {ORACLE_CAP}")
 

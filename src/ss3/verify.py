@@ -181,10 +181,10 @@ def run_verification(d_max: int, samples: int = 200, seed: int = 0) -> VerifyRep
     Arguments that would let a suite pass without checking anything, or
     fail only after others ran, are rejected before any suite runs.
     """
-    if not 1 <= d_max <= DEGREE_CAP:
+    if isinstance(d_max, bool) or not isinstance(d_max, int) or not 1 <= d_max <= DEGREE_CAP:
         raise DegreeOutOfRange(f"d-max must satisfy 1 <= d-max <= {DEGREE_CAP}, got {d_max}")
     check_oracle_cap(3**d_max)
-    if samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise InvalidArgument(f"samples must be at least 1, got {samples}")
     rep = VerifyReport(d_max=d_max, samples=samples, seed=seed)
     rng = random.Random(seed)

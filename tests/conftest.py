@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import random
+from collections import Counter
 
 from hypothesis import HealthCheck, settings
 
@@ -70,10 +72,36 @@ def count_chains():
         field.PowerChain.__init__ = init
 
 
+@functools.cache
+def _literal_tables(ctx):
+    """#{y : y^2 = v} for every square v of ctx, and the pairs (x, x^3), built once."""
+    squares = Counter(y * y for y in ctx.elements())
+    return squares, [(x, x * x * x) for x in ctx.elements()]
+
+
 def literal_chi(ctx):
     """chi over ctx read from the set of squares: no chi table, no PowerChain."""
-    squares = {y * y for y in ctx.elements()}
+    squares = _literal_tables(ctx)[0]
     return lambda v: 0 if v.is_zero() else 1 if v in squares else -1
+
+
+def literal_count(e):
+    """#E = 1 + sum over x of #{y : y^2 = x^3 + a4*x + a6}, the 1 for infinity."""
+    squares, cubes = _literal_tables(e.ctx)
+    return 1 + sum(squares[x3 + e.a4 * x + e.a6] for x, x3 in cubes)
+
+
+def literal_general_count(g):
+    """1 + #{(x, y) : y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6}, q^2 pairs."""
+    ctx = g.ctx
+    total = 1
+    for x in ctx.elements():
+        rhs = x * x * x + g.a2 * x * x + g.a4 * x + g.a6
+        lhs_lin = g.a1 * x + g.a3
+        for y in ctx.elements():
+            if y * y + lhs_lin * y == rhs:
+                total += 1
+    return total
 
 
 def literal_trace(x):

@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from conftest import count_muls, literal_chi, sample_curves
+from conftest import count_muls, literal_count, literal_general_count, sample_curves
 from ss3 import (
     ContextMismatch,
-    FieldContext,
     GeneralCurve,
     InvalidCurve,
     OracleTooLarge,
@@ -17,7 +16,6 @@ from ss3 import (
     ShortCurve,
     SingularCurve,
     add,
-    count_points_by_enumeration,
     double,
     make_context,
     naive_count,
@@ -73,7 +71,7 @@ def test_reduce_b_values_vector():
     assert red.b6 == ctx.one  # a3^2
     assert red.short == ShortCurve(ctx.one, ctx.one)  # y^2 = x^3 + x + 1
     # the substitution is invertible: point counts agree
-    assert g.count_points_directly() == naive_count(red.short) == 4
+    assert literal_general_count(g) == naive_count(red.short) == 4
 
 
 def test_reduce_preserves_counts_exhaustive_d1():
@@ -90,7 +88,7 @@ def test_reduce_preserves_counts_exhaustive_d1():
         except SingularCurve:
             continue
         red = reduce_curve(g)
-        direct = g.count_points_directly()
+        direct = literal_general_count(g)
         if red.short is not None:
             assert naive_count(red.short) == direct
         checked += 1
@@ -109,7 +107,7 @@ def test_reduce_preserves_counts_sampled(d):
             continue
         red = reduce_curve(g)
         if red.short is not None:
-            assert naive_count(red.short) == g.count_points_directly()
+            assert naive_count(red.short) == literal_general_count(g)
         done += 1
 
 
@@ -249,17 +247,15 @@ def test_naive_count_f3_vectors():
 def test_charsum_equals_xy_enumeration(d):
     ctx = make_context(d)
     for e in all_short_curves(ctx):
-        assert naive_count(e) == count_points_by_enumeration(e)
+        assert naive_count(e) == literal_count(e)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_naive_count_matches_literal_reference(d):
     # both parities of the digit split; the reference visits every x and
-    # reads chi from the set of squares
-    chi_ref = literal_chi(make_context(d))
+    # counts the y with y^2 = rhs(x)
     for e in sample_curves(d, 8, seed=d):
-        reference = e.ctx.q + 1 + sum(chi_ref(e.rhs(x)) for x in e.ctx.elements())
-        assert naive_count(e) == reference
+        assert naive_count(e) == literal_count(e)
 
 
 @pytest.mark.parametrize("d, products", [(4, 36), (8, 324), (9, 648)])
@@ -295,11 +291,12 @@ def test_oracle_cap_enforced(monkeypatch):
     with pytest.raises(OracleTooLarge):
         naive_count(e)
     monkeypatch.setattr(field, "ORACLE_CAP", 1000000)
-    assert naive_count(e) == count_points_by_enumeration(e)
+    assert naive_count(e) == literal_count(e)
 
 
 def test_oracle_cap_ignores_the_environment(monkeypatch):
-    # the cap is the constant alone: no environment value moves it
+    # the cap is the constant 3^13 alone: no environment value moves it
+    assert field.ORACLE_CAP == 3**13
     ctx = make_context(2)
     e = ShortCurve(ctx.one, ctx.one)
     expected = naive_count(e)
@@ -323,10 +320,6 @@ def _cli_count_naive(ctx):
 # every brute-force entry point, each run over GF(9)
 _ORACLE_ENTRY_POINTS = {
     "naive_count": lambda ctx: naive_count(ShortCurve(ctx.one, ctx.one)),
-    "count_points_by_enumeration": lambda ctx: count_points_by_enumeration(
-        ShortCurve(ctx.one, ctx.one)
-    ),
-    "count_points_directly": lambda ctx: _general(ctx, a2=1, a6=1).count_points_directly(),
     "s_brute": lambda ctx: s_brute(ctx, 0),
     "chi_table": lambda ctx: ctx.chi_table(),
     "char_sum_order": lambda ctx: char_sum_order(reduce_curve(_general(ctx, a2=1, a6=1))),
@@ -337,32 +330,13 @@ _ORACLE_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(_ORACLE_ENTRY_POINTS))
 def test_every_oracle_honours_the_cap(entry, monkeypatch):
-    # count_points_directly visits q^2 pairs (x, y), so the cap bounds those
     call, ctx = _ORACLE_ENTRY_POINTS[entry], make_context(2)
-    if entry == "count_points_directly":
-        size, what = ctx.q**2, f"q^2 = {ctx.q**2} pairs (x, y) exceed"
-    else:
-        size, what = ctx.q, f"q = {ctx.q} exceeds"
-    monkeypatch.setattr(field, "ORACLE_CAP", size - 1)
+    monkeypatch.setattr(field, "ORACLE_CAP", ctx.q - 1)
     with pytest.raises(OracleTooLarge) as err:
         call(ctx)
-    assert str(err.value) == f"{what} the enumeration cap {size - 1}"
-    monkeypatch.setattr(field, "ORACLE_CAP", size)
+    assert str(err.value) == f"q = {ctx.q} exceeds the enumeration cap {ctx.q - 1}"
+    monkeypatch.setattr(field, "ORACLE_CAP", ctx.q)
     call(ctx)
-
-
-def test_count_points_directly_refuses_d7_before_enumerating(monkeypatch):
-    # 3^14 pairs exceed the cap 3^13; d = 6 (3^12 pairs) is the largest admitted
-    g = _general(make_context(7), a2=1, a6=1)
-
-    def no_elements(self):
-        raise AssertionError("an element was enumerated")
-
-    monkeypatch.setattr(FieldContext, "elements", no_elements)
-    with pytest.raises(OracleTooLarge) as err:
-        g.count_points_directly()
-    assert str(err.value) == f"q^2 = {3**14} pairs (x, y) exceed the enumeration cap {3**13}"
-    assert field.ORACLE_CAP == 3**13
 
 
 def test_oracles_run_without_power_chain(monkeypatch):

@@ -1,4 +1,5 @@
-"""Package layering: no import cycle, and only field.py reaches into its sweeps."""
+"""Package layering and API: no import cycle, only field.py reaches into its
+sweeps, and the public names of ss3 are pinned."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,33 @@ def test_only_field_touches_the_sweeps():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
     assert found == []
+
+
+# the public API: every name without a leading underscore that ss3/__init__.py binds
+PUBLIC_NAMES = [
+    "ClassEntry", "ContextMismatch", "CountResult", "CurveClass", "CurveType",
+    "DParityError", "DegreeOutOfRange", "DivisionByZero", "FieldContext",
+    "FieldElement", "GeneralCurve", "InvalidArgument", "InvalidCurve",
+    "IsomorphismWitness", "ModulusReducible", "NotANonSquare",
+    "NotSupersingularError", "OracleTooLarge", "ParseError", "Point",
+    "PointNotOnCurve", "ReductionResult", "SS3Error", "ShortCurve",
+    "SingularCurve", "add", "canonicalize", "chi", "class_representative",
+    "context_to_json", "count_class", "count_general", "count_supersingular",
+    "decode_element", "double", "fourth_roots", "is_irreducible", "isomorphic",
+    "list_classes", "make_context", "naive_count", "negate", "quadratic_twist",
+    "random_point", "random_supersingular_curve", "reduce_curve", "s_brute",
+    "s_closed", "scalar_mul", "smallest_nonsquare", "solve_linearized", "sqrt",
+    "trace",
+]
+
+
+def test_public_names_pinned():
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets)
+    public = sorted(name for name in bound if not name.startswith("_"))
+    assert public == PUBLIC_NAMES
+    assert all(hasattr(ss3, name) for name in public)

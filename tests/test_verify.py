@@ -1,8 +1,10 @@
-"""The verify report on injected faults: every FAIL line, pinned whole.
+"""The verify report on injected faults, every FAIL line pinned whole, and
+the argument checks that run before any suite.
 
-Each case breaks one ingredient of one suite and compares the complete
-report, so the wording of each FAIL line, the suites that keep passing,
-and the order in which the suites draw from the shared rng stay fixed.
+Each injected fault breaks one ingredient of one suite and compares the
+complete report, so the wording of each FAIL line, the suites that keep
+passing, and the order in which the suites draw from the shared rng stay
+fixed.
 """
 
 import dataclasses
@@ -10,7 +12,7 @@ import dataclasses
 import pytest
 
 import ss3.verify as verify_mod
-from ss3 import IsomorphismWitness
+from ss3 import DegreeOutOfRange, InvalidArgument, IsomorphismWitness
 from ss3.curve import Point
 
 
@@ -289,3 +291,22 @@ def test_injected_fault_report(fault, monkeypatch):
     )
     assert not rep.passed
     assert rep.text() == expected
+
+
+@pytest.mark.parametrize(
+    "d_max, samples, error",
+    [
+        (4.0, 200, DegreeOutOfRange),
+        (True, 200, DegreeOutOfRange),
+        (5, 2.5, InvalidArgument),
+        (5, True, InvalidArgument),
+    ],
+)
+def test_non_int_arguments_rejected_before_any_suite(d_max, samples, error, monkeypatch):
+    # a float or a bool passes the range checks, so the type is checked first
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify_mod, "_run_suite", no_suite)
+    with pytest.raises(error):
+        verify_mod.run_verification(d_max, samples=samples)
