@@ -96,6 +96,10 @@ class IsomorphismWitness:
         return {"u": str(self.u), "r": str(self.r)}
 
 
+# The even-d type of each fourth-power coset k of x = -a4 relative to beta
+_COSET_TYPES = (CurveType.I, CurveType.IIIA, CurveType.II, CurveType.IIIB)
+
+
 def _dispatch(
     e: ShortCurve,
 ) -> tuple[CurveClass, Callable[[], tuple[list[FieldElement], FieldElement]]]:
@@ -103,71 +107,55 @@ def _dispatch(
 
     One PowerChain on x = -a4 and one trace decide the class: with x =
     beta^k, the chain's j has j mod 4 = k mod 4, the coset of x modulo the
-    fourth powers (j is chi at odd d), and its inverse gives gamma^-3 =
-    gamma * x^-2 for a square root gamma of x. The second result gives the
-    u with u^4 = a4/a4' that admit an r, in encoding order, and x^-1 from
-    the same chain, for every type; only canonicalize calls it. At odd d
-    the u are the chain's quartic_roots, one product. At even d they cost
-    one more chain: for I and II on gamma or gamma * beta^-1, gamma the
-    smaller square root of x, and for IIIa and IIIb on the chain's
-    coset_root, a square root of x * beta^-k.
+    fourth powers (j is chi at odd d), and at even j the trace t =
+    Tr(a6 * gamma * x^-2), gamma = coset_root(0), is the invariant, the
+    chain's inverse giving x^-2. The second result gives the u with u^4 =
+    a4/a4' that admit an r, in encoding order, and x^-1 from the same
+    chain; only canonicalize calls it. At odd d the u are the chain's
+    quartic_roots, one product. At even d, u^4 = x * beta^-k for the
+    representative's a4' = -beta^k, so u^2 = +-coset_root(k): one more
+    chain, on it, for every type.
     """
     ctx = e.ctx
-    x = -e.a4
-    chain = PowerChain(ctx, x.coeffs)
+    chain = PowerChain(ctx, (-e.a4).coeffs)
     k = chain.j % 4
-    if ctx.d % 2 == 1:
-        # u^4 = a4/a4' = chi(x) * x for the representative's a4' = -chi(x)
-        if k:
-            return (
-                CurveClass(CurveType.I_PLUS, None),
-                lambda: (chain.quartic_roots(), chain.inverse()),
-            )
-        # the raw r is the square one of +-sqrt(x), and u^2 = r gives
-        # u^-6 = r * x^-2
-        inv = chain.inverse()
-        invariant = str(trace(e.a6 * FieldElement(ctx, chain.r) * inv * inv))
-        return CurveClass(CurveType.I, invariant), lambda: (chain.quartic_roots(), inv)
-    if k % 2:
-        # x sits in the beta (IIIa) or beta^3 (IIIb) coset: u^4 = x * beta^-k
-        return (
-            CurveClass(CurveType.IIIA if k == 1 else CurveType.IIIB, None),
-            lambda: (PowerChain(ctx, chain.coset_root(k).coeffs).roots(0), chain.inverse()),
-        )
-    beta_inv = ctx._beta_inv
-    gamma = chain.roots(1)[0]
-    # with w = gamma for I (k = 0) and gamma * beta^-1 for II (k = 2), u^2 =
-    # +-w sends Tr(a6*u^-6), the trace the representative must match, to
-    # +-t; so a nonzero t fixes the sign of u^2
-    inv = chain.inverse()
-    t = trace(e.a6 * gamma * inv * inv)
-    return (
-        CurveClass(CurveType.II if k else CurveType.I, INV_ZERO if t == 0 else INV_NONZERO),
-        lambda: (PowerChain(ctx, (gamma * beta_inv if k else gamma).coeffs).roots(t), inv),
-    )
+    t, gamma, inv = 0, None, None
+    if k % 2 == 0:
+        # u^2 = +-coset_root(k), and coset_root(2) = gamma * beta^-1, so
+        # Tr(a6*u^-6), the trace the representative must match, is +-t, and
+        # a nonzero t fixes the sign of u^2
+        gamma, inv = chain.coset_root(0), chain.inverse()
+        t = trace(e.a6 * gamma * inv * inv)
+    # the odd-d invariant is t itself, the even-d one whether t is 0
+    odd_d = ctx.d % 2
+    ctype = (CurveType.I, CurveType.I_PLUS)[k] if odd_d else _COSET_TYPES[k]
+    invariant = None if k % 2 else str(t) if odd_d or t == 0 else INV_NONZERO
+
+    def witness_data() -> tuple[list[FieldElement], FieldElement]:
+        if odd_d:  # u^4 = a4/a4' = chi(x) * x for a4' = -chi(x)
+            roots = chain.quartic_roots()
+        else:
+            square = gamma if k == 0 else chain.coset_root(k)
+            roots = PowerChain(ctx, square.coeffs).roots(t)
+        return roots, chain.inverse() if inv is None else inv
+
+    return CurveClass(ctype, invariant), witness_data
 
 
 def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
-    """The canonical curve for a class, exactly as the census lists them."""
-    one = ctx.one
-    alpha, beta = ctx.alpha, ctx.beta
-    if cls.ctype == CurveType.I:
-        a6_by_invariant = {
-            "0": ctx.zero,
-            "1": alpha,
-            "-1": -alpha,
-            INV_NONZERO: alpha,
-        }
-        return ShortCurve(-one, a6_by_invariant[cls.invariant])
+    """The canonical curve for a class, exactly as the census lists them.
+
+    I+ is y^2 = x^3 + x. The type of coset k in _COSET_TYPES has a4' =
+    -beta^k and a6' = t*alpha*beta^(3k/2), t = 0 for the invariant "0" or
+    None, -1 for "-1" and 1 otherwise.
+    """
     if cls.ctype == CurveType.I_PLUS:
-        return ShortCurve(one, ctx.zero)
-    if cls.ctype == CurveType.II:
-        beta2 = beta * beta
-        a6 = ctx.zero if cls.invariant == INV_ZERO else alpha * beta2 * beta
-        return ShortCurve(-beta2, a6)
-    if cls.ctype == CurveType.IIIA:
-        return ShortCurve(-beta, ctx.zero)
-    return ShortCurve(-beta * beta * beta, ctx.zero)
+        return ShortCurve(ctx.one, ctx.zero)
+    k = _COSET_TYPES.index(cls.ctype)
+    beta_k, a6 = ctx.beta ** k, ctx.zero
+    if cls.invariant not in (None, INV_ZERO):  # so k is 0 or 2
+        a6 = ctx.alpha * beta_k * ctx.beta if k else ctx.alpha
+    return ShortCurve(-beta_k, -a6 if cls.invariant == "-1" else a6)
 
 
 def _representative_map(rep: ShortCurve) -> LinearizedMap:

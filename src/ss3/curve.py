@@ -207,10 +207,10 @@ def scalar_mul(n: int, p: Point) -> Point:
 
 def all_short_curves(ctx: FieldContext) -> Iterator[ShortCurve]:
     """Every canonical-form curve (a4 != 0) over ctx, a4 then a6 in encoding order."""
-    for a4e in range(1, ctx.q):
-        a4 = ctx.from_int(a4e)
-        for a6e in range(ctx.q):
-            yield ShortCurve(a4, ctx.from_int(a6e))
+    elements = list(ctx.elements())
+    for a4 in elements[1:]:
+        for a6 in elements:
+            yield ShortCurve(a4, a6)
 
 
 def naive_count(e: ShortCurve) -> int:

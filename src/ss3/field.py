@@ -17,11 +17,11 @@ every kernel through the same slots.
 
 A FieldContext fixes the modulus together with the constants the
 classification machinery needs: a primitive root beta, a trace-one element
-alpha, (for even d) a square root tau of -1, beta^-1 and the two coset
-constants beta^(-k(odd+1)/2), k = 1, 3, and for
-PowerChain the table of the 2-Sylow subgroup of the units, q - 1 =
-2^s * odd: the powers of g = beta^odd by exponent and back, 2^s <= 64 of
-them. The smallest non-square n and beta are found by one scan of the
+alpha, (for even d) a square root tau of -1, and for PowerChain the table
+of the 2-Sylow subgroup of the units, q - 1 = 2^s * odd (the powers of
+g = beta^odd by exponent and back, 2^s <= 64 of them) and one constant
+per fourth-power coset k of beta^k, k = 0..3 (k = 0 alone at odd d). The
+smallest non-square n and beta are found by one scan of the
 elements in encoding order, where the encoding of (c0, ..., c_{d-1}) is
 the base-3 integer c0 + 3*c1 + ... + 3^{d-1}*c_{d-1}. FieldContext(d,
 modulus) computes all of them when constructed; make_context adds
@@ -62,7 +62,7 @@ import collections
 import functools
 import itertools
 import sys
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -350,11 +350,11 @@ class FieldContext:
     chi table run on them. With q - 1 = 2^s * odd,
     _sylow holds g^j for j < 2^s, packed, where g = beta^odd generates the
     2-Sylow subgroup, and _dlog maps each back to its j; every PowerChain
-    reads its exponent there. At even d, _coset_r_inv maps k = 1, 3 to
-    beta^(-k(odd+1)/2), the inverse of r for beta^k, which
-    PowerChain.coset_root reads. Two slots fill later: the chi table on
-    first use, and the LinearizedMap of each class representative's a4 (at
-    most 2 at odd d and 4 at even d) when classify first needs it.
+    reads its exponent there. _coset_r_inv holds e_k = beta^(-k(odd+1)/2),
+    the inverse of r for beta^k, for the cosets k = 0..3 (k = 0 at odd d),
+    which PowerChain.coset_root reads. Two slots fill later: the chi table
+    on first use, and the LinearizedMap of each class representative's a4
+    (at most 2 at odd d and 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -384,7 +384,6 @@ class FieldContext:
         "_chi_table",
         "_linear_maps",
         "_nonsquare",
-        "_beta_inv",
         "_coset_r_inv",
         "_sylow",
         "_dlog",
@@ -440,14 +439,14 @@ class FieldContext:
         # w * w = 1 mod 3, so w is its own inverse
         self.alpha = FieldElement(self, weights[i0] << 8 * i0)
         # For even d, the only degrees with types II, IIIa and IIIb, the
-        # chain of beta gives beta^-1 and e_k = beta^(-k(odd+1)/2) for k = 1,
-        # 3, the inverse of r for beta^k (e_1 = w * g^-1), and g^(2^(s-2)) =
+        # chain of beta gives e_k = beta^(-k(odd+1)/2) = e_1^k, the inverse
+        # of r for beta^k (e_1 = w * g^-1), and g^(2^(s-2)) =
         # beta^((q-1)/4) squares to -1: it is one of +-tau.
-        self._beta_inv = self._coset_r_inv = self.tau = None
+        self._coset_r_inv, self.tau = (1,), None
         if d % 2 == 0:
-            self._beta_inv = chain.inverse()
             e1 = mul(chain.w, sylow[-1])
-            self._coset_r_inv = {1: e1, 3: mul(mul(e1, e1), e1)}
+            e2 = mul(e1, e1)
+            self._coset_r_inv = (1, e1, e2, mul(e2, e1))
             quartic = FieldElement(self, sylow[size // 4])
             self.tau = min(quartic, -quartic, key=FieldElement.encoding)
 
@@ -529,7 +528,7 @@ class FieldContext:
             return decode_element(self, value)
         if isinstance(value, int):
             return self.from_int(value)
-        coeffs = tuple(int(c) for c in value)
+        coeffs = _integers(value, "coefficients")
         if len(coeffs) != self.d or any(c not in (0, 1, 2) for c in coeffs):
             raise ParseError(f"need {self.d} coefficients in {{0,1,2}}, got {value!r}")
         return FieldElement(self, int.from_bytes(bytes(coeffs), "little"))
@@ -831,6 +830,14 @@ def chi_sum_fiber(ctx: FieldContext, a: int) -> int:
 # ----------------------------------------------------------------------
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values read by operator.index, which truncates no float; ParseError for a non-integer."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ParseError(f"{what} must be integers, got {values!r}") from None
+
+
 def _default_modulus(d: int) -> tuple[int, ...]:
     # monic irreducible whose low-coefficient vector has the smallest
     # base-3 encoding; deterministic across runs
@@ -869,7 +876,7 @@ def make_context(
         raise DegreeOutOfRange(f"d must satisfy 1 <= d <= {DEGREE_CAP}, got {d}")
     coeffs = None
     if modulus_override is not None:
-        coeffs = tuple(int(c) % 3 for c in modulus_override)
+        coeffs = tuple(c % 3 for c in _integers(modulus_override, "modulus coefficients"))
         if len(coeffs) != d + 1 or coeffs[-1] != 1:
             raise ParseError(
                 f"modulus must be monic of degree {d}: expected {d + 1} "
@@ -949,7 +956,7 @@ class PowerChain:
     x = beta^k, t = g^k, so j = k mod 2^s, and j answers by lookup: x is a
     square iff j is even, j mod 4 is the coset of x modulo the fourth
     powers relative to beta (at even d, where s >= 3), x^-1 = w^2 * g^-j,
-    and for even j, r * g^(-j/2) squares to x, since r^2 = x*t.
+    and for j - k even, coset_root(k) squares to x * beta^-k.
     """
 
     __slots__ = ("ctx", "v", "w", "r", "t")
@@ -1017,24 +1024,27 @@ class PowerChain:
     def fourth_roots(self) -> list[FieldElement]:
         """Every u with u^4 = x, sorted by encoding (possibly empty).
 
-        At odd d, the quartic_roots when x is a square (j = 0), one product.
-        At even d, u^4 = x iff u^2 = +-s for either square root s of x: one
-        more chain, on the first of roots(1), for the roots of +-s.
+        x is a fourth power iff j = 0 mod 4. At odd d its roots are the
+        quartic_roots, one product. At even d, u^4 = x iff u^2 = +-s for
+        the square root s = coset_root(0) of x: one more chain, on s.
         """
+        if self.j % 4:
+            return []
         if self.ctx.d % 2:
-            return self.quartic_roots() if self.j == 0 else []
-        squares = self.roots(1)
-        return PowerChain(self.ctx, squares[0].coeffs).roots(0) if squares else []
+            return self.quartic_roots()
+        return PowerChain(self.ctx, self.coset_root(0).coeffs).roots(0)
 
     def coset_root(self, k: int) -> FieldElement:
-        """A square root of x * beta^-k at even d, for k = 1, 3 and j = k mod 4.
+        """A square root of x * beta^-k, for k = 0..3 with j - k even (k = 0 at odd d).
 
-        y = x * beta^-k has y^odd = g^(j-k) and y^((odd+1)/2) = r * e_k,
-        where e_k = beta^(-k*(odd+1)/2) is kept by the context. As 4 divides
-        j - k, r * e_k * g^((k-j)/2) squares to y: at most two products.
+        y = x * beta^-k has y^odd = g^(j-k) and y^((odd+1)/2) = r * e_k, e_k =
+        beta^(-k*(odd+1)/2) from the context (e_0 = 1), so r * e_k *
+        g^((k-j)/2) squares to y: at most two products, one for k = 0.
         """
-        e_k = self.ctx._coset_r_inv[k]
-        return FieldElement(self.ctx, self._times_g(self.ctx._mul(self.r, e_k), (k - self.j) // 2))
+        ctx, r = self.ctx, self.r
+        if k:
+            r = ctx._mul(r, ctx._coset_r_inv[k])
+        return FieldElement(ctx, self._times_g(r, (k - self.j) // 2))
 
 
 def sqrt(x: FieldElement) -> Optional[FieldElement]:
@@ -1052,7 +1062,8 @@ def fourth_roots(x: FieldElement) -> list[FieldElement]:
     """All v with v^4 = x, sorted by encoding (possibly empty).
 
     The chain of x gives them (PowerChain.fourth_roots): one chain at odd
-    d, and at even d two, one for sqrt(x) and one for the roots of +-sqrt(x).
+    d, and at even d a second one, on a square root of x, only when x is a
+    fourth power.
     """
     if x.is_zero():
         return [x.ctx.zero]

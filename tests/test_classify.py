@@ -12,6 +12,7 @@ from ss3 import (
     ShortCurve,
     canonicalize,
     chi,
+    class_representative,
     count_supersingular,
     fourth_roots,
     isomorphic,
@@ -25,7 +26,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.classify import _dispatch
+from ss3.classify import _COSET_TYPES, _dispatch
 from ss3.curve import all_short_curves
 
 
@@ -186,12 +187,12 @@ def test_canonicalize_witness_equals_isomorphic(d):
 # isomorphic(e, rep). A change in the cost of the classification shows up as
 # a diff here.
 MUL_COUNTS = {
-    12: ((12.045, 3.0), (32.17, 6.0), (14.67, 4.59), (36.495, 12.0)),
-    16: ((17.025, 3.0), (42.3, 6.0), (22.185, 4.545), (47.99, 13.0)),
-    20: ((12.695, 4.0), (34.08, 8.0), (15.66, 5.92), (39.29, 15.0)),
+    12: ((12.045, 3.0), (32.38, 6.0), (11.87, 3.75), (36.495, 12.0)),
+    16: ((17.025, 3.0), (42.53, 6.0), (18.435, 3.795), (47.99, 13.0)),
+    20: ((12.695, 4.0), (34.275, 8.0), (12.855, 4.9), (39.29, 15.0)),
     21: ((9.06, 5.0), (17.06, 5.0), (7.485, 5.0), (22.515, 11.0)),
-    24: ((18.155, 5.0), (44.42, 10.0), (24.13, 7.725), (50.87, 18.0)),
-    30: ((10.625, 6.0), (29.375, 12.0), (12.665, 8.97), (35.205, 20.0)),
+    24: ((18.155, 5.0), (44.7, 10.0), (19.25, 6.2), (50.87, 18.0)),
+    30: ((10.625, 6.0), (29.48, 12.0), (10.37, 7.44), (35.205, 20.0)),
     31: ((10.84, 7.0), (18.84, 7.0), (9.54, 7.0), (26.46, 15.0)),
 }
 
@@ -219,16 +220,17 @@ def test_multiplication_counts_pinned(d):
 def test_chains_per_call_pinned(d):
     # canonicalize runs one PowerChain at odd d, where its u are the
     # dispatch chain's quartic roots, and two at even d for every type;
-    # fourth_roots runs one at odd d and two on an even-d square; chi and
-    # inverse take the Euler power and run none
-    make_context(d)
+    # fourth_roots runs one at odd d and two on an even-d fourth power; chi
+    # and inverse take the Euler power and run none
+    ctx = make_context(d)
     for e in _witness_cases(d):
         with count_chains() as chains:
             cls = canonicalize(e)[1]
         assert chains == [1 if d % 2 else 2], cls
         with count_chains() as chains:
             fourth_roots(e.a4)
-        assert chains == [1 if d % 2 or chi(e.a4) == -1 else 2]
+        fourth_power = d % 2 == 0 and e.a4 ** ((ctx.q - 1) // 4) == ctx.one
+        assert chains == [2 if fourth_power else 1]
         with count_chains() as chains:
             chi(e.a4)
             e.a4.inverse()
@@ -237,21 +239,31 @@ def test_chains_per_call_pinned(d):
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_coset_roots_exhaustive(d):
-    # for every x = -a4 in the beta (IIIa) and beta^3 (IIIb) cosets, the
-    # coset root squares to y = x * beta^-k and the dispatch's u are
-    # fourth_roots(y), which takes y's own two chains
+    # for every x = -a4, in the coset k of beta^k modulo the fourth powers,
+    # the coset root squares to y = x * beta^-k, the type is
+    # _COSET_TYPES[k], whose representative has a4' = -beta^k, and every
+    # dispatched u has u^4 = y: all of fourth_roots(y), found on y's own
+    # chains, unless a nonzero trace fixes the sign of u^2
     ctx = make_context(d)
+    quarter = (ctx.q - 1) // 4
     seen = set()
     for enc in range(1, ctx.q):
         x = ctx.from_int(enc)
-        cls, witness_data = _dispatch(ShortCurve(-x, ctx.zero))
-        if cls.ctype in (CurveType.IIIA, CurveType.IIIB):
-            k = 1 if cls.ctype == CurveType.IIIA else 3
-            y = x * ctx.beta**-k
-            assert field.PowerChain(ctx, x.coeffs).coset_root(k) ** 2 == y
-            assert witness_data()[0] == fourth_roots(y)
-            seen.add(k)
-    assert seen == {1, 3}
+        k = next(k for k in range(4) if (x * ctx.beta**-k) ** quarter == ctx.one)
+        y = x * ctx.beta**-k
+        assert field.PowerChain(ctx, x.coeffs).coset_root(k) ** 2 == y
+        for a6 in (ctx.zero, ctx.one):
+            cls, witness_data = _dispatch(ShortCurve(-x, a6))
+            assert cls.ctype == _COSET_TYPES[k]
+            assert -class_representative(ctx, cls).a4 == ctx.beta**k
+            roots = witness_data()[0]
+            assert all(u**4 == y for u in roots)
+            if cls.invariant == "nonzero":
+                assert len(roots) == 2 and roots[0] == -roots[1]
+            else:
+                assert roots == fourth_roots(y)
+        seen.add(k)
+    assert seen == {0, 1, 2, 3}
 
 
 def _check_map_slot(ctx, rng):

@@ -292,15 +292,17 @@ def test_direct_construction_is_complete(d):
     assert context_to_json(direct) == context_to_json(ctx)
     assert direct.q_minus_1_factors == ctx.q_minus_1_factors
     assert smallest_nonsquare(direct) == smallest_nonsquare(ctx)
-    # the chain constants: the 2-Sylow table of g = beta^odd and, for even
-    # d, beta^-1; tau is one of +-g^(2^(s-2)) = +-beta^((q-1)/4)
+    # the chain constants: the 2-Sylow table of g = beta^odd and
+    # e_k = beta^(-k(odd+1)/2) for the cosets k = 0..3 (k = 0 at odd d);
+    # tau is one of +-g^(2^(s-2)) = +-beta^((q-1)/4)
     q1 = ctx.q - 1
     odd = q1 // (q1 & -q1)
     even = d % 2 == 0
+    cosets = tuple((ctx.beta ** (-k * (odd + 1) // 2)).coeffs for k in range(4 if even else 1))
     for c in (direct, ctx):
         assert c._sylow == ctx._sylow and c._dlog == ctx._dlog
         assert c._sylow[1] == (ctx.beta ** odd).coeffs
-        assert c._beta_inv == (ctx.beta.inverse() if even else None)
+        assert c._coset_r_inv == cosets
         assert c.tau == (sqrt(ctx.minus_one) if even else None)
         if even:
             quartic = ctx.beta ** (q1 // 4)
@@ -937,9 +939,9 @@ def test_frobenius_maps_stay_small():
 
 # Total (products, Frobenius maps) of a cold FieldContext(d, modulus) over
 # d = 16..31: the maps' build, the constants' scan (Euler's criterion per
-# candidate), the beta chain, its 2-Sylow table, and the even-d beta^-1
-# and coset constants e_1, e_3.
-COLD_BUILD_COUNTS = (7_069, 1_065)
+# candidate), the beta chain, its 2-Sylow table, and the even-d coset
+# constants e_1, e_2, e_3.
+COLD_BUILD_COUNTS = (7_053, 1_065)
 
 
 def _count_products(monkeypatch, calls):
@@ -1185,6 +1187,22 @@ def test_element_from_a_coefficient_sequence():
             ctx.element(bad)
     with pytest.raises(ContextMismatch):
         ctx.element(make_context(3).one)
+
+
+def test_coefficients_must_be_integers():
+    # each coefficient is read by operator.index: a float is not truncated
+    # (1.7 used to become 1) and text or None is a ParseError, not a bare
+    # ValueError or TypeError; a modulus is still read mod 3
+    ctx = make_context(2)
+    with pytest.raises(ParseError):
+        ctx.element([1.7, 0.2])
+    with pytest.raises(ParseError):
+        ctx.element([None, 0])
+    with pytest.raises(ParseError):
+        make_context(2, [1.7, 0, 1])
+    with pytest.raises(ParseError):
+        make_context(2, ["x", 0, 1])
+    assert make_context(2, [4, 0, 1]) is make_context(2, [1, 0, 1])
 
 
 def test_from_int_checks_the_range():

@@ -69,6 +69,47 @@ def test_only_field_touches_the_sweeps():
     assert found == []
 
 
+# the private names each module reads from a sibling, by import or attribute
+CROSS_MODULE_PRIVATE = {
+    "classify": ["_linear_maps"],
+    "cli": ["_digit_list"],
+    "count": ["_dispatch"],
+}
+
+
+def _bound_names(tree):
+    """Names a module binds: defs, classes, parameters, and assigned names or attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_cross_module_private_reads_pinned():
+    # a private name a module reads but does not bind belongs to a sibling:
+    # each such read couples two modules, so a new one shows up here
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        private = {name for name in read if name.startswith("_") and not name.startswith("__")}
+        if private - _bound_names(tree):
+            found[path.stem] = sorted(private - _bound_names(tree))
+    assert found == CROSS_MODULE_PRIVATE
+
+
 # the public API: every name without a leading underscore that ss3/__init__.py binds
 PUBLIC_NAMES = [
     "ClassEntry", "ContextMismatch", "CountResult", "CurveClass", "CurveType",
