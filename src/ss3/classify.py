@@ -147,28 +147,39 @@ def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
 
     I+ is y^2 = x^3 + x. The type of coset k in _COSET_TYPES has a4' =
     -beta^k and a6' = t*alpha*beta^(3k/2), t = 0 for the invariant "0" or
-    None, -1 for "-1" and 1 otherwise.
+    None, -1 for "-1" and 1 otherwise. Each is built once per context
+    (_representative).
     """
-    if cls.ctype == CurveType.I_PLUS:
-        return ShortCurve(ctx.one, ctx.zero)
-    k = _COSET_TYPES.index(cls.ctype)
-    beta_k, a6 = ctx.beta ** k, ctx.zero
-    if cls.invariant not in (None, INV_ZERO):  # so k is 0 or 2
-        a6 = ctx.alpha * beta_k * ctx.beta if k else ctx.alpha
-    return ShortCurve(-beta_k, -a6 if cls.invariant == "-1" else a6)
+    return _representative(ctx, cls)[0]
 
 
-def _representative_map(rep: ShortCurve) -> LinearizedMap:
-    """The LinearizedMap of a class representative's a4, built once per context.
+def _representative(ctx: FieldContext, cls: CurveClass) -> tuple[ShortCurve, LinearizedMap]:
+    """The representative of cls and the LinearizedMap of its a4, built once per context.
 
-    The representatives take 2 values of a4 at odd d and 4 at even d, so
-    the context's slot never holds more maps than that.
+    The context's slot keeps both by class, at most 4 classes at odd d and
+    6 at even d; classes whose representatives share an a4 (2 values at
+    odd d, 4 at even d) share its map.
     """
-    maps = rep.ctx._linear_maps
-    lmap = maps.get(rep.a4.coeffs)
-    if lmap is None:
-        lmap = maps[rep.a4.coeffs] = LinearizedMap(rep.a4)
-    return lmap
+    slot = ctx._representatives
+    entry = slot.get(cls)
+    if entry is None:
+        if cls.ctype == CurveType.I_PLUS:
+            rep = ShortCurve(ctx.one, ctx.zero)
+        else:
+            k = _COSET_TYPES.index(cls.ctype)
+            beta_k, a6 = ctx.beta ** k, ctx.zero
+            if cls.invariant not in (None, INV_ZERO):  # so k is 0 or 2
+                a6 = ctx.alpha * beta_k * ctx.beta if k else ctx.alpha
+            rep = ShortCurve(-beta_k, -a6 if cls.invariant == "-1" else a6)
+        lmap = _kept_map(ctx, rep.a4) or LinearizedMap(rep.a4)
+        entry = slot[cls] = (rep, lmap)
+    return entry
+
+
+def _kept_map(ctx: FieldContext, a4: FieldElement) -> Optional[LinearizedMap]:
+    """The map ctx keeps for a4 when a4 is a kept representative's, else None."""
+    kept = ctx._representatives.values()
+    return next((lmap for rep, lmap in kept if rep.a4.coeffs == a4.coeffs), None)
 
 
 def _first_witness(
@@ -215,7 +226,7 @@ def isomorphic(e1: ShortCurve, e2: ShortCurve) -> Optional[IsomorphismWitness]:
     roots = chain.fourth_roots()
     if not roots:
         return None
-    lmap = e2.ctx._linear_maps.get(e2.a4.coeffs) or LinearizedMap(e2.a4)
+    lmap = _kept_map(e2.ctx, e2.a4) or LinearizedMap(e2.a4)
     return _first_witness(e1, e2, roots, chain.inverse(), lmap)
 
 
@@ -233,9 +244,9 @@ def canonicalize(e: ShortCurve) -> tuple[ShortCurve, CurveClass, IsomorphismWitn
     dispatch chain on x = -a4, so no inversion is added.
     """
     cls, witness_data = _dispatch(e)
-    rep = class_representative(e.ctx, cls)
+    rep, lmap = _representative(e.ctx, cls)
     roots, x_inv = witness_data()
-    return rep, cls, _first_witness(e, rep, roots, -(rep.a4 * x_inv), _representative_map(rep))
+    return rep, cls, _first_witness(e, rep, roots, -(rep.a4 * x_inv), lmap)
 
 
 def quadratic_twist(e: ShortCurve, g: FieldElement) -> ShortCurve:

@@ -28,16 +28,18 @@ modulus) computes all of them when constructed; make_context adds
 validation and the one cache.
 
 The brute-force oracles live here too, each bounded by ORACLE_CAP
-(check_oracle_cap) on the elements it visits. They sweep the field one
-row at a time: each x is h + l over two digit halves, the low one on
+(check_oracle_cap) on the elements it visits. They sweep the field in
+passes: each x is h + l over two digit halves, the low one on
 t^0..t^(k-1) and the high one on t^k..t^(d-1), k = d // 2
 (_digit_halves). The halves share no digit, so x encodes as enc(h) +
-enc(l), and one packed big int holds the elements of one h over every l,
-so a row is built from a few products and encoded in one pass
-(_sweep_rows, _encode_row). The chi table holds chi + 1 by encoding and
-is built from the squares by the same sweep; the cubic sum
-(chi_sum_cubic) and the trace-fiber sum (chi_sum_fiber) read it one row
-at a time (_picker).
+enc(l). A row, the elements of one h over every l, is built from a few
+products, and one packed big int holds a pass of consecutive rows,
+min(q, max(81, 3^k)) lanes, which one _encode_row call encodes
+(_sweep_rows): the whole field at d <= 4, q/81 passes at d = 5..9 and
+one per row above. The chi table holds chi + 1 by encoding and is built
+from the squares by the same sweep; the cubic sum (chi_sum_cubic) reads
+it one pass at a time and the trace-fiber sum (chi_sum_fiber) one row at
+a time (_picker).
 
 The long exponents are made of base-3 repunits at every d. One Euler
 power z = x^((q-3)/2) gives chi, as Euler's criterion z*x, x^-1 = z^2*x
@@ -51,9 +53,9 @@ about log2(n) + popcount(n) products and as many maps.
 
 Contexts are immutable after construction and safe to share across
 threads. Two slots fill lazily, and both idempotently: the character table
-and the map slot, which holds the LinearizedMap of each class
-representative's a4 (classify fills it). Threads that race on either build
-equal values, so whichever one is stored is correct.
+and the representatives' slot, which holds each class representative
+beside the LinearizedMap of its a4 (classify fills it). Threads that race
+on either build equal values, so whichever one is stored is correct.
 """
 
 from __future__ import annotations
@@ -282,18 +284,21 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        other = self._peer(other)
+        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            other = self._peer(other)
         return FieldElement(self.ctx, _mod3(self.coeffs + other.coeffs, self.ctx.d))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        other = self._peer(other)
+        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            other = self._peer(other)
         return FieldElement(self.ctx, _mod3(self.coeffs + 2 * other.coeffs, self.ctx.d))
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.ctx, _mod3(2 * self.coeffs, self.ctx.d))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        other = self._peer(other)
+        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            other = self._peer(other)
         return FieldElement(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
@@ -353,8 +358,9 @@ class FieldContext:
     reads its exponent there. _coset_r_inv holds e_k = beta^(-k(odd+1)/2),
     the inverse of r for beta^k, for the cosets k = 0..3 (k = 0 at odd d),
     which PowerChain.coset_root reads. Two slots fill later: the chi table
-    on first use, and the LinearizedMap of each class representative's a4
-    (at most 2 at odd d and 4 at even d) when classify first needs it.
+    on first use, and each class representative with the LinearizedMap of
+    its a4 (4 classes on 2 maps at odd d, 6 on 4 at even d) when classify
+    first needs it.
 
     Attributes:
         d: extension degree.
@@ -382,7 +388,7 @@ class FieldContext:
         "_frobenius",
         "_trace_weights",
         "_chi_table",
-        "_linear_maps",
+        "_representatives",
         "_nonsquare",
         "_coset_r_inv",
         "_sylow",
@@ -400,7 +406,7 @@ class FieldContext:
         self.one = FieldElement(self, 1)
         self.minus_one = FieldElement(self, 2)
         self._chi_table: Optional[bytearray] = None
-        self._linear_maps: dict[int, "LinearizedMap"] = {}  # packed a4 -> its map
+        self._representatives: dict = {}  # class -> (its curve, the map of its a4)
         self._trace_weights = self._build_trace_weights()
         self.q_minus_1_factors = tuple(factorize_q_minus_1(d))
         # One scan from 2 (1 is a square). Its p = 2 test is Euler's
@@ -632,12 +638,17 @@ class _FrobeniusMap:
 
 
 class _Logs(dict):
-    """Packed element -> discrete log; an unreduced key (slots <= 4) is read mod 3."""
+    """Packed element -> discrete log; an unreduced key (slots <= 4) is read mod 3.
+
+    The log found for an unreduced key is stored under it, so each of the
+    at most 5^d such keys is reduced once, on its first read.
+    """
 
     __slots__ = ("d",)
 
     def __missing__(self, a: int) -> int:
-        return self[_mod3(a, self.d)]
+        log = self[a] = self[_mod3(a, self.d)]
+        return log
 
 
 def _table_kernels(
@@ -689,11 +700,14 @@ def _digit_halves(d: int) -> tuple[list[int], list[int]]:
 
 
 # A row packs the elements h + l of one high half h over the 3^k lows l
-# (k = d // 2), the one of low index i in lane i, S bytes from byte i * S.
+# (k = d // 2), the one of low index i in lane i, S bytes from byte i * S,
+# and a pass packs consecutive rows, row r from lane r * 3^k.
 # _sweep_rows sums into a lane a value with slots <= 4, a low part with
 # slots <= 2 and k cross terms with slots <= 4, so a slot holds at most
 # 6 + 4k <= 66 < 256 for d <= 31 and no lane carries into the next.
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview casts by item size
+# The fewest lanes of a pass, short of the whole field: one pass at d <= 4.
+_PASS_LANES = 3**4
 
 
 def _lane_widths(d: int) -> tuple[int, int]:
@@ -704,17 +718,21 @@ def _lane_widths(d: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=None)
 def _row_layout(d: int) -> tuple:
-    """The constants of a degree-d row, which depend on d alone.
+    """The constants of a degree-d row and pass, which depend on d alone.
 
-    ONES holds 1 in every lane and DIGIT_j, for j < k, holds digit j of i
-    in lane i. The rounds of _encode_row are (shift, mask, 3^w) for
-    w = 1, 2, 4, .., S / 2, the mask keeping the low w bytes of every
-    2w-byte group. The picks slice takes each lane's low read bytes, as
-    native ints in lane order, from the row's bytes in native order.
+    A pass holds ROWS rows, enough for _PASS_LANES lanes and at most the
+    whole field: every row at d <= 4, 81 // 3^k rows at d = 5..7 and one
+    from d = 8 on. ONES holds 1 in every lane of one row and DIGIT_j, for
+    j < k, digit j of i in its lane i. The rounds of _encode_row are
+    (shift, mask, 3^w) for w = 1, 2, 4, .., S / 2, the mask keeping the
+    low w bytes of every 2w-byte group of a pass. The picks slice takes
+    each lane's low read bytes, as native ints in lane order, from the
+    pass's bytes in native order.
     """
     width, read = _lane_widths(d)
     n = 3 ** (d // 2)
-    size, pad = n * width, bytes(width - 1)
+    rows = min(3 ** (d - d // 2), max(1, _PASS_LANES // n))
+    size, pad = rows * n * width, bytes(width - 1)
 
     def lanes(values: Iterable[int]) -> int:
         return int.from_bytes(b"".join(bytes([v]) + pad for v in values), "little")
@@ -728,19 +746,19 @@ def _row_layout(d: int) -> tuple:
         w *= 2
     stride = width // read
     picks = slice(None, None, stride) if sys.byteorder == "little" else slice(-1, None, -stride)
-    return ones, digits, tuple(rounds), size, _LANE_FORMATS[read], picks
+    return ones, digits, rows, tuple(rounds), size, _LANE_FORMATS[read], picks
 
 
-def _encode_row(d: int, row: int) -> memoryview:
-    """The encodings of a packed degree-d row's lanes, in lane order.
+def _encode_row(d: int, packed: int) -> memoryview:
+    """The encodings of a packed degree-d pass's lanes, in lane order.
 
     Slots may be unreduced (up to 6 + 4k): one translate reduces them mod 3.
     Round w then turns the two w-byte halves of every 2w-byte group, each
     holding a base-3 value below 3^w, into lo + 3^w * hi, so after log2(S)
     rounds every lane holds its encoding, below 3^d, in its low read bytes.
     """
-    _, _, rounds, size, fmt, picks = _row_layout(d)
-    x = int.from_bytes(row.to_bytes(size, "little").translate(_MOD3), "little")
+    _, _, _, rounds, size, fmt, picks = _row_layout(d)
+    x = int.from_bytes(packed.to_bytes(size, "little").translate(_MOD3), "little")
     for shift, mask, scale in rounds:
         x = (x & mask) + scale * (x >> shift & mask)
     return memoryview(x.to_bytes(size, sys.byteorder)).cast(fmt)[picks]
@@ -761,22 +779,39 @@ def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
 def _sweep_rows(
     ctx: FieldContext, head: Callable[[int], int], low_parts: Sequence[int], cross: Sequence[int]
 ) -> Iterator[memoryview]:
-    """Encodings of head(h) + low_parts[i] + sum_j l_j * cross[j] * h, row by row.
+    """Encodings of head(h) + low_parts[i] + sum_j l_j * cross[j] * h, pass by pass.
 
-    One row per high half h in encoding order, over the lows l (digits
-    l_j, encoding i) in lane order; cross has at most k terms. head(h)
-    may leave slots <= 4, the low parts and cross terms must be reduced.
-    Each row costs len(cross) products, plus whatever head(h) makes.
+    The rows of the high halves h run in encoding order over the lows l
+    (digits l_j, encoding i) in lane order, and each pass packs ROWS
+    consecutive rows (_row_layout), so the lanes of the passes run in
+    encoding order of h + l. cross has at most k terms. head(h) may leave
+    slots <= 4, the low parts and cross terms must be reduced. Each row
+    costs len(cross) products, plus whatever head(h) makes, and each pass
+    one _encode_row. A one-row pass is head(h) * ONES + the low row + each
+    mul(cross[j], h) * DIGIT_j. A wider pass repeats the bytes of each
+    head over its row's lanes and shifts each row's cross terms to its
+    first lane: a product by ONES of one pass-wide int would cost more.
     """
     d, mul = ctx.d, ctx._mul
-    ones, digits = _row_layout(d)[:2]
+    ones, digits, rows = _row_layout(d)[:3]
     width = _lane_widths(d)[0]
-    low_row = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in low_parts), "little")
-    for h in _digit_halves(d)[1]:
-        row = head(h) * ones + low_row
+    low_row = b"".join(v.to_bytes(width, "little") for v in low_parts)
+    low, highs = int.from_bytes(low_row * rows, "little"), _digit_halves(d)[1]
+    if rows == 1:
+        for h in highs:
+            packed = head(h) * ones + low
+            for b, digit in zip(cross, digits):
+                packed += mul(b, h) * digit
+            yield _encode_row(d, packed)
+        return
+    n, from_bytes = len(low_parts), int.from_bytes
+    shifts = range(0, 8 * len(low_row) * rows, 8 * len(low_row))  # row r's first bit
+    for group in zip(*[iter(highs)] * rows):
+        heads = b"".join([head(h).to_bytes(width, "little") * n for h in group])
+        packed = from_bytes(heads, "little") + low
         for b, digit in zip(cross, digits):
-            row += mul(b, h) * digit
-        yield _encode_row(d, row)
+            packed += sum([mul(b, h) * digit << shift for h, shift in zip(group, shifts)])
+        yield _encode_row(d, packed)
 
 
 def chi_sum_cubic(ctx: FieldContext, c2: FieldElement, c1: FieldElement, c0: FieldElement) -> int:
@@ -795,9 +830,9 @@ def chi_sum_cubic(ctx: FieldContext, c2: FieldElement, c1: FieldElement, c0: Fie
     # accepts and which f(h) keeps, as _sweep_rows allows.
     low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
     cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
-    rows = _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
+    passes = _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
     # the table holds chi + 1, so its q reads sum to q + the sum of chi
-    return 1 + sum(sum(_picker(encodings)(table)) for encodings in rows)
+    return 1 + sum(sum(_picker(encodings)(table)) for encodings in passes)
 
 
 def chi_sum_fiber(ctx: FieldContext, a: int) -> int:

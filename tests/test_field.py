@@ -1,6 +1,8 @@
 """GF(3^d) arithmetic, characters, roots, and the linearized solver."""
 
+import inspect
 import itertools
+import operator
 import random
 import struct
 import tracemalloc
@@ -16,20 +18,25 @@ from ss3 import (
     DivisionByZero,
     FieldContext,
     FieldElement,
+    GeneralCurve,
     ModulusReducible,
     ParseError,
+    ShortCurve,
     chi,
     context_to_json,
     decode_element,
     fourth_roots,
     is_irreducible,
     make_context,
+    naive_count,
+    reduce_curve,
     smallest_nonsquare,
     solve_linearized,
     sqrt,
     trace,
 )
 from ss3 import field
+from ss3.count import char_sum_order
 from ss3 import factor
 from ss3.factor import factorize, factorize_q_minus_1
 from ss3.field import (
@@ -42,6 +49,7 @@ from ss3.field import (
     _encode_row,
     _lane_widths,
     _packed_mul,
+    _row_layout,
 )
 
 # Base-3 encodings c0 + 3*c1 + ... of the default moduli's low coefficients
@@ -498,13 +506,19 @@ def test_division_by_zero():
 
 def test_context_mismatch():
     a = make_context(2).one
-    b = make_context(3).one
-    with pytest.raises(ContextMismatch):
-        a + b
-    # same degree, different modulus
-    c = make_context(2, [2, 1, 1]).one
-    with pytest.raises(ContextMismatch):
-        a * c
+    # the default modulus named or not: two cached contexts, one key
+    named = make_context(2, _default_modulus(2))
+    assert named is not a.ctx and named.key == a.ctx.key
+    b = make_context(2).beta
+    for apply in (operator.add, operator.sub, operator.mul, operator.truediv):
+        # another degree, and the same degree with another modulus
+        for other in (make_context(3).one, make_context(2, [2, 1, 1]).one):
+            with pytest.raises(ContextMismatch):
+                apply(a, other)
+        with pytest.raises(TypeError):
+            apply(a, 1)
+        assert apply(b, named.beta) == apply(b, a.ctx.beta)
+        assert apply(named.beta, b) == apply(a.ctx.beta, b)
 
 
 # ----------------------------------------------------------------------
@@ -610,21 +624,66 @@ def test_chi_table_multiplication_count_pinned(d, products):
     assert calls[0] == products
 
 
-@pytest.mark.parametrize("d, width", [(1, 1), (2, 2), (3, 4), (5, 8), (9, 16), (17, 32)])
+@pytest.mark.parametrize(
+    "d, width",
+    [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8), (7, 8), (8, 8), (9, 16), (17, 32)],
+)
 def test_encode_row_matches_encode(d, width):
-    # rows of random slots up to the bound 6 + 4k, each lane holding the
-    # bound at least once; the encoder needs no context, so d = 17 builds
-    # no chi table
+    # one whole pass of random slots up to the bound 6 + 4k, each lane
+    # holding the bound at least once: the whole field at d <= 4, 81 lanes
+    # at d = 5..9 and one row of 3^k lanes above; the encoder needs no
+    # context, so d = 17 builds no chi table
     k, rng = d // 2, random.Random(d)
     top = 6 + 4 * k
     assert _lane_widths(d)[0] == width
+    size = _row_layout(d)[2] * 3**k  # lanes of one pass
+    assert size == min(3**d, max(81, 3**k))
     lanes = [
         bytes(top if j == i % d else rng.randrange(top + 1) for j in range(d))
-        for i in range(3**k)
+        for i in range(size)
     ]
-    row = int.from_bytes(b"".join(lane.ljust(width, b"\0") for lane in lanes), "little")
+    packed = int.from_bytes(b"".join(lane.ljust(width, b"\0") for lane in lanes), "little")
     expected = [make_context(d)._encode(int.from_bytes(lane, "little")) for lane in lanes]
-    assert list(_encode_row(d, row)) == expected
+    assert list(_encode_row(d, packed)) == expected
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_encoder_passes_pinned(d, monkeypatch):
+    # one encoder pass for the whole field at d <= 4 and one per 81 lanes
+    # at d = 5..9, in a cold chi table, a naive_count and a char_sum_order
+    # with b2 != 0 (cross terms in every row): a count the machine does not
+    # move, which a sweep of one pass per row fails
+    encode, calls = field._encode_row, []
+
+    def counting(d, packed):
+        calls.append(d)
+        return encode(d, packed)
+
+    monkeypatch.setattr(field, "_encode_row", counting)
+    passes = 1 if d <= 4 else 3 ** (d - 4)
+    ctx = FieldContext(d, _default_modulus(d))
+    ctx.chi_table()
+    assert len(calls) == passes
+    naive_count(ShortCurve(ctx.one, ctx.one))
+    assert len(calls) == 2 * passes
+    red = reduce_curve(GeneralCurve(ctx.zero, ctx.one, ctx.zero, ctx.zero, ctx.one))
+    assert red.b2 == ctx.one
+    char_sum_order(red)
+    assert calls == [d] * 3 * passes
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_logs_store_unreduced_keys(d):
+    # the log table holds the q reduced keys after the build; an unreduced
+    # key (slots <= 4) reads its reduction's log, and is stored on that read
+    ctx = FieldContext(d, _default_modulus(d))
+    log = inspect.getclosurevars(ctx._mul).nonlocals["log"]
+    assert len(log) == ctx.q
+    for a in map(_packed, itertools.product(range(5), repeat=d)):
+        reduced = field._mod3(a, d)
+        assert log[a] == log[reduced]
+        assert a in log
+    assert len(log) == 5**d
 
 
 def test_row_slots_and_lane_reads_fit_every_degree():

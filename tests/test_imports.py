@@ -71,7 +71,7 @@ def test_only_field_touches_the_sweeps():
 
 # the private names each module reads from a sibling, by import or attribute
 CROSS_MODULE_PRIVATE = {
-    "classify": ["_linear_maps"],
+    "classify": ["_representatives"],
     "cli": ["_digit_list"],
     "count": ["_dispatch"],
 }
