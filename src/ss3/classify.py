@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .curve import Point, ShortCurve
-from .errors import NotANonSquare
+from .errors import DParityError, NotANonSquare
 from .field import (
     FieldContext,
     FieldElement,
@@ -100,6 +100,25 @@ class IsomorphismWitness:
 _COSET_TYPES = (CurveType.I, CurveType.IIIA, CurveType.II, CurveType.IIIB)
 
 
+def _census(d: int) -> tuple[CurveClass, ...]:
+    """Every class over GF(3^d), in census order: 4 at odd d, 6 at even d."""
+    if d % 2:
+        types = [(CurveType.I, t) for t in ("0", "1", "-1")] + [(CurveType.I_PLUS, None)]
+    else:
+        types = [(c, t) for c in (CurveType.I, CurveType.II) for t in (INV_ZERO, INV_NONZERO)]
+        types += [(CurveType.IIIA, None), (CurveType.IIIB, None)]
+    return tuple(CurveClass(c, t) for c, t in types)
+
+
+def _check_class(d: int, cls: CurveClass) -> None:
+    """DParityError when cls's type has no class at d's parity, ValueError for its invariant."""
+    classes = _census(d)
+    if cls not in classes:
+        if all(key.ctype != cls.ctype for key in classes):
+            raise DParityError(f"type {cls.ctype.value} curves do not exist for d = {d}")
+        raise ValueError(f"invariant {cls.invariant!r} is not valid for type {cls.ctype.value}")
+
+
 def _dispatch(
     e: ShortCurve,
 ) -> tuple[CurveClass, Callable[[], tuple[list[FieldElement], FieldElement]]]:
@@ -149,6 +168,9 @@ def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
     -beta^k and a6' = t*alpha*beta^(3k/2), t = 0 for the invariant "0" or
     None, -1 for "-1" and 1 otherwise. Each is built once per context
     (_representative).
+
+    Raises DParityError for a type that does not exist at d's parity, and
+    ValueError for an invariant the type does not take, as count_class does.
     """
     return _representative(ctx, cls)[0]
 
@@ -156,13 +178,15 @@ def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:
 def _representative(ctx: FieldContext, cls: CurveClass) -> tuple[ShortCurve, LinearizedMap]:
     """The representative of cls and the LinearizedMap of its a4, built once per context.
 
-    The context's slot keeps both by class, at most 4 classes at odd d and
-    6 at even d; classes whose representatives share an a4 (2 values at
-    odd d, 4 at even d) share its map.
+    The context's slot keeps both by class, and only the classes of the
+    census (_check_class), 4 at odd d and 6 at even d; classes whose
+    representatives share an a4 (2 values at odd d, 4 at even d) share its
+    map.
     """
     slot = ctx._representatives
     entry = slot.get(cls)
     if entry is None:
+        _check_class(ctx.d, cls)
         if cls.ctype == CurveType.I_PLUS:
             rep = ShortCurve(ctx.one, ctx.zero)
         else:

@@ -18,10 +18,10 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .classify import (
-    CurveClass, CurveType, INV_NONZERO, INV_ZERO, _dispatch, class_representative
+    CurveClass, CurveType, INV_ZERO, _census, _check_class, _dispatch, class_representative
 )
 from .curve import GeneralCurve, ReductionResult, ShortCurve, reduce_curve
-from .errors import DParityError, NotSupersingularError
+from .errors import NotSupersingularError
 from .field import FieldContext, FieldElement, chi_sum_cubic, chi_sum_fiber
 
 
@@ -90,16 +90,13 @@ def _class_orders(d: int) -> Mapping[CurveClass, int]:
     """
     q = 3**d
     orders = {}
-    if d % 2 == 1:
-        for t in (0, 1, -1):
-            orders[CurveClass(CurveType.I, str(t))] = q + 1 + 3 * s_closed(d, t)
-        orders[CurveClass(CurveType.I_PLUS, None)] = q + 1
-    else:
-        for ctype, sign in ((CurveType.I, 1), (CurveType.II, -1)):
-            for invariant, t in ((INV_ZERO, 0), (INV_NONZERO, 1)):
-                orders[CurveClass(ctype, invariant)] = q + 1 + sign * 3 * s_closed(d, t)
-        orders[CurveClass(CurveType.IIIA, None)] = q + 1
-        orders[CurveClass(CurveType.IIIB, None)] = q + 1
+    for cls in _census(d):
+        if cls.invariant is None:  # I+, IIIa, IIIb
+            orders[cls] = q + 1
+        else:
+            t = int(cls.invariant) if d % 2 else int(cls.invariant != INV_ZERO)
+            sign = -1 if cls.ctype == CurveType.II else 1
+            orders[cls] = q + 1 + sign * 3 * s_closed(d, t)
     return MappingProxyType(orders)
 
 
@@ -111,9 +108,7 @@ def count_class(d: int, cls: CurveClass) -> CountResult:
     """
     orders = _class_orders(d)
     if cls not in orders:
-        if all(key.ctype != cls.ctype for key in orders):
-            raise DParityError(f"type {cls.ctype.value} curves do not exist for d = {d}")
-        raise ValueError(f"invariant {cls.invariant!r} is not valid for type {cls.ctype.value}")
+        _check_class(d, cls)  # raises: orders holds every class of the census
     return _result(3**d, orders[cls], cls)
 
 

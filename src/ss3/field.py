@@ -51,11 +51,13 @@ d x d matrix each, applied by one big-int product (_FrobeniusMap), and
 _repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
 about log2(n) + popcount(n) products and as many maps.
 
-Contexts are immutable after construction and safe to share across
-threads. Two slots fill lazily, and both idempotently: the character table
-and the representatives' slot, which holds each class representative
-beside the LinearizedMap of its a4 (classify fills it). Threads that race
-on either build equal values, so whichever one is stored is correct.
+Contexts are safe to share across threads. Nothing changes after
+construction but three structures that fill lazily, each idempotently: the
+character table; the representatives' slot, which holds each class
+representative beside the LinearizedMap of its a4 (classify fills it); and,
+at d <= 4, the log table, which stores the log of an unreduced key on its
+first read (_Logs, at most 5^d keys). Threads that race on any of them
+store equal values, so whichever one is stored is correct.
 """
 
 from __future__ import annotations
@@ -790,7 +792,11 @@ def _sweep_rows(
     one _encode_row. A one-row pass is head(h) * ONES + the low row + each
     mul(cross[j], h) * DIGIT_j. A wider pass repeats the bytes of each
     head over its row's lanes and shifts each row's cross terms to its
-    first lane: a product by ONES of one pass-wide int would cost more.
+    first lane. Both single-path variants were measured and lost: building
+    every pass from bytes slows the full-width rows of d >= 8, and adding
+    each row built as a one-row pass, shifted to its first lane, made
+    naive_count 5-13% slower at d = 3..5 (a cold chi_table a few percent
+    faster), timed interleaved in one process on a shared 2-CPU machine.
     """
     d, mul = ctx.d, ctx._mul
     ones, digits, rows = _row_layout(d)[:3]

@@ -1,6 +1,7 @@
 """Type assignment, canonical representatives, witnesses, and the census."""
 
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import count_chains, count_muls, sample_curves
 from ss3 import (
     CurveClass,
     CurveType,
+    DParityError,
     NotANonSquare,
     ShortCurve,
     canonicalize,
@@ -272,8 +274,9 @@ def _check_map_slot(ctx, rng):
     The first canonicalize of a class keeps its representative on ctx beside
     the map of its a4, which costs d maps x -> x^3 (and d products) unless
     a class with that a4 came first; canonicalizing the same curve again
-    pays for neither. list_classes then reads the kept representatives and
-    builds nothing.
+    pays for neither. Building any kept a4's map costs exactly d products
+    and d maps. list_classes then reads the kept representatives and builds
+    nothing.
     """
     slot = ctx._representatives
     assert slot == {}
@@ -289,6 +292,10 @@ def _check_map_slot(ctx, rng):
     maps = {rep.a4.coeffs: lmap for rep, lmap in slot.values()}
     assert len(maps) == (2 if ctx.d % 2 else 4)
     assert all(maps[rep.a4.coeffs] is lmap for rep, lmap in slot.values())
+    for rep, _ in slot.values():
+        with count_muls(ctx) as build:
+            field.LinearizedMap(rep.a4)
+        assert build == [ctx.d, ctx.d]
     with count_muls(ctx) as listing:
         entries = list_classes(ctx)
     assert listing == [0, 0]
@@ -308,6 +315,21 @@ def test_representative_maps_fill_once_per_context(d):
     cold = make_context(d)
     assert cold is not warm
     _check_map_slot(cold, rng)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_class_representative_rejects_classes_outside_the_census(d):
+    # a class of the other parity or a foreign invariant raises as count_class
+    # does, and the context keeps nothing for it
+    ctx = field.FieldContext(d, field._default_modulus(d))
+    absent = CurveType.IIIA if d % 2 else CurveType.I_PLUS
+    with pytest.raises(DParityError, match=re.escape(f"type {absent.value} curves do not exist for d = {d}")):
+        class_representative(ctx, CurveClass(absent, None))
+    with pytest.raises(ValueError, match="^invariant 'x' is not valid for type I$"):
+        class_representative(ctx, CurveClass(CurveType.I, "x"))
+    assert ctx._representatives == {}
+    list_classes(ctx)
+    assert len(ctx._representatives) == (4 if d % 2 else 6)
 
 
 # ----------------------------------------------------------------------

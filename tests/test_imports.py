@@ -73,7 +73,7 @@ def test_only_field_touches_the_sweeps():
 CROSS_MODULE_PRIVATE = {
     "classify": ["_representatives"],
     "cli": ["_digit_list"],
-    "count": ["_dispatch"],
+    "count": ["_census", "_check_class", "_dispatch"],
 }
 
 
