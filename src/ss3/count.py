@@ -80,36 +80,40 @@ def s_brute(ctx: FieldContext, a: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _class_orders(d: int) -> Mapping[CurveClass, int]:
-    """Order of every isomorphism class over GF(3^d), in census order.
+def _class_orders(d: int) -> Mapping[CurveClass, CountResult]:
+    """The CountResult of every isomorphism class over GF(3^d), in census order.
 
     Type I has order q + 1 + 3*S_d(t) for its trace invariant t, its
     quadratic twist type II has q + 1 - 3*S_d(t), and the bijective types
     have q + 1. Even d keys on t = 0 or not, as S_d(1) = S_d(-1) there.
-    The mapping is read-only because every caller shares it.
+    The mapping is read-only and its results frozen because every caller
+    shares them.
     """
     q = 3**d
-    orders = {}
+    results = {}
     for cls in _census(d):
         if cls.invariant is None:  # I+, IIIa, IIIb
-            orders[cls] = q + 1
+            order = q + 1
         else:
             t = int(cls.invariant) if d % 2 else int(cls.invariant != INV_ZERO)
             sign = -1 if cls.ctype == CurveType.II else 1
-            orders[cls] = q + 1 + sign * 3 * s_closed(d, t)
-    return MappingProxyType(orders)
+            order = q + 1 + sign * 3 * s_closed(d, t)
+        results[cls] = _result(q, order, cls)
+    return MappingProxyType(results)
 
 
 def count_class(d: int, cls: CurveClass) -> CountResult:
     """Order shared by every curve of the class cls over GF(3^d).
 
+    Every call for one (d, class) returns the one shared result.
+
     Raises DParityError for a type that does not exist at d's parity, and
     ValueError for d < 1 or an invariant the type does not take.
     """
-    orders = _class_orders(d)
-    if cls not in orders:
-        _check_class(d, cls)  # raises: orders holds every class of the census
-    return _result(3**d, orders[cls], cls)
+    result = _class_orders(d).get(cls)
+    if result is None:
+        _check_class(d, cls)  # raises: the table holds every class of the census
+    return result
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,21 @@ d x d matrix each, applied by one big-int product (_FrobeniusMap), and
 _repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
 about log2(n) + popcount(n) products and as many maps.
 
+Fields of at most 81 elements also keep two memos (_Memo), each empty
+when the context is built and filled one key at a time on first read:
+the reduction of a packed sum (the _reduce slot, at most 7^d keys, as the
+slots of a + 2*b are at most 6) and the powers (v, w, r, t) of a
+PowerChain (the _chain slot, at most q - 1 keys). Above 81 elements both
+slots hold the general functions, _reducer(d) and _power_chain.
+
 Contexts are safe to share across threads. Nothing changes after
-construction but three structures that fill lazily, each idempotently: the
+construction but five structures that fill lazily, each idempotently: the
 character table; the representatives' slot, which holds each class
 representative beside the LinearizedMap of its a4 (classify fills it); and,
 at d <= 4, the log table, which stores the log of an unreduced key on its
-first read (_Logs, at most 5^d keys). Threads that race on any of them
-store equal values, so whichever one is stored is correct.
+first read (_Logs, at most 5^d keys), and the sum and chain memos. Each
+stores a value that its key alone determines, so threads that race on any
+of them store equal values, and whichever one is stored is correct.
 """
 
 from __future__ import annotations
@@ -101,6 +109,16 @@ _DIGITS = bytes(ord("0") + v % 3 for v in range(256))
 def _mod3(x: int, width: int) -> int:
     """Reduce every byte of a packed int mod 3; width is its length in bytes."""
     return int.from_bytes(x.to_bytes(width, "little").translate(_MOD3), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _reducer(d: int) -> Callable[[int], int]:
+    """_mod3 at width d as a one-argument kernel: a context's general _reduce."""
+
+    def reduce(x: int) -> int:
+        return int.from_bytes(x.to_bytes(d, "little").translate(_MOD3), "little")
+
+    return reduce
 
 
 def check_oracle_cap(q: int) -> None:
@@ -286,17 +304,20 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+        ctx = self.ctx
+        if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        return FieldElement(self.ctx, _mod3(self.coeffs + other.coeffs, self.ctx.d))
+        return FieldElement(ctx, ctx._reduce(self.coeffs + other.coeffs))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+        ctx = self.ctx
+        if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        return FieldElement(self.ctx, _mod3(self.coeffs + 2 * other.coeffs, self.ctx.d))
+        return FieldElement(ctx, ctx._reduce(self.coeffs + 2 * other.coeffs))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx, _mod3(2 * self.coeffs, self.ctx.d))
+        ctx = self.ctx
+        return FieldElement(ctx, ctx._reduce(2 * self.coeffs))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         if other.__class__ is not FieldElement or other.ctx is not self.ctx:
@@ -359,10 +380,16 @@ class FieldContext:
     2-Sylow subgroup, and _dlog maps each back to its j; every PowerChain
     reads its exponent there. _coset_r_inv holds e_k = beta^(-k(odd+1)/2),
     the inverse of r for beta^k, for the cosets k = 0..3 (k = 0 at odd d),
-    which PowerChain.coset_root reads. Two slots fill later: the chi table
-    on first use, and each class representative with the LinearizedMap of
-    its a4 (4 classes on 2 maps at odd d, 6 on 4 at even d) when classify
-    first needs it.
+    which PowerChain.coset_root reads. The sum slot _reduce reduces a
+    packed sum with slots <= 6 mod 3 (FieldElement's +, - and negation)
+    and the chain slot _chain maps a nonzero packed x to the (v, w, r, t)
+    of its PowerChain; they hold the general functions _reducer(d) and
+    _power_chain, which the build itself runs on, and for q <=
+    _LOG_TABLE_LIMIT each is swapped at the end of the build for a memo of
+    its function, empty until first read (_Memo). Two more slots fill
+    later: the chi table on first use, and each class representative with
+    the LinearizedMap of its a4 (4 classes on 2 maps at odd d, 6 on 4 at
+    even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -387,6 +414,8 @@ class FieldContext:
         "one",
         "minus_one",
         "_mul",
+        "_reduce",
+        "_chain",
         "_frobenius",
         "_trace_weights",
         "_chi_table",
@@ -403,6 +432,8 @@ class FieldContext:
         self.modulus = modulus
         self.key = (d, modulus)
         self._mul = _packed_mul(d, modulus)  # packed product mod the modulus
+        self._reduce = _reducer(d)  # packed sum mod 3
+        self._chain = self._power_chain  # x -> (v, w, r, t) of its PowerChain
         self._frobenius = self._build_frobenius()  # k -> x -> x^(3^k), packed
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -457,6 +488,9 @@ class FieldContext:
             self._coset_r_inv = (1, e1, e2, mul(e2, e1))
             quartic = FieldElement(self, sylow[size // 4])
             self.tau = min(quartic, -quartic, key=FieldElement.encoding)
+        if q <= _LOG_TABLE_LIMIT:  # after the build, so both memos start empty
+            self._reduce = _Memo(self._reduce).__getitem__
+            self._chain = _Memo(self._chain).__getitem__
 
     def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
         # g_k = t^(3^k) is the image of t under x -> x^(3^k), and
@@ -514,6 +548,26 @@ class FieldContext:
             if not n:
                 return 1 if acc is None else acc
             z, step = mul(frobenius[step](z), z), 2 * step
+
+    def _power_chain(self, x: int) -> tuple[int, int, int, int]:
+        """(v, w, r, t) of the PowerChain of a nonzero packed x, by its identity."""
+        mul, q1, d = self._mul, self.q - 1, self.d
+        s = (q1 & -q1).bit_length() - 1
+        p = d & -d
+        c, n = (3**p - 1) >> s, (d // p - 1) // 2
+        h, k = 1, 2  # h = x^((a-1)/2) for a the product of the b_i with 2^i < k
+        while k < p:
+            xa = mul(mul(h, h), x) if k > 2 else x
+            y = self._repunit_pow(mul(xa, xa), 2, k // 2)  # x^(a * (b-1)/2)
+            h, k = mul(y, h) if k > 2 else y, 2 * k
+        v, w = 1, h
+        if n:
+            xc = mul(mul(h, h), x) if c > 1 else x
+            v = self._frobenius[p](self._repunit_pow(xc, 2 * p, n))
+            y = mul(v, self._repunit_pow(v, 1, p))  # v^((3^p + 1) / 2)
+            w = mul(h, y) if c > 1 else y
+        r = mul(x, w)
+        return v, w, r, mul(r, w)
 
     def _euler_power(self, a: int) -> int:
         # a^((q-3)/2) = (a^3)^(sum_{i<d-1} 3^i), one repunit power: Euler's
@@ -637,6 +691,23 @@ class _FrobeniusMap:
         d = self.d
         column = (x * self.matrix).to_bytes(d * d + d - 1, "little")[d - 1::d]
         return int.from_bytes(column.translate(_MOD3), "little")
+
+
+class _Memo(dict):
+    """The values of a one-argument function, each computed and stored on its first read.
+
+    A context reads one through its __getitem__, which calls the function
+    for a missing key only.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class _Logs(dict):
@@ -970,9 +1041,10 @@ class PowerChain:
     """The power x^odd of a nonzero packed x and its exponent j, q - 1 = 2^s * odd.
 
     w = x^((odd-1)/2), r = x*w and t = r*w = x^odd, all by repunit powers
-    (FieldContext._repunit_pow) on maps the context keeps. With p = d & -d
-    (1 at odd d), c = (3^p - 1) / 2^s and n = (d/p - 1) / 2, one identity
-    holds at every d:
+    (FieldContext._repunit_pow) on maps the context keeps, which the
+    context's _chain slot takes (FieldContext._power_chain, in a memo at
+    q <= 81). With p = d & -d (1 at odd d), c = (3^p - 1) / 2^s and
+    n = (d/p - 1) / 2, one identity holds at every d:
 
         (odd-1)/2 = (c-1)/2 + c * 3^p * (3^p + 1)/2 * sum_{j<n} 9^(p*j),
 
@@ -1003,23 +1075,8 @@ class PowerChain:
     __slots__ = ("ctx", "v", "w", "r", "t")
 
     def __init__(self, ctx: FieldContext, x: int):
-        mul, q1, d = ctx._mul, ctx.q - 1, ctx.d
-        s = (q1 & -q1).bit_length() - 1
-        p = d & -d
-        c, n = (3**p - 1) >> s, (d // p - 1) // 2
-        h, k = 1, 2  # h = x^((a-1)/2) for a the product of the b_i with 2^i < k
-        while k < p:
-            xa = mul(mul(h, h), x) if k > 2 else x
-            y = ctx._repunit_pow(mul(xa, xa), 2, k // 2)  # x^(a * (b-1)/2)
-            h, k = mul(y, h) if k > 2 else y, 2 * k
-        self.ctx, self.v, self.w = ctx, 1, h
-        if n:
-            xc = mul(mul(h, h), x) if c > 1 else x
-            self.v = v = ctx._frobenius[p](ctx._repunit_pow(xc, 2 * p, n))
-            y = mul(v, ctx._repunit_pow(v, 1, p))  # v^((3^p + 1) / 2)
-            self.w = mul(h, y) if c > 1 else y
-        self.r = mul(x, self.w)
-        self.t = mul(self.r, self.w)
+        self.ctx = ctx
+        self.v, self.w, self.r, self.t = ctx._chain(x)
 
     @property
     def j(self) -> int:
@@ -1033,7 +1090,7 @@ class PowerChain:
         if not k:
             return a
         if 2 * k == size:
-            return _mod3(2 * a, ctx.d)
+            return ctx._reduce(2 * a)
         return ctx._mul(a, ctx._sylow[k])
 
     def inverse(self) -> FieldElement:

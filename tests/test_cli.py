@@ -3,13 +3,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ss3
 from ss3 import CountResult, field, make_context
 from ss3.cli import main
+from ss3.verify import run_verification
 from ss3.export import EXPORT_SCHEMA
 
 
@@ -276,6 +282,26 @@ def test_usage_errors_exit_2(capsys):
         assert captured.out == "", argv
         assert "Traceback" not in captured.err
         assert sum("error:" in line for line in captured.err.splitlines()) == 1, argv
+
+
+def test_python_m_ss3_runs_the_cli():
+    # python -m ss3 is the ss3 script: the same output and exit codes
+    src = str(Path(ss3.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def python_m_ss3(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ss3", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    done = python_m_ss3("verify", "--d-max", "1")
+    assert (done.returncode, done.stdout) == (0, run_verification(1).text())
+    done = python_m_ss3("field-info", "32")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+    assert sum(line.startswith("error:") for line in done.stderr.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Closed-form character sums and point counts against the oracles."""
 
+import dataclasses
 import random
 import re
 
 import pytest
 
-from conftest import count_muls, literal_chi, literal_general_count, literal_trace, sample_curves
+from conftest import (
+    count_chains, count_muls, literal_chi, literal_general_count, literal_trace, sample_curves
+)
 from ss3 import (
     CurveClass,
     CurveType,
@@ -29,6 +32,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
+from ss3.classify import _census, class_representative
 from ss3.count import char_sum_order
 from ss3.curve import all_short_curves
 
@@ -193,6 +197,24 @@ def test_count_class_error_split(d):
                 message = f"invariant {invariant!r} is not valid for type {ctype.value}"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     count_class(d, cls)
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_count_class_shares_one_frozen_result(d):
+    # count_class hands every caller of a (d, class) the one frozen result;
+    # count_supersingular still names the class by a dispatch, one chain,
+    # on every call, so no class is kept for a curve
+    ctx = make_context(d)
+    for cls in _census(d):
+        result = count_class(d, cls)
+        assert count_class(d, cls) is result
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.order = 0
+        e = class_representative(ctx, cls)
+        for _ in range(2):
+            with count_chains() as chains:
+                assert count_supersingular(e) is result
+            assert chains == [1], cls
 
 
 def test_count_trivial():

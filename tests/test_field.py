@@ -5,6 +5,8 @@ import itertools
 import operator
 import random
 import struct
+import sys
+import threading
 import tracemalloc
 from math import isqrt, prod
 
@@ -684,6 +686,66 @@ def test_logs_store_unreduced_keys(d):
         assert log[a] == log[reduced]
         assert a in log
     assert len(log) == 5**d
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sum_and_chain_memos_equal_their_functions(d):
+    # at d <= 4 the _reduce and _chain slots read memos of the general
+    # functions, empty after the build and equal to them on every key: each
+    # packed sum with slots <= 6 and each nonzero x; above, the slots are
+    # the general functions themselves
+    ctx = FieldContext(d, _default_modulus(d))
+    if d > 4:
+        assert ctx._reduce is field._reducer(d)
+        assert ctx._chain == ctx._power_chain
+        rng = random.Random(d)
+        for a in (_packed(rng.choices(range(7), k=d)) for _ in range(500)):
+            assert ctx._reduce(a) == field._mod3(a, d)
+        return
+    sum_memo, chain_memo = ctx._reduce.__self__, ctx._chain.__self__
+    assert type(sum_memo) is type(chain_memo) is field._Memo
+    assert (len(sum_memo), len(chain_memo)) == (0, 0)
+    assert (sum_memo.fn, chain_memo.fn) == (field._reducer(d), ctx._power_chain)
+    for a in map(_packed, itertools.product(range(7), repeat=d)):
+        assert ctx._reduce(a) == field._mod3(a, d)
+    for x in ctx.elements():
+        if x:
+            assert ctx._chain(x.coeffs) == ctx._power_chain(x.coeffs)
+    assert (len(sum_memo), len(chain_memo)) == (7**d, ctx.q - 1)
+
+
+def test_memos_fill_consistently_across_threads():
+    # threads racing on one fresh context's memos each store what the key
+    # alone determines, so every read equals the general function
+    ctx = FieldContext(4, _default_modulus(4))
+    nonzero = [x.coeffs for x in ctx.elements() if x]
+    sums = list(map(_packed, itertools.product(range(7), repeat=4)))
+    expected_sums = [field._mod3(a, 4) for a in sums]
+    expected_chains = [ctx._power_chain(x) for x in nonzero]
+    wrong = []
+
+    def read(offset):
+        for i in range(len(sums)):
+            a = sums[(i + offset) % len(sums)]
+            if ctx._reduce(a) != expected_sums[(i + offset) % len(sums)]:
+                wrong.append(a)
+        for i, x in enumerate(nonzero):
+            if ctx._chain(x) != expected_chains[i]:
+                wrong.append(x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(97 * k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert (len(ctx._reduce.__self__), len(ctx._chain.__self__)) == (7**4, ctx.q - 1)
 
 
 def test_row_slots_and_lane_reads_fit_every_degree():

@@ -1,5 +1,6 @@
-"""The verify report on injected faults, every FAIL line pinned whole, and
-the argument checks that run before any suite.
+"""The verify report on injected faults, every FAIL line pinned whole, the
+argument checks that run before any suite, and the key spaces of the
+d <= 4 memos a whole run fills.
 
 Each injected fault breaks one ingredient of one suite and compares the
 complete report, so the wording of each FAIL line, the suites that keep
@@ -12,7 +13,7 @@ import dataclasses
 import pytest
 
 import ss3.verify as verify_mod
-from ss3 import DegreeOutOfRange, InvalidArgument, IsomorphismWitness
+from ss3 import DegreeOutOfRange, InvalidArgument, IsomorphismWitness, make_context
 from ss3.curve import Point
 
 
@@ -310,3 +311,16 @@ def test_non_int_arguments_rejected_before_any_suite(d_max, samples, error, monk
     monkeypatch.setattr(verify_mod, "_run_suite", no_suite)
     with pytest.raises(error):
         verify_mod.run_verification(d_max, samples=samples)
+
+
+def test_memos_stay_within_their_key_spaces():
+    # a whole d <= 4 run reads each context's sum memo with packed sums of
+    # slots <= 6 only (at most 7^d keys) and its chain memo with nonzero
+    # reduced elements only (at most q - 1)
+    assert verify_mod.run_verification(4, samples=200, seed=0).passed
+    for d in range(1, 5):
+        ctx = make_context(d)
+        sums, chains = ctx._reduce.__self__, ctx._chain.__self__
+        assert 0 < len(sums) <= 7**d and 0 < len(chains) <= ctx.q - 1, d
+        assert all(max(a.to_bytes(d, "little")) <= 6 for a in sums), d
+        assert all(0 < x < 256**d and max(x.to_bytes(d, "little")) <= 2 for x in chains), d
