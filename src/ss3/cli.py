@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle-equivalence suites")
     p.add_argument("--d-max", type=int, default=4, dest="d_max")
     p.add_argument("--samples", type=int, default=200,
-                   help="random curves per degree above the exhaustive range")
+                   help="random curves per degree above d=4, and random isomorphic "
+                        "pairs per degree up to d=4")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

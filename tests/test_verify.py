@@ -1,20 +1,46 @@
 """The verify report on injected faults, every FAIL line pinned whole, the
-argument checks that run before any suite, and the key spaces of the
-d <= 4 memos a whole run fills.
+argument checks that run before any suite, the key spaces of the d <= 4
+memos a whole run fills, and the same report and exceptions whatever the
+number of CPUs the work is spread over.
 
 Each injected fault breaks one ingredient of one suite and compares the
 complete report, so the wording of each FAIL line, the suites that keep
 passing, and the order in which the suites draw from the shared rng stay
 fixed.
+
+The CPU count is set by patching os.sched_getaffinity; a test with n CPUs
+forks at most n - 1 children, and the tests that fork check that no child
+is left afterwards.
 """
 
 import dataclasses
+import errno
+import os
+import threading
+from pathlib import Path
 
 import pytest
 
 import ss3.verify as verify_mod
-from ss3 import DegreeOutOfRange, InvalidArgument, IsomorphismWitness, make_context
+from ss3 import (
+    DegreeOutOfRange,
+    InvalidArgument,
+    IsomorphismWitness,
+    NotSupersingularError,
+    make_context,
+)
 from ss3.curve import Point
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _shift_r(w, e):
@@ -280,11 +306,18 @@ FAIL witness-soundness d=3 point map left the curve a4=1,0,0;a6=2,2,2
 }
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_injected_fault_report(fault, monkeypatch):
+# every fault on one CPU, under the fault's own id, and again on two
+@pytest.mark.parametrize(
+    "fault, cpus",
+    [pytest.param(fault, 1, id=fault) for fault in sorted(FAULTS)]
+    + [pytest.param(fault, 2, id=f"{fault}-2cpus") for fault in sorted(FAULTS)],
+)
+def test_injected_fault_report(fault, cpus, monkeypatch):
     d_max, patch, lines = FAULTS[fault]
     patch(monkeypatch)
+    _cpus(monkeypatch, cpus)
     rep = verify_mod.run_verification(d_max, samples=3, seed=1)
+    _no_child_left()
     suites, failures = lines.count("\n"), lines.count("FAIL ")
     expected = (
         f"verify d-max={d_max} samples=3 seed=1\n{lines}"
@@ -308,15 +341,21 @@ def test_non_int_arguments_rejected_before_any_suite(d_max, samples, error, monk
     def no_suite(*args):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(verify_mod, "_run_suite", no_suite)
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(verify_mod, "_suite_line", no_suite)
+    monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(error):
         verify_mod.run_verification(d_max, samples=samples)
 
 
-def test_memos_stay_within_their_key_spaces():
+def test_memos_stay_within_their_key_spaces(monkeypatch):
     # a whole d <= 4 run reads each context's sum memo with packed sums of
     # slots <= 6 only (at most 7^d keys) and its chain memo with nonzero
-    # reduced elements only (at most q - 1)
+    # reduced elements only (at most q - 1); on one CPU every suite runs in
+    # this process, so its memos are the ones the whole run filled
+    _cpus(monkeypatch, 1)
     assert verify_mod.run_verification(4, samples=200, seed=0).passed
     for d in range(1, 5):
         ctx = make_context(d)
@@ -324,3 +363,137 @@ def test_memos_stay_within_their_key_spaces():
         assert 0 < len(sums) <= 7**d and 0 < len(chains) <= ctx.q - 1, d
         assert all(max(a.to_bytes(d, "little")) <= 6 for a in sums), d
         assert all(0 < x < 256**d and max(x.to_bytes(d, "little")) <= 2 for x in chains), d
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("d_max", range(1, 7))
+def test_report_identical_for_any_cpu_count(d_max, seed, monkeypatch):
+    texts = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        texts.append(verify_mod.run_verification(d_max, samples=2, seed=seed).text())
+        _no_child_left()
+    assert texts[0] == texts[1] == texts[2]
+    assert "\nRESULT PASS " in texts[0]
+
+
+def test_golden_report_on_two_cpus(monkeypatch):
+    _cpus(monkeypatch, 2)
+    rep = verify_mod.run_verification(4, samples=200, seed=7)
+    assert rep.text() == (GOLDEN / "verify_d4_seed7.txt").read_text()
+    _no_child_left()
+
+
+def _share_of(suite, d, d_max, samples):
+    """Which share of _plan runs the unit (suite, d): 0 is the calling process."""
+    tasks = verify_mod._tasks(d_max, samples, 0)
+    key = (verify_mod.SUITES.index(suite), d)
+    for k, share in enumerate(verify_mod._plan([cost for cost, _ in tasks])):
+        if any(unit[:2] == key for i in share for unit in tasks[i][1]):
+            return k
+    raise AssertionError(f"no task runs {suite} d={d}")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_earliest_exception_in_report_order_wins(cpus, monkeypatch):
+    # oracle-exhaustive raises at d = 2, in the child on 2 CPUs, and at d = 4,
+    # in the calling process, whose error is recorded first; the error's j is
+    # a field element, which does not pickle, so the type and message cross
+    # alone
+    _cpus(monkeypatch, cpus)
+    if cpus == 2:
+        assert _share_of("oracle-exhaustive", 2, 4, 3) == 1
+        assert _share_of("oracle-exhaustive", 4, 4, 3) == 0
+    real = verify_mod._check_curve
+
+    def check_curve(e):
+        if e.ctx.d in (2, 4):
+            raise NotSupersingularError(j=e.a4, message=f"refused at d={e.ctx.d}")
+        return real(e)
+
+    monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
+    with pytest.raises(NotSupersingularError) as caught:
+        verify_mod.run_verification(4, samples=3, seed=0)
+    assert type(caught.value) is NotSupersingularError
+    assert str(caught.value) == "refused at d=2 (j = 1,0)"
+    _no_child_left()
+
+
+class _Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt in the calling process."""
+
+
+def test_exception_in_calling_process_kills_and_reaps_children(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert _share_of("oracle-exhaustive", 4, 4, 3) == 0
+    parent, real = os.getpid(), verify_mod._check_curve
+
+    def check_curve(e):
+        if os.getpid() == parent and e.ctx.d == 4:
+            raise _Interrupt
+        return real(e)
+
+    monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
+    with pytest.raises(_Interrupt):
+        verify_mod.run_verification(4, samples=3, seed=0)
+    _no_child_left()
+
+
+def test_worker_that_dies_is_reported(monkeypatch):
+    _cpus(monkeypatch, 2)
+    parent, real = os.getpid(), verify_mod._check_curve
+
+    def check_curve(e):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(e)
+
+    monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
+    with pytest.raises(ChildProcessError, match="exit code 3"):
+        verify_mod.run_verification(3, samples=3, seed=0)
+    _no_child_left()
+
+
+def test_failed_fork_runs_the_share_in_process(monkeypatch):
+    want = verify_mod.run_verification(3, samples=3, seed=1).text()
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    assert verify_mod.run_verification(3, samples=3, seed=1).text() == want
+    assert fds is None or len(os.listdir("/proc/self/fd")) == len(fds)  # the pipe is closed
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 17, 64, 4096])
+@pytest.mark.parametrize("d_max", [1, 4, 8, 13])
+def test_plan_one_share_per_cpu_up_to_one_per_task(d_max, cpus, monkeypatch):
+    def no_fork():
+        raise AssertionError("planning forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, cpus)
+    costs = [cost for cost, _ in verify_mod._tasks(d_max, 200, 0)]
+    plan = verify_mod._plan(costs)
+    assert len(plan) == min(cpus, len(costs))
+    assert all(plan)
+    assert sorted(i for share in plan for i in share) == list(range(len(costs)))
+    assert verify_mod._plan(costs) == plan
+
+
+def test_plan_one_share_beside_a_live_thread(monkeypatch):
+    # a fork beside a running thread can deadlock, so a second thread
+    # keeps every task in the calling process
+    _cpus(monkeypatch, 4)
+    costs = [cost for cost, _ in verify_mod._tasks(4, 200, 0)]
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(verify_mod._plan(costs)) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
