@@ -63,7 +63,7 @@ construction but five structures that fill lazily, each idempotently: the
 character table; the representatives' slot, which holds each class
 representative beside the LinearizedMap of its a4 (classify fills it); and,
 at d <= 4, the log table, which stores the log of an unreduced key on its
-first read (_Logs, at most 5^d keys), and the sum and chain memos. Each
+first read (a _Memo, at most 5^d keys), and the sum and chain memos. Each
 stores a value that its key alone determines, so threads that race on any
 of them store equal values, and whichever one is stored is correct.
 """
@@ -710,20 +710,6 @@ class _Memo(dict):
         return value
 
 
-class _Logs(dict):
-    """Packed element -> discrete log; an unreduced key (slots <= 4) is read mod 3.
-
-    The log found for an unreduced key is stored under it, so each of the
-    at most 5^d such keys is reduced once, on its first read.
-    """
-
-    __slots__ = ("d",)
-
-    def __missing__(self, a: int) -> int:
-        log = self[a] = self[_mod3(a, self.d)]
-        return log
-
-
 def _table_kernels(
     d: int, beta: int, mul: Callable[[int, int], int], keys: Iterable[int]
 ) -> tuple[Callable[[int, int], int], dict[int, Callable[[int], int]]]:
@@ -733,17 +719,20 @@ def _table_kernels(
     is the first one negated, as beta^((q-1)/2) = -1. 0 has log 2(q-1) and
     exp is padded with zeros up to 4(q-1), so the product is
     exp[log a + log b] with no branch, and it takes the operands the
-    packed product takes. The map of k sends exp[i] to exp[i * 3^k mod (q-1)]
-    and 0 to 0; it reads reduced elements only, which every caller of the
-    maps passes.
+    packed product takes: log holds the q reduced keys after the build,
+    and an unreduced key (slots <= 4) reads its reduction's log, stored
+    under it on that first read. The map of k sends exp[i] to
+    exp[i * 3^k mod (q-1)] and 0 to 0; it reads reduced elements only,
+    which every caller of the maps passes.
     """
     q1 = 3**d - 1
     exp = [1]
     for _ in range(q1 // 2 - 1):
         exp.append(mul(exp[-1], beta))
     exp += [_mod3(2 * a, d) for a in exp]
-    log = _Logs(zip(exp, range(q1)))
-    log.d, log[0] = d, 2 * q1
+    log = _Memo(lambda a: log[_mod3(a, d)])
+    log.update(zip(exp, range(q1)))
+    log[0] = 2 * q1
     frobenius = {}
     for k in keys:
         step = 3**k % q1

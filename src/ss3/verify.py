@@ -14,16 +14,18 @@ pickles its lines back through a pipe. The lines are sorted by suite and
 degree, so reports are byte-identical across runs for a fixed (d_max,
 samples, seed), whatever the number of CPUs. With one CPU (`taskset -c 0`),
 without os.fork, or beside a second thread (a fork beside live threads can
-deadlock), every task runs in the calling process. A share whose fork
-fails with OSError runs there too.
+deadlock), every task runs in the calling process.
 
-A task that raises stops there. Once every share is back, the exception of
-the earliest (suite, degree) that raised is raised, with the same type and
-message for any number of CPUs. One from a child is rebuilt from its type
-and args, without attributes or traceback; `taskset -c 0` shows those. A
-child that ends without sending its lines raises ChildProcessError. Every
-child is reaped before run_verification returns or raises; one still
-running when something raised is killed first.
+A task that raises stops there; the other tasks still run. A child sends
+its lines only when no task of its share raised; otherwise it exits
+non-zero and sends nothing. After its own share, the calling process runs
+every share that did not come back: its fork failed, a task raised, or the
+child died. That share never ran in the calling process, so it runs there
+as on a single CPU, down to the seeded rng. Every exception is thus raised
+in the calling process, with its attributes and traceback, and the one of
+the earliest (suite, degree) wins, whatever the number of CPUs.
+Every child is reaped before run_verification returns or raises; one still
+running when the calling process raised is killed first.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterator, Optional
 
 from .classify import canonicalize, isomorphic, quadratic_twist
 from .count import count_supersingular, list_classes, s_brute, s_closed
@@ -288,15 +290,15 @@ def _run_share(tasks: list[Task]) -> tuple[list[Line], list[Error]]:
         for index, d, checks, passed in units:
             try:
                 lines.append((index, d, _suite_line(SUITES[index], d, checks, passed)))
-            except Exception as exc:  # raised by _run_tasks once every share is back
+            except Exception as exc:  # raised by _run_tasks once every share has run
                 errors.append((index, d, exc))
                 break
     return lines, errors
 
 
-def _fork_share(tasks: list[Task]):
-    """Start a child that runs tasks: (its pid, the pipe it pickles
-    _run_share's result into, each exception as its type and args)."""
+def _fork_share(tasks: list[Task]) -> tuple[int, BinaryIO]:
+    """Start a child that runs tasks: (its pid, the pipe it pickles their
+    lines into). It sends nothing and exits non-zero if a task raised."""
     import pickle  # only a run on several CPUs pays for the import, once before forking
 
     r, w = os.pipe()
@@ -311,11 +313,10 @@ def _fork_share(tasks: list[Task]):
         try:
             os.close(r)
             lines, errors = _run_share(tasks)
-            # an exception's attributes may not pickle, its type and args do
-            sent = [(index, d, type(exc), exc.args) for index, d, exc in errors]
-            with open(w, "wb") as out:
-                pickle.dump((lines, sent), out)
-            status = 0
+            if not errors:
+                with open(w, "wb") as out:
+                    pickle.dump(lines, out)
+                status = 0
         finally:
             os._exit(status)
     os.close(w)
@@ -325,30 +326,34 @@ def _fork_share(tasks: list[Task]):
 def _run_tasks(tasks: list[Task]) -> list[Line]:
     """Every task's lines in report order; see the module docstring."""
     shares = [[tasks[i] for i in share] for share in _plan([cost for cost, _ in tasks])]
-    local, children = shares[0], {}
+    children: dict[int, BinaryIO] = {}  # pid -> pipe of each child not yet reaped
+    forked: list[tuple[list[Task], Optional[int]]] = []
     try:
         for share in shares[1:]:
             try:
                 pid, pipe = _fork_share(share)
-            except OSError:  # no process to be had (EAGAIN, ENOMEM): run it here
-                local = local + share
+            except OSError:  # no process to be had (EAGAIN, ENOMEM)
+                pid = None
             else:
                 children[pid] = pipe
-        lines, errors = _run_share(local)
-        for pid, pipe in list(children.items()):
-            import pickle  # loaded already by _fork_share
+            forked.append((share, pid))
+        lines, errors = _run_share(shares[0])
+        for share, pid in forked:
+            sent = None
+            if pid is not None:
+                import pickle  # loaded already by _fork_share
 
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if status != 0:
-                raise ChildProcessError(f"verify worker {pid} ended with exit code {status}")
-            more_lines, more_errors = pickle.loads(data)
-            lines += more_lines
-            errors += [(index, d, cls.__new__(cls, *args)) for index, d, cls, args in more_errors]
+                with children[pid] as pipe:
+                    data = pipe.read()
+                if os.waitpid(pid, 0)[1] == 0:
+                    sent = pickle.loads(data)
+                del children[pid]
+            if sent is None:  # the fork failed, a task raised or the child died
+                sent, more = _run_share(share)
+                errors += more
+            lines += sent
     finally:
-        if children:  # something raised: stop the children still running
+        if children:  # something raised here: stop the children still running
             import signal
 
             for pid, pipe in children.items():
@@ -363,14 +368,17 @@ def _run_tasks(tasks: list[Task]) -> list[Line]:
 def run_verification(d_max: int, samples: int = 200, seed: int = 0) -> VerifyReport:
     """Run every suite up to d_max and collect a deterministic report.
 
-    Arguments that would let a suite pass without checking anything, or
-    fail only after others ran, are rejected before any suite runs.
+    Arguments that would let a suite pass without checking anything, fail
+    only after others ran, or leave the report to chance (a seed that is
+    not an int) are rejected before any suite runs.
     """
     if isinstance(d_max, bool) or not isinstance(d_max, int) or not 1 <= d_max <= DEGREE_CAP:
         raise DegreeOutOfRange(f"d-max must satisfy 1 <= d-max <= {DEGREE_CAP}, got {d_max}")
     check_oracle_cap(3**d_max)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise InvalidArgument(f"samples must be at least 1, got {samples}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidArgument(f"seed must be an int, got {seed!r}")
     rep = VerifyReport(d_max=d_max, samples=samples, seed=seed)
     for _, _, line in _run_tasks(_tasks(d_max, samples, seed)):
         rep.add(line)

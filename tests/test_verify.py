@@ -328,16 +328,21 @@ def test_injected_fault_report(fault, cpus, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "d_max, samples, error",
+    "d_max, samples, seed, error",
     [
-        (4.0, 200, DegreeOutOfRange),
-        (True, 200, DegreeOutOfRange),
-        (5, 2.5, InvalidArgument),
-        (5, True, InvalidArgument),
+        pytest.param(4.0, 200, 0, DegreeOutOfRange, id="4.0-200-DegreeOutOfRange"),
+        pytest.param(True, 200, 0, DegreeOutOfRange, id="True-200-DegreeOutOfRange"),
+        pytest.param(5, 2.5, 0, InvalidArgument, id="5-2.5-InvalidArgument"),
+        pytest.param(5, True, 0, InvalidArgument, id="5-True-InvalidArgument"),
+        pytest.param(5, 200, None, InvalidArgument, id="seed-None"),
+        pytest.param(5, 200, True, InvalidArgument, id="seed-True"),
+        pytest.param(5, 200, (1, 2), InvalidArgument, id="seed-tuple"),
     ],
 )
-def test_non_int_arguments_rejected_before_any_suite(d_max, samples, error, monkeypatch):
-    # a float or a bool passes the range checks, so the type is checked first
+def test_non_int_arguments_rejected_before_any_suite(d_max, samples, seed, error, monkeypatch):
+    # a float or a bool passes the range checks, so the type is checked
+    # first; a seed of None would draw from OS entropy, True would print as
+    # seed=True
     def no_suite(*args):
         raise AssertionError("a suite ran")
 
@@ -347,7 +352,7 @@ def test_non_int_arguments_rejected_before_any_suite(d_max, samples, error, monk
     monkeypatch.setattr(verify_mod, "_suite_line", no_suite)
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(error):
-        verify_mod.run_verification(d_max, samples=samples)
+        verify_mod.run_verification(d_max, samples=samples, seed=seed)
 
 
 def test_memos_stay_within_their_key_spaces(monkeypatch):
@@ -397,9 +402,9 @@ def _share_of(suite, d, d_max, samples):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_earliest_exception_in_report_order_wins(cpus, monkeypatch):
     # oracle-exhaustive raises at d = 2, in the child on 2 CPUs, and at d = 4,
-    # in the calling process, whose error is recorded first; the error's j is
-    # a field element, which does not pickle, so the type and message cross
-    # alone
+    # in the calling process, whose error is recorded first; the child's
+    # share runs again in the calling process, so the error keeps its j,
+    # which does not pickle, and its traceback
     _cpus(monkeypatch, cpus)
     if cpus == 2:
         assert _share_of("oracle-exhaustive", 2, 4, 3) == 1
@@ -416,6 +421,31 @@ def test_earliest_exception_in_report_order_wins(cpus, monkeypatch):
         verify_mod.run_verification(4, samples=3, seed=0)
     assert type(caught.value) is NotSupersingularError
     assert str(caught.value) == "refused at d=2 (j = 1,0)"
+    assert caught.value.j == make_context(2).element([1, 0])
+    assert caught.traceback[-1].name == "check_curve"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unpicklable_exception_from_a_child_share(cpus, monkeypatch):
+    # a ValueError whose args hold a field element does not pickle; on 2
+    # CPUs it is raised in the child's share, and reaches the caller whole
+    _cpus(monkeypatch, cpus)
+    if cpus == 2:
+        assert _share_of("oracle-exhaustive", 2, 4, 3) == 1
+    real = verify_mod._check_curve
+
+    def check_curve(e):
+        if e.ctx.d == 2:
+            raise ValueError("refused", e.a4)
+        return real(e)
+
+    monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
+    with pytest.raises(ValueError) as caught:
+        verify_mod.run_verification(4, samples=3, seed=0)
+    assert type(caught.value) is ValueError
+    assert caught.value.args == ("refused", make_context(2).element([1, 0]))
+    assert caught.traceback[-1].name == "check_curve"
     _no_child_left()
 
 
@@ -439,8 +469,17 @@ def test_exception_in_calling_process_kills_and_reaps_children(monkeypatch):
     _no_child_left()
 
 
-def test_worker_that_dies_is_reported(monkeypatch):
+def test_share_of_a_dead_child_runs_in_process(monkeypatch):
+    # on 2 CPUs the child runs the rng task and dies in it; the calling
+    # process runs that share again from its own unconsumed rng, so the
+    # report, with its sampled FAIL line, is the one of 1 CPU
+    d_max, patch, _ = FAULTS["count-order"]
+    patch(monkeypatch)
+    _cpus(monkeypatch, 1)
+    want = verify_mod.run_verification(d_max, samples=3, seed=1).text()
+    assert "FAIL oracle-sampled d=5 curve=" in want
     _cpus(monkeypatch, 2)
+    assert _share_of("oracle-sampled", 5, d_max, 3) == 1
     parent, real = os.getpid(), verify_mod._check_curve
 
     def check_curve(e):
@@ -449,8 +488,7 @@ def test_worker_that_dies_is_reported(monkeypatch):
         return real(e)
 
     monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
-    with pytest.raises(ChildProcessError, match="exit code 3"):
-        verify_mod.run_verification(3, samples=3, seed=0)
+    assert verify_mod.run_verification(d_max, samples=3, seed=1).text() == want
     _no_child_left()
 
 
