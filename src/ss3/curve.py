@@ -18,7 +18,7 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .field import FieldContext, FieldElement, chi, chi_sum_cubic, sqrt
+from .field import FieldContext, FieldElement, chi_sum_cubic, sqrt
 
 
 def _common_ctx(*elements: FieldElement) -> FieldContext:
@@ -227,11 +227,12 @@ def random_point(e: ShortCurve, rng) -> Point:
     """Uniformly-flavored affine point: random x until the rhs is a square.
 
     Over GF(3) a curve may have no affine points at all (the order-1
-    twist); infinity is returned then. Fields with q >= 9 always have
-    affine points by the Hasse bound.
+    twist); infinity is returned then, decided by the oracle, as #E = 1 +
+    the number of affine points. Fields with q >= 9 always have affine
+    points by the Hasse bound.
     """
     ctx = e.ctx
-    if ctx.d == 1 and all(chi(e.rhs(x)) == -1 for x in ctx.elements()):
+    if ctx.d == 1 and naive_count(e) == 1:
         return e.infinity()
     while True:
         x = ctx.random_element(rng)

@@ -51,21 +51,25 @@ d x d matrix each, applied by one big-int product (_FrobeniusMap), and
 _repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
 about log2(n) + popcount(n) products and as many maps.
 
-Fields of at most 81 elements also keep two memos (_Memo), each empty
+Fields of at most 81 elements also keep three memos (_Memo), each empty
 when the context is built and filled one key at a time on first read:
 the reduction of a packed sum (the _reduce slot, at most 7^d keys, as the
-slots of a + 2*b are at most 6) and the powers (v, w, r, t) of a
-PowerChain (the _chain slot, at most q - 1 keys). Above 81 elements both
-slots hold the general functions, _reducer(d) and _power_chain.
+slots of a + 2*b are at most 6), the powers (v, w, r, t) of a
+PowerChain (the _chain slot, at most q - 1 keys) and the one pass of
+x^3 + c2 x^2 + c1 x over every x, to which chi_sum_cubic adds c0 (the
+_cubic_pass slot, keyed by (c2, c1), at most q^2 keys). Above 81
+elements the first two slots hold the general functions, _reducer(d)
+and _power_chain, and the third None: the cubic sum sweeps pass by pass.
 
 Contexts are safe to share across threads. Nothing changes after
-construction but five structures that fill lazily, each idempotently: the
+construction but six structures that fill lazily, each idempotently: the
 character table; the representatives' slot, which holds each class
 representative beside the LinearizedMap of its a4 (classify fills it); and,
 at d <= 4, the log table, which stores the log of an unreduced key on its
-first read (a _Memo, at most 5^d keys), and the sum and chain memos. Each
-stores a value that its key alone determines, so threads that race on any
-of them store equal values, and whichever one is stored is correct.
+first read (a _Memo, at most 5^d keys), and the sum, chain and cubic
+memos. Each stores a value that its key alone determines, so threads that
+race on any of them store equal values, and whichever one is stored is
+correct.
 """
 
 from __future__ import annotations
@@ -386,10 +390,13 @@ class FieldContext:
     of its PowerChain; they hold the general functions _reducer(d) and
     _power_chain, which the build itself runs on, and for q <=
     _LOG_TABLE_LIMIT each is swapped at the end of the build for a memo of
-    its function, empty until first read (_Memo). Two more slots fill
-    later: the chi table on first use, and each class representative with
-    the LinearizedMap of its a4 (4 classes on 2 maps at odd d, 6 on 4 at
-    even d) when classify first needs it.
+    its function, empty until first read (_Memo). At those q only, the
+    cubic slot _cubic_pass is a third such memo, which maps packed (c2,
+    c1) to the one pass of x^3 + c2 x^2 + c1 x over every x
+    (_cubic_passes) that chi_sum_cubic reads; above, it is None. Two more
+    slots fill later: the chi table on first use, and each class
+    representative with the LinearizedMap of its a4 (4 classes on 2 maps
+    at odd d, 6 on 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -416,6 +423,7 @@ class FieldContext:
         "_mul",
         "_reduce",
         "_chain",
+        "_cubic_pass",
         "_frobenius",
         "_trace_weights",
         "_chi_table",
@@ -434,6 +442,7 @@ class FieldContext:
         self._mul = _packed_mul(d, modulus)  # packed product mod the modulus
         self._reduce = _reducer(d)  # packed sum mod 3
         self._chain = self._power_chain  # x -> (v, w, r, t) of its PowerChain
+        self._cubic_pass = None  # (c2, c1) -> the pass of x^3 + c2 x^2 + c1 x, at q <= 81
         self._frobenius = self._build_frobenius()  # k -> x -> x^(3^k), packed
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -488,9 +497,10 @@ class FieldContext:
             self._coset_r_inv = (1, e1, e2, mul(e2, e1))
             quartic = FieldElement(self, sylow[size // 4])
             self.tau = min(quartic, -quartic, key=FieldElement.encoding)
-        if q <= _LOG_TABLE_LIMIT:  # after the build, so both memos start empty
+        if q <= _LOG_TABLE_LIMIT:  # after the build, so the memos start empty
             self._reduce = _Memo(self._reduce).__getitem__
             self._chain = _Memo(self._chain).__getitem__
+            self._cubic_pass = _Memo(lambda key: next(_cubic_passes(self, *key, 0))).__getitem__
 
     def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
         # g_k = t^(3^k) is the image of t under x -> x^(3^k), and
@@ -636,8 +646,8 @@ class FieldContext:
             mul, mark, two = self._mul, table.__setitem__, itertools.repeat(2)
             low_squares = [mul(x, x) for x in _digit_halves(self.d)[0]]
             cross = [2 << 8 * j for j in range(self.d // 2)]
-            for encodings in _sweep_rows(self, lambda h: mul(h, h), low_squares, cross):
-                collections.deque(map(mark, encodings, two), maxlen=0)
+            for packed in _sweep_rows(self, lambda h: mul(h, h), low_squares, cross):
+                collections.deque(map(mark, _encode_row(self.d, packed), two), maxlen=0)
             table[0] = 1
             self._chi_table = table
         return table
@@ -784,9 +794,9 @@ def _row_layout(d: int) -> tuple:
 
     A pass holds ROWS rows, enough for _PASS_LANES lanes and at most the
     whole field: every row at d <= 4, 81 // 3^k rows at d = 5..7 and one
-    from d = 8 on. ONES holds 1 in every lane of one row and DIGIT_j, for
-    j < k, digit j of i in its lane i. The rounds of _encode_row are
-    (shift, mask, 3^w) for w = 1, 2, 4, .., S / 2, the mask keeping the
+    from d = 8 on. ONES holds 1 in every lane of one pass and DIGIT_j, for
+    j < k, digit j of i in lane i of one row. The rounds of _encode_row
+    are (shift, mask, 3^w) for w = 1, 2, 4, .., S / 2, the mask keeping the
     low w bytes of every 2w-byte group of a pass. The picks slice takes
     each lane's low read bytes, as native ints in lane order, from the
     pass's bytes in native order.
@@ -799,7 +809,7 @@ def _row_layout(d: int) -> tuple:
     def lanes(values: Iterable[int]) -> int:
         return int.from_bytes(b"".join(bytes([v]) + pad for v in values), "little")
 
-    ones = lanes([1] * n)
+    ones = lanes([1] * (rows * n))
     digits = tuple(lanes(i // 3**j % 3 for i in range(n)) for j in range(d // 2))
     rounds, w = [], 1
     while w < width:
@@ -840,23 +850,24 @@ def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
 
 def _sweep_rows(
     ctx: FieldContext, head: Callable[[int], int], low_parts: Sequence[int], cross: Sequence[int]
-) -> Iterator[memoryview]:
-    """Encodings of head(h) + low_parts[i] + sum_j l_j * cross[j] * h, pass by pass.
+) -> Iterator[int]:
+    """Packed passes of head(h) + low_parts[i] + sum_j l_j * cross[j] * h.
 
     The rows of the high halves h run in encoding order over the lows l
     (digits l_j, encoding i) in lane order, and each pass packs ROWS
     consecutive rows (_row_layout), so the lanes of the passes run in
     encoding order of h + l. cross has at most k terms. head(h) may leave
     slots <= 4, the low parts and cross terms must be reduced. Each row
-    costs len(cross) products, plus whatever head(h) makes, and each pass
-    one _encode_row. A one-row pass is head(h) * ONES + the low row + each
-    mul(cross[j], h) * DIGIT_j. A wider pass repeats the bytes of each
-    head over its row's lanes and shifts each row's cross terms to its
-    first lane. Both single-path variants were measured and lost: building
-    every pass from bytes slows the full-width rows of d >= 8, and adding
-    each row built as a one-row pass, shifted to its first lane, made
-    naive_count 5-13% slower at d = 3..5 (a cold chi_table a few percent
-    faster), timed interleaved in one process on a shared 2-CPU machine.
+    costs len(cross) products, plus whatever head(h) makes, and the caller
+    encodes each pass with one _encode_row. A one-row pass is head(h) *
+    ONES + the low row + each mul(cross[j], h) * DIGIT_j. A wider pass
+    repeats the bytes of each head over its row's lanes and shifts each
+    row's cross terms to its first lane. Both single-path variants were
+    measured and lost: building every pass from bytes slows the full-width
+    rows of d >= 8, and adding each row built as a one-row pass, shifted to
+    its first lane, made naive_count 5-13% slower at d = 3..5 (a cold
+    chi_table a few percent faster), timed interleaved in one process on a
+    shared 2-CPU machine.
     """
     d, mul = ctx.d, ctx._mul
     ones, digits, rows = _row_layout(d)[:3]
@@ -868,7 +879,7 @@ def _sweep_rows(
             packed = head(h) * ones + low
             for b, digit in zip(cross, digits):
                 packed += mul(b, h) * digit
-            yield _encode_row(d, packed)
+            yield packed
         return
     n, from_bytes = len(low_parts), int.from_bytes
     shifts = range(0, 8 * len(low_row) * rows, 8 * len(low_row))  # row r's first bit
@@ -877,28 +888,46 @@ def _sweep_rows(
         packed = from_bytes(heads, "little") + low
         for b, digit in zip(cross, digits):
             packed += sum([mul(b, h) * digit << shift for h, shift in zip(group, shifts)])
-        yield _encode_row(d, packed)
+        yield packed
+
+
+def _cubic_passes(ctx: FieldContext, c2: int, c1: int, c0: int) -> Iterator[int]:
+    """The packed passes of f(x) = x^3 + c2 x^2 + c1 x + c0 over the field (_sweep_rows).
+
+    Cubing is additive in characteristic 3, so f(h + l) = f(h) + (f(l) -
+    c0) + 2*c2*h*l: products run per half, not per element, and the cross
+    term is the sum over the low digits l_j of l_j times 2*c2*h*t^j. The
+    coefficients are packed and reduced.
+    """
+    mul = ctx._mul
+    # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
+    # accepts and which f(h) keeps, as _sweep_rows allows.
+    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
+    cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
+    return _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
 
 
 def chi_sum_cubic(ctx: FieldContext, c2: FieldElement, c1: FieldElement, c0: FieldElement) -> int:
     """q + 1 + sum of chi(f(x)) over the field, f(x) = x^3 + c2 x^2 + c1 x + c0.
 
-    Cubing is additive in characteristic 3, so f(h + l) = f(h) + (f(l) -
-    c0) + 2*c2*h*l: products run per half, not per element, and the cross
-    term is the sum over the low digits l_j of l_j times 2*c2*h*t^j.
+    The passes of f come from _cubic_passes, and each is encoded by one
+    _encode_row and read from the chi table through one _picker. At q <=
+    81 one pass covers the field, and its part f(x) - c0 over every x is
+    read from the context's cubic memo under (c2, c1), built by the same
+    sweep on its first read: a call then adds c0 * ONES to it, with no
+    product, and still reads chi at all q values.
 
     Raises:
         OracleTooLarge: for q above ORACLE_CAP.
     """
-    mul, c2, c1, c0 = ctx._mul, c2.coeffs, c1.coeffs, c0.coeffs
+    d, c2, c1, c0 = ctx.d, c2.coeffs, c1.coeffs, c0.coeffs
     table = ctx.chi_table()  # checks the oracle cap
-    # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
-    # accepts and which f(h) keeps, as _sweep_rows allows.
-    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
-    cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
-    passes = _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
+    if ctx.q <= _LOG_TABLE_LIMIT:
+        passes = [ctx._cubic_pass((c2, c1)) + c0 * _row_layout(d)[0]]  # slots <= 6 + 4k
+    else:
+        passes = _cubic_passes(ctx, c2, c1, c0)
     # the table holds chi + 1, so its q reads sum to q + the sum of chi
-    return 1 + sum(sum(_picker(encodings)(table)) for encodings in passes)
+    return 1 + sum(sum(_picker(_encode_row(d, packed))(table)) for packed in passes)
 
 
 def chi_sum_fiber(ctx: FieldContext, a: int) -> int:

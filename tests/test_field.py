@@ -698,6 +698,7 @@ def test_sum_and_chain_memos_equal_their_functions(d):
     if d > 4:
         assert ctx._reduce is field._reducer(d)
         assert ctx._chain == ctx._power_chain
+        assert ctx._cubic_pass is None
         rng = random.Random(d)
         for a in (_packed(rng.choices(range(7), k=d)) for _ in range(500)):
             assert ctx._reduce(a) == field._mod3(a, d)
@@ -714,6 +715,33 @@ def test_sum_and_chain_memos_equal_their_functions(d):
     assert (len(sum_memo), len(chain_memo)) == (7**d, ctx.q - 1)
 
 
+def _memo_free_cubic_sum(ctx, c2, c1, c0):
+    """chi_sum_cubic as the sweep takes it above 81 elements: c0 in every head, no memo."""
+    table = ctx.chi_table()
+    passes = field._cubic_passes(ctx, c2.coeffs, c1.coeffs, c0.coeffs)
+    return 1 + sum(sum(field._picker(_encode_row(ctx.d, p))(table)) for p in passes)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_cubic_memo_reads_equal_a_fresh_context(d):
+    # at d <= 4 the a6-free pass of x^3 + c2 x^2 + c1 x over every x is a
+    # memo under (c2, c1), empty after the build; once filled, every
+    # chi_sum_cubic equals the memo-free sweep on a fresh context, for every
+    # c0: all (c2, c1) at d <= 2, 9 x 9 of them (0 among them) above
+    ctx, fresh = (FieldContext(d, _default_modulus(d)) for _ in range(2))
+    memo = ctx._cubic_pass.__self__
+    assert type(memo) is field._Memo and len(memo) == 0
+    elements = list(ctx.elements())
+    coeffs = elements if d <= 2 else [ctx.zero] + random.Random(d).sample(elements[1:], 8)
+    keys = [(c2, c1) for c2 in coeffs for c1 in coeffs]
+    for c2, c1 in keys:
+        field.chi_sum_cubic(ctx, c2, c1, ctx.zero)  # the first read fills the memo
+    assert len(memo) == len(keys)
+    for (c2, c1), c0 in itertools.product(keys, elements):
+        assert field.chi_sum_cubic(ctx, c2, c1, c0) == _memo_free_cubic_sum(fresh, c2, c1, c0)
+    assert len(memo) == len(keys) and len(fresh._cubic_pass.__self__) == 0
+
+
 def test_memos_fill_consistently_across_threads():
     # threads racing on one fresh context's memos each store what the key
     # alone determines, so every read equals the general function
@@ -722,6 +750,8 @@ def test_memos_fill_consistently_across_threads():
     sums = list(map(_packed, itertools.product(range(7), repeat=4)))
     expected_sums = [field._mod3(a, 4) for a in sums]
     expected_chains = [ctx._power_chain(x) for x in nonzero]
+    cubics = [(c2, c1) for c2 in nonzero[:3] + [0] for c1 in nonzero + [0]]
+    expected_cubics = [next(field._cubic_passes(ctx, c2, c1, 0)) for c2, c1 in cubics]
     wrong = []
 
     def read(offset):
@@ -732,6 +762,10 @@ def test_memos_fill_consistently_across_threads():
         for i, x in enumerate(nonzero):
             if ctx._chain(x) != expected_chains[i]:
                 wrong.append(x)
+        for i in range(len(cubics)):
+            key = cubics[(i + offset) % len(cubics)]
+            if ctx._cubic_pass(key) != expected_cubics[(i + offset) % len(cubics)]:
+                wrong.append(key)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -746,6 +780,7 @@ def test_memos_fill_consistently_across_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
     assert (len(ctx._reduce.__self__), len(ctx._chain.__self__)) == (7**4, ctx.q - 1)
+    assert len(ctx._cubic_pass.__self__) == len(cubics)
 
 
 def test_row_slots_and_lane_reads_fit_every_degree():

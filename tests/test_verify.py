@@ -357,17 +357,21 @@ def test_non_int_arguments_rejected_before_any_suite(d_max, samples, seed, error
 
 def test_memos_stay_within_their_key_spaces(monkeypatch):
     # a whole d <= 4 run reads each context's sum memo with packed sums of
-    # slots <= 6 only (at most 7^d keys) and its chain memo with nonzero
-    # reduced elements only (at most q - 1); on one CPU every suite runs in
-    # this process, so its memos are the ones the whole run filled
+    # slots <= 6 only (at most 7^d keys), its chain memo with nonzero
+    # reduced elements only (at most q - 1) and its cubic memo with the
+    # (0, a4) of naive_count only (at most q - 1); on one CPU every suite
+    # runs in this process, so its memos are the ones the whole run filled
     _cpus(monkeypatch, 1)
     assert verify_mod.run_verification(4, samples=200, seed=0).passed
     for d in range(1, 5):
         ctx = make_context(d)
         sums, chains = ctx._reduce.__self__, ctx._chain.__self__
+        cubics = ctx._cubic_pass.__self__
         assert 0 < len(sums) <= 7**d and 0 < len(chains) <= ctx.q - 1, d
+        assert 0 < len(cubics) <= ctx.q - 1, d
         assert all(max(a.to_bytes(d, "little")) <= 6 for a in sums), d
         assert all(0 < x < 256**d and max(x.to_bytes(d, "little")) <= 2 for x in chains), d
+        assert all(c2 == 0 and 0 < c1 < 256**d for c2, c1 in cubics), d
 
 
 @pytest.mark.parametrize("seed", [0, 7])
