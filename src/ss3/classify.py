@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .curve import Point, ShortCurve
@@ -26,6 +27,7 @@ from .field import (
     LinearizedMap,
     PowerChain,
     chi,
+    from_packed,
     trace,
 )
 
@@ -228,11 +230,12 @@ def _first_witness(
         u2 = u * u
         xs = lmap.preimages((e2.a6 - e1.a6 * (u2 * inv8)).coeffs)
         if xs:
-            rs = [u2 * FieldElement(ctx, xs[0])]
+            rs = [u2 * from_packed(ctx, xs[0])]
             for k in lmap.kernel:
-                uk = u2 * FieldElement(ctx, k)
+                uk = u2 * from_packed(ctx, k)
                 rs += [rs[0] + uk, rs[0] - uk]
-            return IsomorphismWitness(u, min(rs, key=FieldElement.encoding))
+            # reduced elements: packed order is encoding order
+            return IsomorphismWitness(u, min(rs, key=attrgetter("coeffs")))
     return None
 
 

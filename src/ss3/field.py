@@ -51,25 +51,34 @@ d x d matrix each, applied by one big-int product (_FrobeniusMap), and
 _repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
 about log2(n) + popcount(n) products and as many maps.
 
-Fields of at most 81 elements also keep three memos (_Memo), each empty
+Fields of at most 81 elements also keep five memos (_Memo), each empty
 when the context is built and filled one key at a time on first read:
 the reduction of a packed sum (the _reduce slot, at most 7^d keys, as the
 slots of a + 2*b are at most 6), the powers (v, w, r, t) of a
-PowerChain (the _chain slot, at most q - 1 keys) and the one pass of
+PowerChain (the _chain slot, at most q - 1 keys), the one pass of
 x^3 + c2 x^2 + c1 x over every x, to which chi_sum_cubic adds c0 (the
-_cubic_pass slot, keyed by (c2, c1), at most q^2 keys). Above 81
-elements the first two slots hold the general functions, _reducer(d)
-and _power_chain, and the third None: the cubic sum sweeps pass by pass.
+_cubic_pass slot, keyed by (c2, c1), at most q^2 keys), and one
+FieldElement per value, by its reduced packed int (the _element slot) and
+by its encoding (the _decode slot), at most q keys each. Every
+element-level result is read from the element memo under its packed int:
++, - and negation under the sum memo's reduction, * under the table
+product, which still calls the _mul slot, and powers, inverses,
+from_int, elements(), the PowerChain roots and the class witnesses
+(from_packed) alike, so a field of at most 81 elements builds each
+element once. Above 81 elements the first two slots hold the general
+functions, _reducer(d) and _power_chain, and the other three None: the
+cubic sum sweeps pass by pass and each result is a new FieldElement.
 
 Contexts are safe to share across threads. Nothing changes after
-construction but six structures that fill lazily, each idempotently: the
-character table; the representatives' slot, which holds each class
-representative beside the LinearizedMap of its a4 (classify fills it); and,
-at d <= 4, the log table, which stores the log of an unreduced key on its
-first read (a _Memo, at most 5^d keys), and the sum, chain and cubic
-memos. Each stores a value that its key alone determines, so threads that
-race on any of them store equal values, and whichever one is stored is
-correct.
+construction but eight structures that fill lazily, each idempotently:
+the character table; the representatives' slot, which holds each class
+representative beside the LinearizedMap of its a4 (classify fills it);
+and, at d <= 4, the log table, which stores the log of an unreduced key
+on its first read (a _Memo, at most 5^d keys), and the sum, chain,
+cubic, element and decode memos. Each stores a value that its key alone
+determines, so threads that race on any of them store equal values, and
+whichever one is stored is correct; two racing threads may each build an
+element for one value, equal but not the same object.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ import collections
 import functools
 import itertools
 import sys
-from operator import index, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -278,6 +287,8 @@ class FieldElement:
     Supports +, -, *, /, ** and unary negation. Construct through
     FieldContext.element(); instances are immutable and hashable. The
     coeffs slot holds the packed int, byte i being the coefficient of t^i.
+    At q <= 81 the operations return the one instance the context keeps
+    per value (from_packed); compare elements with ==, never with is.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -311,22 +322,27 @@ class FieldElement:
         ctx = self.ctx
         if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        return FieldElement(ctx, ctx._reduce(self.coeffs + other.coeffs))
+        element, packed = ctx._element, ctx._reduce(self.coeffs + other.coeffs)
+        return FieldElement(ctx, packed) if element is None else element[packed]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         ctx = self.ctx
         if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        return FieldElement(ctx, ctx._reduce(self.coeffs + 2 * other.coeffs))
+        element, packed = ctx._element, ctx._reduce(self.coeffs + 2 * other.coeffs)
+        return FieldElement(ctx, packed) if element is None else element[packed]
 
     def __neg__(self) -> "FieldElement":
         ctx = self.ctx
-        return FieldElement(ctx, ctx._reduce(2 * self.coeffs))
+        element, packed = ctx._element, ctx._reduce(2 * self.coeffs)
+        return FieldElement(ctx, packed) if element is None else element[packed]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+        ctx = self.ctx
+        if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        return FieldElement(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
+        element, packed = ctx._element, ctx._mul(self.coeffs, other.coeffs)
+        return FieldElement(ctx, packed) if element is None else element[packed]
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         other = self._peer(other)
@@ -339,7 +355,7 @@ class FieldElement:
             if self.is_zero():
                 raise DivisionByZero("cannot raise 0 to a negative power")
             n %= self.ctx.q - 1  # x^(q-1) = 1 for x != 0
-        return FieldElement(self.ctx, self.ctx._pow(self.coeffs, n))
+        return from_packed(self.ctx, self.ctx._pow(self.coeffs, n))
 
     def inverse(self) -> "FieldElement":
         """x^(q-2) = z^2 * x for z = x^((q-3)/2), the context's Euler power."""
@@ -347,7 +363,7 @@ class FieldElement:
             raise DivisionByZero("cannot invert 0")
         ctx, x = self.ctx, self.coeffs
         z = ctx._euler_power(x)
-        return FieldElement(ctx, ctx._mul(ctx._mul(z, z), x))
+        return from_packed(ctx, ctx._mul(ctx._mul(z, z), x))
 
     # -- comparisons ---------------------------------------------------
 
@@ -390,13 +406,19 @@ class FieldContext:
     of its PowerChain; they hold the general functions _reducer(d) and
     _power_chain, which the build itself runs on, and for q <=
     _LOG_TABLE_LIMIT each is swapped at the end of the build for a memo of
-    its function, empty until first read (_Memo). At those q only, the
-    cubic slot _cubic_pass is a third such memo, which maps packed (c2,
-    c1) to the one pass of x^3 + c2 x^2 + c1 x over every x
-    (_cubic_passes) that chi_sum_cubic reads; above, it is None. Two more
-    slots fill later: the chi table on first use, and each class
-    representative with the LinearizedMap of its a4 (4 classes on 2 maps
-    at odd d, 6 on 4 at even d) when classify first needs it.
+    its function, empty until first read (_Memo). At those q only, three
+    more slots hold such memos, and above they hold None: the cubic slot
+    _cubic_pass maps packed (c2, c1) to the one pass of x^3 + c2 x^2 +
+    c1 x over every x (_cubic_passes) that chi_sum_cubic reads, the
+    element slot _element maps a reduced packed int to the one
+    FieldElement of its value (zero, one and minus_one for 0, 1 and 2),
+    which every element-level operation returns, and the decode slot
+    _decode maps an encoding to that same element for from_int. Each
+    operator tests the element slot once and, on None, builds the result
+    as it always has. Two more slots fill later: the chi table on first
+    use, and each class representative with the LinearizedMap of its a4
+    (4 classes on 2 maps at odd d, 6 on 4 at even d) when classify first
+    needs it.
 
     Attributes:
         d: extension degree.
@@ -424,6 +446,8 @@ class FieldContext:
         "_reduce",
         "_chain",
         "_cubic_pass",
+        "_element",
+        "_decode",
         "_frobenius",
         "_trace_weights",
         "_chi_table",
@@ -443,6 +467,8 @@ class FieldContext:
         self._reduce = _reducer(d)  # packed sum mod 3
         self._chain = self._power_chain  # x -> (v, w, r, t) of its PowerChain
         self._cubic_pass = None  # (c2, c1) -> the pass of x^3 + c2 x^2 + c1 x, at q <= 81
+        self._element = None  # packed -> its one FieldElement, at q <= 81
+        self._decode = None  # encoding -> that FieldElement, at q <= 81
         self._frobenius = self._build_frobenius()  # k -> x -> x^(3^k), packed
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -496,11 +522,16 @@ class FieldContext:
             e2 = mul(e1, e1)
             self._coset_r_inv = (1, e1, e2, mul(e2, e1))
             quartic = FieldElement(self, sylow[size // 4])
-            self.tau = min(quartic, -quartic, key=FieldElement.encoding)
+            self.tau = min(quartic, -quartic, key=attrgetter("coeffs"))
         if q <= _LOG_TABLE_LIMIT:  # after the build, so the memos start empty
             self._reduce = _Memo(self._reduce).__getitem__
             self._chain = _Memo(self._chain).__getitem__
             self._cubic_pass = _Memo(lambda key: next(_cubic_passes(self, *key, 0))).__getitem__
+            named = (self.zero, self.one, self.minus_one)  # packed 0, 1 and 2
+            self._element = element = _Memo(
+                lambda a: named[a] if a < 3 else FieldElement(self, a)
+            )
+            self._decode = _Memo(lambda enc: element[self._packed(enc)])
 
     def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
         # g_k = t^(3^k) is the image of t under x -> x^(3^k), and
@@ -588,6 +619,14 @@ class FieldContext:
         # slots may be unreduced: the digit table reads each one mod 3
         return int(a.to_bytes(self.d, "big").translate(_DIGITS), 3)
 
+    def _packed(self, enc: int) -> int:
+        # the inverse of _encode on 0 <= enc < q
+        packed = 0
+        for i in range(self.d):
+            enc, c = divmod(enc, 3)
+            packed |= c << 8 * i
+        return packed
+
     # -- public element construction ------------------------------------
 
     def element(self, value: CoeffsLike) -> FieldElement:
@@ -603,22 +642,22 @@ class FieldContext:
         coeffs = _integers(value, "coefficients")
         if len(coeffs) != self.d or any(c not in (0, 1, 2) for c in coeffs):
             raise ParseError(f"need {self.d} coefficients in {{0,1,2}}, got {value!r}")
-        return FieldElement(self, int.from_bytes(bytes(coeffs), "little"))
+        return from_packed(self, int.from_bytes(bytes(coeffs), "little"))
 
     def from_int(self, enc: int) -> FieldElement:
         if not 0 <= enc < self.q:
             raise ParseError(f"encoding {enc} out of range [0, {self.q})")
-        packed = 0
-        for i in range(self.d):
-            enc, c = divmod(enc, 3)
-            packed |= c << 8 * i
-        return FieldElement(self, packed)
+        if self._decode is None:
+            return FieldElement(self, self._packed(enc))
+        return self._decode[index(enc)]  # index refuses a float, which would match its int's key
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in encoding order."""
         # product varies its last slot fastest; big-endian puts it at t^0
+        element = self._element  # read once: a from_packed call per element slows cube_table
         for digits in itertools.product(b"\x00\x01\x02", repeat=self.d):
-            yield FieldElement(self, int.from_bytes(bytes(digits), "big"))
+            packed = int.from_bytes(bytes(digits), "big")
+            yield FieldElement(self, packed) if element is None else element[packed]
 
     def random_element(self, rng) -> FieldElement:
         return self.from_int(rng.randrange(self.q))
@@ -672,6 +711,16 @@ class FieldContext:
     def __repr__(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
         return f"FieldContext(d={self.d}, modulus=[{mod}])"
+
+
+def from_packed(ctx: FieldContext, a: int) -> FieldElement:
+    """The element of ctx whose packed int is a, which must be reduced.
+
+    At q <= 81 this is the one object the context keeps for the value (its
+    element memo); above, a new FieldElement.
+    """
+    element = ctx._element
+    return FieldElement(ctx, a) if element is None else element[a]
 
 
 class _FrobeniusMap:
@@ -1113,7 +1162,7 @@ class PowerChain:
 
     def inverse(self) -> FieldElement:
         """x^-1 = w^2 * g^-j."""
-        return FieldElement(self.ctx, self._times_g(self.ctx._mul(self.w, self.w), -self.j))
+        return from_packed(self.ctx, self._times_g(self.ctx._mul(self.w, self.w), -self.j))
 
     def roots(self, sign: int) -> list[FieldElement]:
         """Every u with u^2 = sign*x, or u^2 = +-x when sign is 0, sorted by encoding.
@@ -1128,14 +1177,14 @@ class PowerChain:
         roots = []
         for i in exponents:
             if i % 2 == 0:
-                v = FieldElement(self.ctx, self._times_g(self.r, -i // 2))
+                v = from_packed(self.ctx, self._times_g(self.r, -i // 2))
                 roots += [v, -v]
-        return sorted(roots, key=FieldElement.encoding)
+        return sorted(roots, key=attrgetter("coeffs"))  # reduced: packed order is encoding order
 
     def quartic_roots(self) -> list[FieldElement]:
         """At odd d, every u with u^4 = +-x, sorted by encoding: +-r*v, one product."""
-        u = FieldElement(self.ctx, self.ctx._mul(self.r, self.v))
-        return sorted([u, -u], key=FieldElement.encoding)
+        u = from_packed(self.ctx, self.ctx._mul(self.r, self.v))
+        return sorted([u, -u], key=attrgetter("coeffs"))
 
     def fourth_roots(self) -> list[FieldElement]:
         """Every u with u^4 = x, sorted by encoding (possibly empty).
@@ -1160,7 +1209,7 @@ class PowerChain:
         ctx, r = self.ctx, self.r
         if k:
             r = ctx._mul(r, ctx._coset_r_inv[k])
-        return FieldElement(ctx, self._times_g(r, (k - self.j) // 2))
+        return from_packed(ctx, self._times_g(r, (k - self.j) // 2))
 
 
 def sqrt(x: FieldElement) -> Optional[FieldElement]:
@@ -1263,7 +1312,7 @@ def solve_linearized(c: FieldElement, k: FieldElement) -> Optional[FieldElement]
     roots = LinearizedMap(c).preimages(2 * k.coeffs)  # -k, slots <= 4
     if not roots:
         return None
-    return min((FieldElement(ctx, r) for r in roots), key=FieldElement.encoding)
+    return from_packed(ctx, min(roots))  # reduced: packed order is encoding order
 
 
 # ----------------------------------------------------------------------

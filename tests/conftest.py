@@ -29,7 +29,9 @@ def count_muls(ctx):
     """Count ctx's packed multiplications and Frobenius maps inside a with-block.
 
     Yields the running counts as a list [products, maps]; ctx._mul and
-    ctx._frobenius are restored on exit.
+    ctx._frobenius are restored on exit. Element-level products count too:
+    at q <= 81 each one's result is read from the context's element memo,
+    under the packed product the _mul slot returns, so none bypasses it.
     """
     mul, frobenius, calls = ctx._mul, ctx._frobenius, [0, 0]
 

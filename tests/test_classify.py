@@ -218,6 +218,23 @@ def test_multiplication_counts_pinned(d):
     assert tuple(means) == MUL_COUNTS[d]
 
 
+# (products, maps) of canonicalize over every curve of a fresh context: at
+# d <= 4 the element-level products read their result from the element
+# memo, but each still calls the context's product slot, which the counter
+# wraps
+SMALL_FIELD_CANONICALIZE_COUNTS = {2: [930, 8], 3: [7104, 32], 4: [85042, 16]}
+
+
+@pytest.mark.parametrize("d", sorted(SMALL_FIELD_CANONICALIZE_COUNTS))
+def test_small_field_canonicalize_counts_pinned(d):
+    ctx = field.FieldContext(d, field._default_modulus(d))
+    curves = list(all_short_curves(ctx))
+    with count_muls(ctx) as calls:
+        for e in curves:
+            canonicalize(e)
+    assert calls == SMALL_FIELD_CANONICALIZE_COUNTS[d]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 20, 31])
 def test_chains_per_call_pinned(d):
     # canonicalize runs one PowerChain at odd d, where its u are the

@@ -752,6 +752,7 @@ def test_memos_fill_consistently_across_threads():
     expected_chains = [ctx._power_chain(x) for x in nonzero]
     cubics = [(c2, c1) for c2 in nonzero[:3] + [0] for c1 in nonzero + [0]]
     expected_cubics = [next(field._cubic_passes(ctx, c2, c1, 0)) for c2, c1 in cubics]
+    packed = [0] + nonzero  # the reduced keys, in encoding order
     wrong = []
 
     def read(offset):
@@ -766,6 +767,13 @@ def test_memos_fill_consistently_across_threads():
             key = cubics[(i + offset) % len(cubics)]
             if ctx._cubic_pass(key) != expected_cubics[(i + offset) % len(cubics)]:
                 wrong.append(key)
+        # a race may build two objects for one value: equal values, not identity
+        for i in range(ctx.q):
+            enc = (i + offset) % ctx.q
+            if ctx._element[packed[enc]].coeffs != packed[enc]:
+                wrong.append(packed[enc])
+            if ctx._decode[enc] != FieldElement(ctx, packed[enc]):
+                wrong.append(enc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -781,6 +789,110 @@ def test_memos_fill_consistently_across_threads():
     assert wrong == []
     assert (len(ctx._reduce.__self__), len(ctx._chain.__self__)) == (7**4, ctx.q - 1)
     assert len(ctx._cubic_pass.__self__) == len(cubics)
+    assert len(ctx._element) == len(ctx._decode) == ctx.q
+
+
+# ----------------------------------------------------------------------
+# One object per element at q <= 81
+# ----------------------------------------------------------------------
+
+
+def _element_results(ctx, x, y):
+    """What the element-level operations return for x and y, by operation name."""
+    results = {"+": x + y, "-": x - y, "*": x * y, "neg": -x, "**": x**7, "**0": x**0}
+    results["from_int"] = ctx.from_int(x.encoding())
+    results["element"] = ctx.element(list(x.coeffs.to_bytes(ctx.d, "little")))
+    results["decode"] = field.decode_element(ctx, str(x))
+    if y:
+        results["/"] = x / y
+    if x:
+        chain = PowerChain(ctx, x.coeffs)
+        results.update({"inverse": x.inverse(), "**-1": x**-1, "chain.inverse": chain.inverse()})
+        for sign in (1, -1, 0):
+            results.update((f"roots{sign}.{i}", u) for i, u in enumerate(chain.roots(sign)))
+        if ctx.d % 2:
+            results.update((f"quartic.{i}", u) for i, u in enumerate(chain.quartic_roots()))
+        if chain.j % 2 == 0:
+            results["coset_root"] = chain.coset_root(0)
+    results["sqrt"] = sqrt(x)
+    results.update((f"fourth.{i}", u) for i, u in enumerate(fourth_roots(x)))
+    return results
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_results_are_the_element_memos_objects(d):
+    # at d <= 4 every element-level result is the one object the element
+    # memo keeps for its value; a single thread never builds a second one
+    ctx = FieldContext(d, _default_modulus(d))
+    memo = ctx._element
+    elements = list(ctx.elements())
+    assert all(x is memo[x.coeffs] for x in elements)
+    assert ctx.zero is memo[0] and ctx.one is memo[1] and ctx.minus_one is memo[2]
+    rng = random.Random(d)
+    drawn = [ctx.random_element(rng) for _ in range(50)] + [ctx.random_nonzero(rng) for _ in range(50)]
+    assert all(x is memo[x.coeffs] for x in drawn)
+    ys = elements if d <= 2 else [ctx.zero, ctx.one] + rng.sample(elements, 6)
+    for x in elements:
+        for y in ys:
+            for name, result in _element_results(ctx, x, y).items():
+                if result is not None:
+                    assert result is memo[result.coeffs], (name, x, y)
+    assert len(memo) == len(ctx._decode) == ctx.q
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_a_fresh_context_holds_its_element_memos_empty(d):
+    # the element and decode memos fill lazily, like the sum, chain and
+    # cubic memos: nothing is built with the context
+    ctx = FieldContext(d, _default_modulus(d))
+    assert type(ctx._element) is type(ctx._decode) is field._Memo
+    assert (len(ctx._element), len(ctx._decode)) == (0, 0)
+    x = ctx.from_int(ctx.q - 1)
+    assert (len(ctx._element), len(ctx._decode)) == (1, 1)
+    assert ctx._decode[ctx.q - 1] is x is ctx._element[x.coeffs]
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_above_81_elements_nothing_is_interned(d):
+    # above 81 elements both slots are None and each result is a new
+    # element, equal to the packed reference
+    ctx = make_context(d)
+    assert ctx._element is None and ctx._decode is None
+    rng = random.Random(d)
+    for _ in range(200):
+        x, y = ctx.random_element(rng), ctx.random_nonzero(rng)
+        a, b = x.coeffs, y.coeffs
+        assert (x + y).coeffs == field._mod3(a + b, d)
+        assert (x - y).coeffs == field._mod3(a + 2 * b, d)
+        assert (-x).coeffs == field._mod3(2 * a, d)
+        assert (x * y).coeffs == ctx._mul(a, b)
+        assert (x**7).coeffs == ctx._pow(a, 7)
+        assert (x / y * y).coeffs == a
+        assert ctx.from_int(x.encoding()).coeffs == a and ctx.from_int(x.encoding()) is not x
+        assert field.from_packed(ctx, a) is not field.from_packed(ctx, a)
+        for name, result in _element_results(ctx, x, y).items():
+            if result is not None:
+                assert result == FieldElement(ctx, result.coeffs), name
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_packed_order_is_encoding_order(d):
+    # byte i of a reduced packed int and base-3 digit i of its encoding both
+    # hold c_i, with c_{d-1} the most significant: the two orders agree, so
+    # roots and witnesses sort by the packed int
+    elements = list(make_context(d).elements())
+    shuffled = random.Random(d).sample(elements, len(elements))
+    assert sorted(shuffled, key=lambda x: x.coeffs) == sorted(shuffled, key=FieldElement.encoding)
+    assert sorted(shuffled, key=lambda x: x.coeffs) == elements
+
+
+def test_packed_order_is_encoding_order_at_the_degree_cap():
+    ctx, rng = make_context(31), random.Random(31)
+    elements = [ctx.random_element(rng) for _ in range(1000)]
+    assert sorted(elements, key=lambda x: x.coeffs) == sorted(elements, key=FieldElement.encoding)
+    assert [x.encoding() for x in sorted(elements, key=lambda x: x.coeffs)] == sorted(
+        x.encoding() for x in elements
+    )
 
 
 def test_row_slots_and_lane_reads_fit_every_degree():

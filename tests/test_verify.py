@@ -359,8 +359,10 @@ def test_memos_stay_within_their_key_spaces(monkeypatch):
     # a whole d <= 4 run reads each context's sum memo with packed sums of
     # slots <= 6 only (at most 7^d keys), its chain memo with nonzero
     # reduced elements only (at most q - 1) and its cubic memo with the
-    # (0, a4) of naive_count only (at most q - 1); on one CPU every suite
-    # runs in this process, so its memos are the ones the whole run filled
+    # (0, a4) of naive_count only (at most q - 1), and its element and
+    # decode memos with reduced elements and encodings only (at most q
+    # each); on one CPU every suite runs in this process, so its memos are
+    # the ones the whole run filled
     _cpus(monkeypatch, 1)
     assert verify_mod.run_verification(4, samples=200, seed=0).passed
     for d in range(1, 5):
@@ -372,6 +374,10 @@ def test_memos_stay_within_their_key_spaces(monkeypatch):
         assert all(max(a.to_bytes(d, "little")) <= 6 for a in sums), d
         assert all(0 < x < 256**d and max(x.to_bytes(d, "little")) <= 2 for x in chains), d
         assert all(c2 == 0 and 0 < c1 < 256**d for c2, c1 in cubics), d
+        elements, decodes = ctx._element, ctx._decode
+        assert 0 < len(elements) <= ctx.q and 0 < len(decodes) <= ctx.q, d
+        assert all(x.coeffs == a and max(a.to_bytes(d, "little")) <= 2 for a, x in elements.items()), d
+        assert all(x.encoding() == enc and x is elements[x.coeffs] for enc, x in decodes.items()), d
 
 
 @pytest.mark.parametrize("seed", [0, 7])
