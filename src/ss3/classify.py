@@ -10,12 +10,19 @@ admissible change of variables between two such curves is
 
 and a witness is that pair (u, r). Types II, IIIa, IIIb only exist for
 even d and their labels depend on the context's fixed primitive root.
+
+The census is two constant tuples of CurveClass, one per parity of d
+(_census), and every class this module or count returns is one of their
+members. The dispatch that names a curve's class runs on packed ints
+(PowerChain.trace_invariant) and picks the member by index, so it builds
+no class and no element; curves and witnesses are slotted immutable
+values.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -28,7 +35,6 @@ from .field import (
     PowerChain,
     chi,
     from_packed,
-    trace,
 )
 
 
@@ -66,16 +72,40 @@ class CurveClass:
         }
 
 
-@dataclass(frozen=True)
 class IsomorphismWitness:
     """Parameters (u, r) of the change of variables between two curves.
 
     The induced point map sends target-model points to source-model
-    points: (x', y') -> (u^2*x' + r, u^3*y').
+    points: (x', y') -> (u^2*x' + r, u^3*y'). An immutable value, compared
+    and hashed by (u, r), as a frozen dataclass would be: assigning or
+    deleting u or r raises dataclasses.FrozenInstanceError.
     """
 
-    u: FieldElement
-    r: FieldElement
+    __slots__ = ("u", "r")
+
+    def __init__(self, u: FieldElement, r: FieldElement):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IsomorphismWitness:
+            return NotImplemented
+        return self.u == other.u and self.r == other.r
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.r))
+
+    def __repr__(self) -> str:
+        return f"IsomorphismWitness(u={self.u!r}, r={self.r!r})"
+
+    def __reduce__(self):
+        return IsomorphismWitness, (self.u, self.r)
 
     def holds_between(self, source: ShortCurve, target: ShortCurve) -> bool:
         """Check both coefficient relations exactly."""
@@ -102,14 +132,29 @@ class IsomorphismWitness:
 _COSET_TYPES = (CurveType.I, CurveType.IIIA, CurveType.II, CurveType.IIIB)
 
 
+# The census of each parity, in census order: type I by invariant, then
+# I+ at odd d; I then II by invariant, IIIa and IIIb at even d. These
+# objects are the only census classes: _dispatch returns them and
+# count._class_orders keys on them.
+_ODD_CENSUS = (
+    CurveClass(CurveType.I, "0"),
+    CurveClass(CurveType.I, "1"),
+    CurveClass(CurveType.I, "-1"),
+    CurveClass(CurveType.I_PLUS, None),
+)
+_EVEN_CENSUS = (
+    CurveClass(CurveType.I, INV_ZERO),
+    CurveClass(CurveType.I, INV_NONZERO),
+    CurveClass(CurveType.II, INV_ZERO),
+    CurveClass(CurveType.II, INV_NONZERO),
+    CurveClass(CurveType.IIIA, None),
+    CurveClass(CurveType.IIIB, None),
+)
+
+
 def _census(d: int) -> tuple[CurveClass, ...]:
     """Every class over GF(3^d), in census order: 4 at odd d, 6 at even d."""
-    if d % 2:
-        types = [(CurveType.I, t) for t in ("0", "1", "-1")] + [(CurveType.I_PLUS, None)]
-    else:
-        types = [(c, t) for c in (CurveType.I, CurveType.II) for t in (INV_ZERO, INV_NONZERO)]
-        types += [(CurveType.IIIA, None), (CurveType.IIIB, None)]
-    return tuple(CurveClass(c, t) for c, t in types)
+    return _ODD_CENSUS if d % 2 else _EVEN_CENSUS
 
 
 def _check_class(d: int, cls: CurveClass) -> None:
@@ -130,37 +175,41 @@ def _dispatch(
     beta^k, the chain's j has j mod 4 = k mod 4, the coset of x modulo the
     fourth powers (j is chi at odd d), and at even j the trace t =
     Tr(a6 * gamma * x^-2), gamma = coset_root(0), is the invariant, the
-    chain's inverse giving x^-2. The second result gives the u with u^4 =
-    a4/a4' that admit an r, in encoding order, and x^-1 from the same
-    chain; only canonicalize calls it. At odd d the u are the chain's
-    quartic_roots, one product. At even d, u^4 = x * beta^-k for the
-    representative's a4' = -beta^k, so u^2 = +-coset_root(k): one more
-    chain, on it, for every type.
+    chain's inverse giving x^-2. The chain's trace_invariant gives gamma,
+    x^-1 and t on packed ints, and the class is a member of _census(d) by
+    index, from k and t: no class and no element is built. The second
+    result gives the u with u^4 = a4/a4' that admit an r, in encoding
+    order, and x^-1 from the same chain; only canonicalize calls it, and
+    only it makes elements of gamma and x^-1. At odd d the u are the
+    chain's quartic_roots, one product. At even d, u^4 = x * beta^-k for
+    the representative's a4' = -beta^k, so u^2 = +-coset_root(k): one
+    more chain, on it, for every type.
     """
     ctx = e.ctx
     chain = PowerChain(ctx, (-e.a4).coeffs)
     k = chain.j % 4
-    t, gamma, inv = 0, None, None
-    if k % 2 == 0:
+    odd_d = ctx.d % 2
+    if k % 2:  # I+, IIIa and IIIb: one class each
+        t, gamma, inv = 0, None, None
+        cls = _ODD_CENSUS[3] if odd_d else _EVEN_CENSUS[4 + k // 2]
+    else:
         # u^2 = +-coset_root(k), and coset_root(2) = gamma * beta^-1, so
         # Tr(a6*u^-6), the trace the representative must match, is +-t, and
         # a nonzero t fixes the sign of u^2
-        gamma, inv = chain.coset_root(0), chain.inverse()
-        t = trace(e.a6 * gamma * inv * inv)
-    # the odd-d invariant is t itself, the even-d one whether t is 0
-    odd_d = ctx.d % 2
-    ctype = (CurveType.I, CurveType.I_PLUS)[k] if odd_d else _COSET_TYPES[k]
-    invariant = None if k % 2 else str(t) if odd_d or t == 0 else INV_NONZERO
+        gamma, inv, t = chain.trace_invariant(e.a6.coeffs)
+        # the odd-d invariant is t itself (index t mod 3), the even-d one
+        # whether t is 0
+        cls = _ODD_CENSUS[t % 3] if odd_d else _EVEN_CENSUS[k + (t != 0)]
 
     def witness_data() -> tuple[list[FieldElement], FieldElement]:
         if odd_d:  # u^4 = a4/a4' = chi(x) * x for a4' = -chi(x)
             roots = chain.quartic_roots()
         else:
-            square = gamma if k == 0 else chain.coset_root(k)
-            roots = PowerChain(ctx, square.coeffs).roots(t)
-        return roots, chain.inverse() if inv is None else inv
+            square = gamma if k == 0 else chain.coset_root(k).coeffs
+            roots = PowerChain(ctx, square).roots(t)
+        return roots, chain.inverse() if inv is None else from_packed(ctx, inv)
 
-    return CurveClass(ctype, invariant), witness_data
+    return cls, witness_data
 
 
 def class_representative(ctx: FieldContext, cls: CurveClass) -> ShortCurve:

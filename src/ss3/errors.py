@@ -59,3 +59,8 @@ class NotSupersingularError(SS3Error):
     def __init__(self, j, message: str = "curve is not supersingular"):
         super().__init__(f"{message} (j = {j})")
         self.j = j
+        self.message = message
+
+    def __reduce__(self):
+        # args holds the formatted text, which __init__ cannot take back
+        return type(self), (self.j, self.message)

@@ -79,6 +79,10 @@ cubic, element and decode memos. Each stores a value that its key alone
 determines, so threads that race on any of them store equal values, and
 whichever one is stored is correct; two racing threads may each build an
 element for one value, equal but not the same object.
+
+A context pickles as its key (d, modulus) and unpickles to the cached
+context of make_context, and an element as its context and packed int,
+so at q <= 81 it unpickles to the one element of its value.
 """
 
 from __future__ import annotations
@@ -383,6 +387,10 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"GF(3^{self.ctx.d})[{self}]"
+
+    def __reduce__(self):
+        # unpickles to the one element of its value at q <= 81
+        return from_packed, (self.ctx, self.coeffs)
 
 
 class FieldContext:
@@ -711,6 +719,10 @@ class FieldContext:
     def __repr__(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
         return f"FieldContext(d={self.d}, modulus=[{mod}])"
+
+    def __reduce__(self):
+        # a context pickles as its key; its kernels are closures
+        return _unpickle_context, self.key
 
 
 def from_packed(ctx: FieldContext, a: int) -> FieldElement:
@@ -1064,6 +1076,12 @@ def make_context(
     return _build_context(d, coeffs)
 
 
+def _unpickle_context(d: int, modulus: tuple[int, ...]) -> FieldContext:
+    """The cached context of (d, modulus): make_context(d) itself for the default modulus."""
+    ctx = make_context(d)
+    return ctx if ctx.modulus == modulus else make_context(d, modulus)
+
+
 def context_to_json(ctx: FieldContext) -> dict:
     """JSON-serializable description of a context."""
     return {
@@ -1080,10 +1098,28 @@ def context_to_json(ctx: FieldContext) -> dict:
 # ----------------------------------------------------------------------
 
 
+def cubic(x: FieldElement, c1: FieldElement, c0: FieldElement) -> FieldElement:
+    """x^3 + c1*x + c0, with c1 and c0 of one context.
+
+    The products are those of x * x * x + c1 * x, in that order, and one
+    reduction takes the sum (slots <= 6); no other element is built.
+    Raises ContextMismatch, as c1 * x does, for x of another field.
+    """
+    ctx = c1.ctx
+    if x.__class__ is not FieldElement or x.ctx is not ctx:
+        x = c1._peer(x)
+    mul, a = ctx._mul, x.coeffs
+    return from_packed(ctx, ctx._reduce(mul(mul(a, a), a) + mul(c1.coeffs, a) + c0.coeffs))
+
+
 def trace(x: FieldElement) -> int:
     """Absolute trace GF(3^d) -> F3, reported as 0, 1 or -1."""
-    ctx = x.ctx
-    total = (x.coeffs * ctx._trace_weights >> 8 * (ctx.d - 1) & 255) % 3
+    return _packed_trace(x.ctx, x.coeffs)
+
+
+def _packed_trace(ctx: FieldContext, a: int) -> int:
+    """trace of the element whose reduced packed int is a."""
+    total = (a * ctx._trace_weights >> 8 * (ctx.d - 1) & 255) % 3
     return -1 if total == 2 else total
 
 
@@ -1198,6 +1234,19 @@ class PowerChain:
         if self.ctx.d % 2:
             return self.quartic_roots()
         return PowerChain(self.ctx, self.coset_root(0).coeffs).roots(0)
+
+    def trace_invariant(self, a6: int) -> tuple[int, int, int]:
+        """Packed gamma = coset_root(0) and x^-1, and t = Tr(a6 * gamma * x^-2).
+
+        a6 is packed and reduced, and t is 0, 1 or -1, as trace gives. The
+        products are those of coset_root(0), inverse() and the element
+        product a6 * gamma * x^-1 * x^-1, in that order; no element is built.
+        """
+        ctx, j = self.ctx, self.j
+        mul = ctx._mul
+        gamma = self._times_g(self.r, -j // 2)
+        inv = self._times_g(mul(self.w, self.w), -j)
+        return gamma, inv, _packed_trace(ctx, mul(mul(mul(a6, gamma), inv), inv))
 
     def coset_root(self, k: int) -> FieldElement:
         """A square root of x * beta^-k, for k = 0..3 with j - k even (k = 0 at odd d).

@@ -1,5 +1,7 @@
 """Type assignment, canonical representatives, witnesses, and the census."""
 
+import dataclasses
+import pickle
 import random
 import re
 
@@ -7,10 +9,14 @@ import pytest
 
 from conftest import count_chains, count_muls, sample_curves
 from ss3 import (
+    ContextMismatch,
     CurveClass,
     CurveType,
     DParityError,
+    InvalidCurve,
+    IsomorphismWitness,
     NotANonSquare,
+    NotSupersingularError,
     ShortCurve,
     canonicalize,
     chi,
@@ -28,7 +34,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.classify import _COSET_TYPES, _dispatch
+from ss3.classify import _COSET_TYPES, _census, _dispatch
 from ss3.curve import all_short_curves
 
 
@@ -538,3 +544,91 @@ def test_class_label_serialization():
     assert cls.to_json(ctx.beta) == {"type": "II", "invariant": "0", "beta": "1,1"}
     _, cls, _ = canonicalize(ShortCurve(-ctx.beta, ctx.zero))
     assert cls.to_json(ctx.beta) == {"type": "IIIa", "invariant": None, "beta": "1,1"}
+
+
+# ----------------------------------------------------------------------
+# Census constants and slotted values
+# ----------------------------------------------------------------------
+
+
+def test_census_is_one_tuple_per_parity():
+    for d in range(1, 30):
+        assert _census(d) is _census(d + 2) is not _census(d + 1)
+
+
+def _census_curves(d):
+    """Every curve at d <= 4, else sample_curves(d, 50)."""
+    if d <= 4:
+        return list(all_short_curves(make_context(d)))
+    return sample_curves(d, 50)
+
+
+@pytest.mark.parametrize("d", range(1, 32))
+def test_classes_are_census_members(d):
+    # canonicalize and count_supersingular return the census's own objects,
+    # built once per parity, never a class built per call
+    census = _census(d)
+    for e in _census_curves(d):
+        cls = canonicalize(e)[1]
+        assert any(cls is member for member in census)
+        assert count_supersingular(e).class_used is cls
+
+
+def test_short_curve_value_contract():
+    ctx, other = make_context(2), make_context(3)
+    e = ShortCurve(-ctx.beta, ctx.one)
+    same = ShortCurve(ctx.from_int(e.a4.encoding()), ctx.from_int(e.a6.encoding()))
+    assert e == same and not e != same and hash(e) == hash(same) == hash((e.a4, e.a6))
+    assert e != ShortCurve(e.a4, ctx.zero) and e != (e.a4, e.a6)
+    assert repr(e) == "ShortCurve(a4=GF(3^2)[2,2], a6=GF(3^2)[1,0])"
+    assert str(e) == "a4=2,2;a6=1,0"
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'a4'$"):
+        e.a4 = ctx.one
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'a6'$"):
+        del e.a6
+    assert e.a4 == -ctx.beta
+    message = "a4 = 0 makes the discriminant -a4^3 vanish"
+    with pytest.raises(InvalidCurve, match=f"^{re.escape(message)}$"):
+        ShortCurve(ctx.zero, ctx.one)
+    with pytest.raises(ContextMismatch, match="^curve coefficients from different contexts$"):
+        ShortCurve(ctx.one, other.one)
+
+
+def test_isomorphism_witness_value_contract():
+    ctx = make_context(2)
+    e = ShortCurve(-ctx.beta, ctx.one)
+    w = canonicalize(e)[2]
+    same = IsomorphismWitness(ctx.from_int(w.u.encoding()), ctx.from_int(w.r.encoding()))
+    assert w == same and not w != same and hash(w) == hash(same) == hash((w.u, w.r))
+    assert w != IsomorphismWitness(w.u, ctx.zero) and w != (w.u, w.r)
+    assert repr(w) == str(w) == "IsomorphismWitness(u=GF(3^2)[1,0], r=GF(3^2)[2,2])"
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'u'$"):
+        w.u = ctx.one
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'r'$"):
+        del w.r
+    assert w.holds_between(e, canonicalize(e)[0])
+
+
+@pytest.mark.parametrize("d", [2, 5, 31])
+def test_values_pickle(d):
+    # a context pickles as its key and comes back as make_context's cached
+    # context; elements, curves, witnesses and errors come back equal
+    ctx = make_context(d)
+    assert pickle.loads(pickle.dumps(ctx)) is ctx
+    e = sample_curves(d, 1, seed=d)[0]
+    x = ctx.from_int(7)
+    w = canonicalize(e)[2]
+    for value in (x, e, w, e.infinity(), random_point(e, random.Random(d))):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and type(back) is type(value)
+    assert pickle.loads(pickle.dumps(x)).ctx is ctx
+    if d <= 4:  # the one element of its value
+        assert pickle.loads(pickle.dumps(x)) is x
+    error = NotSupersingularError(j=ctx.beta)
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is NotSupersingularError
+    assert (str(back), back.j) == (str(error), error.j)
+    other = make_context(2, [2, 2, 1])  # not the default modulus
+    assert pickle.loads(pickle.dumps(other)) is other is not make_context(2)

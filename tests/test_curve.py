@@ -137,6 +137,23 @@ def test_curves_and_points_reject_mixed_contexts():
         add(ShortCurve(c2.one, c2.zero).infinity(), ShortCurve(c2.minus_one, c2.zero).infinity())
 
 
+@pytest.mark.parametrize("d", [1, 2, 4, 5, 20, 31])
+def test_rhs_matches_the_element_expression(d):
+    # rhs is x * x * x + a4 * x + a6 on packed ints: the same value, the
+    # same three products and no map; at d <= 4 the element memo's object
+    ctx, rng = make_context(d), random.Random(d)
+    for _ in range(50):
+        e, x = ShortCurve(ctx.random_nonzero(rng), ctx.random_element(rng)), ctx.random_element(rng)
+        with count_muls(ctx) as calls:
+            got = e.rhs(x)
+        with count_muls(ctx) as reference_calls:
+            want = x * x * x + e.a4 * x + e.a6
+        assert got == want and calls == reference_calls == [3, 0]
+        assert got is want or d > 4
+    with pytest.raises(ContextMismatch):
+        e.rhs(make_context(d % 31 + 1).one)
+
+
 # ----------------------------------------------------------------------
 # Group law
 # ----------------------------------------------------------------------

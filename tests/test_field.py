@@ -1129,6 +1129,46 @@ def test_power_chain_cost_pinned():
         assert (d, tuple(calls)) == (d, pin)
 
 
+def _trace_invariant_pairs(d):
+    """Every (x, a6) with x nonzero at d <= 3, else 200 pairs drawn with Random(d)."""
+    ctx = make_context(d)
+    if d <= 3:
+        return [(x, a6) for x in list(ctx.elements())[1:] for a6 in ctx.elements()]
+    rng = random.Random(d)
+    return [(ctx.random_nonzero(rng), ctx.random_element(rng)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 20, 31])
+def test_trace_invariant_matches_the_element_products(d):
+    # gamma, x^-1 and the trace agree with the element-level
+    # trace(a6 * coset_root(0) * inverse() * inverse()), for every x,
+    # whatever the parity of its exponent j
+    for x, a6 in _trace_invariant_pairs(d):
+        chain = PowerChain(x.ctx, x.coeffs)
+        gamma, inv = chain.coset_root(0), chain.inverse()
+        assert chain.trace_invariant(a6.coeffs) == (
+            gamma.coeffs, inv.coeffs, trace(a6 * gamma * inv * inv)
+        )
+
+
+# (products, Frobenius maps) of trace_invariant over the 200 seeded pairs
+# of _trace_invariant_pairs, their chains built outside the count: at d = 31
+# g = -1, so coset_root(0) and the g-power of the inverse are negations at
+# most, and each call makes w * w and the three products of the trace
+TRACE_INVARIANT_COUNTS = {20: [1156, 0], 31: [800, 0]}
+
+
+@pytest.mark.parametrize("d", sorted(TRACE_INVARIANT_COUNTS))
+def test_trace_invariant_cost_pinned(d):
+    pairs = _trace_invariant_pairs(d)
+    ctx = pairs[0][0].ctx
+    chains = [PowerChain(ctx, x.coeffs) for x, _ in pairs]
+    with count_muls(ctx) as calls:
+        for chain, (_, a6) in zip(chains, pairs):
+            chain.trace_invariant(a6.coeffs)
+    assert calls == TRACE_INVARIANT_COUNTS[d]
+
+
 # (products, Frobenius maps) of one public chi for d = 16..31: Euler's
 # criterion, x^3, the repunit power of length d - 1 and the product by x,
 # (steps + 1, steps + 1) with steps = bitlen(d - 1) - 1 + popcount(d - 1) - 1.
