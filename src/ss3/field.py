@@ -34,12 +34,13 @@ t^0..t^(k-1) and the high one on t^k..t^(d-1), k = d // 2
 (_digit_halves). The halves share no digit, so x encodes as enc(h) +
 enc(l). A row, the elements of one h over every l, is built from a few
 products, and one packed big int holds a pass of consecutive rows,
-min(q, max(81, 3^k)) lanes, which one _encode_row call encodes
-(_sweep_rows): the whole field at d <= 4, q/81 passes at d = 5..9 and
-one per row above. The chi table holds chi + 1 by encoding and is built
-from the squares by the same sweep; the cubic sum (chi_sum_cubic) reads
-it one pass at a time and the trace-fiber sum (chi_sum_fiber) one row at
-a time (_picker).
+min(q, max(3^7, 3^k)) lanes of 5 * ceil(d / 5) bytes (_sweep_rows):
+the whole field at d <= 7 and q / 3^7 passes at d = 8..13. One
+_encode_row call encodes a pass by one product, which sums each chunk
+of five digits of a lane into one byte. The chi table holds chi + 1 by
+encoding and is built from the squares by the same sweep; the cubic sum
+(chi_sum_cubic) reads it one pass at a time and the trace-fiber sum
+(chi_sum_fiber) one row at a time (_picker).
 
 The long exponents are made of base-3 repunits at every d. One Euler
 power z = x^((q-3)/2) gives chi, as Euler's criterion z*x, x^-1 = z^2*x
@@ -721,8 +722,9 @@ class FieldContext:
         return f"FieldContext(d={self.d}, modulus=[{mod}])"
 
     def __reduce__(self):
-        # a context pickles as its key; its kernels are closures
-        return _unpickle_context, self.key
+        # a context pickles as its key, to the cached context of make_context;
+        # its kernels are closures
+        return make_context, self.key
 
 
 def from_packed(ctx: FieldContext, a: int) -> FieldElement:
@@ -833,20 +835,29 @@ def _digit_halves(d: int) -> tuple[list[int], list[int]]:
 
 
 # A row packs the elements h + l of one high half h over the 3^k lows l
-# (k = d // 2), the one of low index i in lane i, S bytes from byte i * S,
-# and a pass packs consecutive rows, row r from lane r * 3^k.
-# _sweep_rows sums into a lane a value with slots <= 4, a low part with
-# slots <= 2 and k cross terms with slots <= 4, so a slot holds at most
-# 6 + 4k <= 66 < 256 for d <= 31 and no lane carries into the next.
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview casts by item size
-# The fewest lanes of a pass, short of the whole field: one pass at d <= 4.
-_PASS_LANES = 3**4
+# (k = d // 2), the one of low index i in lane i, L = 5 * ceil(d / 5)
+# bytes from byte i * L, and a pass packs consecutive rows, row r from
+# lane r * 3^k. _sweep_rows sums into a lane a value with slots <= 4, a
+# low part with slots <= 2 and k cross terms with slots <= 4, so a slot
+# holds at most 6 + 4k <= 66 < 256 for d <= 31 and no lane carries into
+# the next.
+# The fewest lanes of a pass, short of the whole field: one pass at d <= 7.
+_PASS_LANES = 3**7
+# x * _CHUNK, for x with slots in {0, 1, 2}, holds in byte 5m + 4 the
+# base-243 value sum_{i<5} 3^i * x_(5m+i) of bytes 5m..5m+4 of x: a byte
+# sums at most 2 * (1 + 3 + 9 + 27 + 81) = 242, so nothing carries.
+_CHUNK = sum(3**i << 8 * (4 - i) for i in range(5))
 
 
 def _lane_widths(d: int) -> tuple[int, int]:
-    """Bytes per lane (S, the smallest power of two >= d) and bytes read per lane."""
-    width = 1 << (d - 1).bit_length()
-    return width, min(width, 8)
+    """Bytes per lane (L, five per chunk of five digits) and bytes per read item.
+
+    An item holds a lane's encoding, below 3^d <= 243^c for c = L / 5
+    chunks, in c bytes rounded up to a power of two: one byte at d <= 5,
+    two at d <= 10, four at d <= 20 and eight above.
+    """
+    chunks = -(-d // 5)
+    return 5 * chunks, 1 << (chunks - 1).bit_length()
 
 
 @functools.lru_cache(maxsize=None)
@@ -854,47 +865,53 @@ def _row_layout(d: int) -> tuple:
     """The constants of a degree-d row and pass, which depend on d alone.
 
     A pass holds ROWS rows, enough for _PASS_LANES lanes and at most the
-    whole field: every row at d <= 4, 81 // 3^k rows at d = 5..7 and one
-    from d = 8 on. ONES holds 1 in every lane of one pass and DIGIT_j, for
-    j < k, digit j of i in lane i of one row. The rounds of _encode_row
-    are (shift, mask, 3^w) for w = 1, 2, 4, .., S / 2, the mask keeping the
-    low w bytes of every 2w-byte group of a pass. The picks slice takes
-    each lane's low read bytes, as native ints in lane order, from the
-    pass's bytes in native order.
+    whole field: every row at d <= 7, then 27, 9 and 3 rows at d = 8..9,
+    10..11 and 12..13. ONES holds 1 in every lane of one pass and DIGIT_j,
+    for j < k, digit j of i in lane i of one row. SIZE is the bytes of one
+    pass, and FORMAT and STEP cast and order the items of _encode_row: an
+    unsigned int of ITEM bytes, in lane order from the pass's bytes in
+    native order.
     """
-    width, read = _lane_widths(d)
+    lane, item = _lane_widths(d)
     n = 3 ** (d // 2)
     rows = min(3 ** (d - d // 2), max(1, _PASS_LANES // n))
-    size, pad = rows * n * width, bytes(width - 1)
+    size, pad = rows * n * lane, bytes(lane - 1)
 
     def lanes(values: Iterable[int]) -> int:
         return int.from_bytes(b"".join(bytes([v]) + pad for v in values), "little")
 
     ones = lanes([1] * (rows * n))
     digits = tuple(lanes(i // 3**j % 3 for i in range(n)) for j in range(d // 2))
-    rounds, w = [], 1
-    while w < width:
-        mask = int.from_bytes((b"\xff" * w + bytes(w)) * (size // (2 * w)), "little")
-        rounds.append((8 * w, mask, 3**w))
-        w *= 2
-    stride = width // read
-    picks = slice(None, None, stride) if sys.byteorder == "little" else slice(-1, None, -stride)
-    return ones, digits, rows, tuple(rounds), size, _LANE_FORMATS[read], picks
+    fmt, step = "BHIQ"[item.bit_length() - 1], 1 if sys.byteorder == "little" else -1
+    return ones, digits, rows, size, lane, item, fmt, step
 
 
-def _encode_row(d: int, packed: int) -> memoryview:
+def _encode_row(d: int, packed: int) -> Sequence[int]:
     """The encodings of a packed degree-d pass's lanes, in lane order.
 
     Slots may be unreduced (up to 6 + 4k): one translate reduces them mod 3.
-    Round w then turns the two w-byte halves of every 2w-byte group, each
-    holding a base-3 value below 3^w, into lo + 3^w * hi, so after log2(S)
-    rounds every lane holds its encoding, below 3^d, in its low read bytes.
+    One product by _CHUNK then puts base-243 digit m of each lane's
+    encoding in byte 5m + 4 of the lane, and one strided slice per chunk
+    reads those digits. At d <= 5 the one slice holds the encodings; above,
+    the chunks, highest first, are summed by Horner in items of ITEM bytes
+    (_row_layout), read through one memoryview cast. Two encoders were
+    measured and lost on a shared 2-CPU machine: power-of-two lanes
+    encoded by log2 of their width mask rounds, on passes of 81 lanes,
+    made a d = 9 naive_count 4.2 ms against 2.3; and one slice and
+    translate per digit, summed by Horner, took 48-50 ms against 36 for
+    naive_count over every d = 4 curve, and 4-10% more at d = 9.
     """
-    _, _, _, rounds, size, fmt, picks = _row_layout(d)
+    _, _, _, size, lane, item, fmt, step = _row_layout(d)
     x = int.from_bytes(packed.to_bytes(size, "little").translate(_MOD3), "little")
-    for shift, mask, scale in rounds:
-        x = (x & mask) + scale * (x >> shift & mask)
-    return memoryview(x.to_bytes(size, sys.byteorder)).cast(fmt)[picks]
+    chunks = (x * _CHUNK).to_bytes(size + 4, "little")
+    if lane == 5:
+        return chunks[4::5]
+    count = size // lane
+    spread, value = bytearray(count * item), 0
+    for start in range(lane - 1, 3, -5):  # byte 5m + 4 of every lane, m = c - 1 .. 0
+        spread[::item] = chunks[start::lane]
+        value = value * 243 + int.from_bytes(spread, "little")
+    return memoryview(value.to_bytes(count * item, sys.byteorder)).cast(fmt)[::step]
 
 
 def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
@@ -920,35 +937,27 @@ def _sweep_rows(
     encoding order of h + l. cross has at most k terms. head(h) may leave
     slots <= 4, the low parts and cross terms must be reduced. Each row
     costs len(cross) products, plus whatever head(h) makes, and the caller
-    encodes each pass with one _encode_row. A one-row pass is head(h) *
-    ONES + the low row + each mul(cross[j], h) * DIGIT_j. A wider pass
-    repeats the bytes of each head over its row's lanes and shifts each
-    row's cross terms to its first lane. Both single-path variants were
-    measured and lost: building every pass from bytes slows the full-width
-    rows of d >= 8, and adding each row built as a one-row pass, shifted to
-    its first lane, made naive_count 5-13% slower at d = 3..5 (a cold
-    chi_table a few percent faster), timed interleaved in one process on a
-    shared 2-CPU machine.
+    encodes each pass with one _encode_row. A pass is built from bytes:
+    each head repeated over its row's lanes, and each row's cross terms,
+    the sum of mul(cross[j], h) * DIGIT_j, joined in row order, so its
+    cost is linear in its rows. Two variants were measured and lost on
+    passes of 3^7 lanes, timing a cold d = 8 chi_table on a shared 2-CPU
+    machine: summing every row's term j shifted to the row's first lane,
+    which is quadratic in the rows, took 2.2 ms against 1.5, and joining
+    the rows of each term j apart took 1.6-1.75 ms.
     """
-    d, mul = ctx.d, ctx._mul
-    ones, digits, rows = _row_layout(d)[:3]
-    width = _lane_widths(d)[0]
-    low_row = b"".join(v.to_bytes(width, "little") for v in low_parts)
-    low, highs = int.from_bytes(low_row * rows, "little"), _digit_halves(d)[1]
-    if rows == 1:
-        for h in highs:
-            packed = head(h) * ones + low
-            for b, digit in zip(cross, digits):
-                packed += mul(b, h) * digit
-            yield packed
-        return
-    n, from_bytes = len(low_parts), int.from_bytes
-    shifts = range(0, 8 * len(low_row) * rows, 8 * len(low_row))  # row r's first bit
+    d, mul, from_bytes = ctx.d, ctx._mul, int.from_bytes
+    _, digits, rows, _, lane = _row_layout(d)[:5]
+    low_row = b"".join(v.to_bytes(lane, "little") for v in low_parts)
+    low, highs = from_bytes(low_row * rows, "little"), _digit_halves(d)[1]
+    n, row_size = len(low_parts), len(low_row)
+    terms = list(zip(cross, digits))
     for group in zip(*[iter(highs)] * rows):
-        heads = b"".join([head(h).to_bytes(width, "little") * n for h in group])
+        heads = b"".join([head(h).to_bytes(lane, "little") * n for h in group])
         packed = from_bytes(heads, "little") + low
-        for b, digit in zip(cross, digits):
-            packed += sum([mul(b, h) * digit << shift for h, shift in zip(group, shifts)])
+        if terms:
+            crossed = [sum([mul(b, h) * digit for b, digit in terms]) for h in group]
+            packed += from_bytes(b"".join([c.to_bytes(row_size, "little") for c in crossed]), "little")
         yield packed
 
 
@@ -1042,10 +1051,12 @@ def _default_modulus(d: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _build_context(d: int, modulus: Optional[tuple[int, ...]]) -> FieldContext:
     # the only context cache: a warm call repeats neither the modulus search
-    # nor the irreducibility check, and cache_clear() makes the next one cold
+    # nor the irreducibility check, and cache_clear() makes the next one cold.
+    # None resolves to the default modulus and stores the context of that
+    # key, so the default modulus named or not gives one context.
     if modulus is None:
-        modulus = _default_modulus(d)
-    elif not is_irreducible(modulus):
+        return _build_context(d, _default_modulus(d))
+    if not is_irreducible(modulus):
         raise ModulusReducible(f"modulus {list(modulus)} is reducible over F3")
     return FieldContext(d, modulus)
 
@@ -1074,12 +1085,6 @@ def make_context(
                 f"coefficients ending in 1"
             )
     return _build_context(d, coeffs)
-
-
-def _unpickle_context(d: int, modulus: tuple[int, ...]) -> FieldContext:
-    """The cached context of (d, modulus): make_context(d) itself for the default modulus."""
-    ctx = make_context(d)
-    return ctx if ctx.modulus == modulus else make_context(d, modulus)
 
 
 def context_to_json(ctx: FieldContext) -> dict:

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import operator
+import pickle
 import random
 import struct
 import sys
@@ -43,7 +44,8 @@ from ss3 import factor
 from ss3.factor import factorize, factorize_q_minus_1
 from ss3.field import (
     DEGREE_CAP,
-    _LANE_FORMATS,
+    ORACLE_CAP,
+    _CHUNK,
     PowerChain,
     _FrobeniusMap,
     _barrett_mul,
@@ -295,6 +297,21 @@ def test_modulus_search_runs_once_per_cold_build(monkeypatch):
 
 
 @pytest.mark.parametrize("d", range(1, 32))
+def test_default_modulus_named_or_not_is_one_context(d):
+    # make_context caches the context of the default modulus under that
+    # modulus, so naming it, in either order after a cold cache, or
+    # unpickling a context finds the same one
+    field._build_context.cache_clear()
+    named = make_context(d, _default_modulus(d))
+    assert make_context(d) is named
+    assert make_context(d, list(named.modulus)) is named
+    field._build_context.cache_clear()
+    ctx = make_context(d)
+    assert make_context(d, ctx.modulus) is ctx
+    assert pickle.loads(pickle.dumps(ctx)) is ctx
+
+
+@pytest.mark.parametrize("d", range(1, 32))
 def test_direct_construction_is_complete(d):
     # FieldContext builds every constant itself; make_context only caches
     ctx = make_context(d)
@@ -508,9 +525,11 @@ def test_division_by_zero():
 
 def test_context_mismatch():
     a = make_context(2).one
-    # the default modulus named or not: two cached contexts, one key
-    named = make_context(2, _default_modulus(2))
-    assert named is not a.ctx and named.key == a.ctx.key
+    # the default modulus named or not: one cached context; a context built
+    # directly has the same key, and its elements combine with the cached one's
+    assert make_context(2, _default_modulus(2)) is a.ctx
+    twin = FieldContext(2, _default_modulus(2))
+    assert twin is not a.ctx and twin.key == a.ctx.key
     b = make_context(2).beta
     for apply in (operator.add, operator.sub, operator.mul, operator.truediv):
         # another degree, and the same degree with another modulus
@@ -519,8 +538,8 @@ def test_context_mismatch():
                 apply(a, other)
         with pytest.raises(TypeError):
             apply(a, 1)
-        assert apply(b, named.beta) == apply(b, a.ctx.beta)
-        assert apply(named.beta, b) == apply(a.ctx.beta, b)
+        assert apply(b, twin.beta) == apply(b, a.ctx.beta)
+        assert apply(twin.beta, b) == apply(a.ctx.beta, b)
 
 
 # ----------------------------------------------------------------------
@@ -608,13 +627,45 @@ def test_chi_table_matches_squares(d):
             assert table[x.encoding()] - 1 == (1 if x.coeffs in squares else -1)
 
 
-@pytest.mark.parametrize("d", range(7, 10))
+@pytest.mark.parametrize("d", range(5, 14))
 def test_chi_table_matches_squares_on_wide_lanes(d):
-    # the square sweep on 8- and 16-byte lanes, for the default and a dense modulus
-    for ctx in (make_context(d), make_context(d, _dense_modulus(d))):
-        squares = {(x * x).coeffs for x in ctx.elements()}
-        expected = bytes(2 if x.coeffs in squares else 0 for x in ctx.elements())
-        assert ctx.chi_table() == b"\x01" + expected[1:]
+    # the square sweep on lanes of one, two and three chunks, in passes of
+    # up to 3^7 lanes, for the default modulus and, up to the first degree
+    # of three chunks, a dense one
+    moduli = [None, _dense_modulus(d)] if d <= 11 else [None]
+    for ctx in (make_context(d, modulus) for modulus in moduli):
+        assert ctx.chi_table() == _squares_table(ctx)
+
+
+def _squares_table(ctx):
+    """chi + 1 by encoding, from the even powers of beta on packed ints."""
+    table, mul, beta = bytearray(ctx.q), ctx._mul, ctx.beta.coeffs
+    step, x = mul(beta, beta), 1
+    for _ in range((ctx.q - 1) // 2):
+        table[ctx._encode(x)] = 2
+        x = mul(x, step)
+    table[0] = 1
+    return table
+
+
+@pytest.mark.parametrize("d", [9, 13])
+def test_oracle_sweeps_hold_a_few_passes(d):
+    # a cold chi table and a naive_count hold, beside the table's q bytes,
+    # at most 16 passes' bytes at their peak (0.35 MB at d = 9, 0.52 MB at
+    # d = 13): the sweep keeps one pass at a time, whatever q is. The
+    # layout and the halves are cached per degree, so they are built first.
+    ctx = FieldContext(d, _default_modulus(d))
+    curve = ShortCurve(ctx.one, ctx.beta)
+    pass_bytes = _row_layout(d)[3]
+    field._digit_halves(d)
+    tracemalloc.start()
+    try:
+        ctx.chi_table()
+        naive_count(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ctx.q + 16 * pass_bytes
 
 
 @pytest.mark.parametrize("d, products", [(4, 36), (8, 486), (9, 1296)])
@@ -626,20 +677,20 @@ def test_chi_table_multiplication_count_pinned(d, products):
     assert calls[0] == products
 
 
-@pytest.mark.parametrize(
-    "d, width",
-    [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8), (7, 8), (8, 8), (9, 16), (17, 32)],
-)
-def test_encode_row_matches_encode(d, width):
+@pytest.mark.parametrize("d", [*range(1, 14), 17])
+def test_encode_row_matches_encode(d):
     # one whole pass of random slots up to the bound 6 + 4k, each lane
-    # holding the bound at least once: the whole field at d <= 4, 81 lanes
-    # at d = 5..9 and one row of 3^k lanes above; the encoder needs no
-    # context, so d = 17 builds no chi table
+    # holding the bound at least once, on 5-byte lanes (one chunk of five
+    # digits) at d <= 5, 10-byte lanes at d <= 10 and 15-byte lanes up to
+    # the oracle cap: the whole field at d <= 7 and 3^7 lanes up to d = 13.
+    # Above the cap, d = 17 reads 20-byte lanes into 4-byte items on a
+    # pass of one row of 3^8 lanes.
     k, rng = d // 2, random.Random(d)
     top = 6 + 4 * k
-    assert _lane_widths(d)[0] == width
+    width = _lane_widths(d)[0]
+    assert width == 5 * -(-d // 5)
     size = _row_layout(d)[2] * 3**k  # lanes of one pass
-    assert size == min(3**d, max(81, 3**k))
+    assert size == max(3**k, min(3**d, 3**7))
     lanes = [
         bytes(top if j == i % d else rng.randrange(top + 1) for j in range(d))
         for i in range(size)
@@ -651,8 +702,8 @@ def test_encode_row_matches_encode(d, width):
 
 @pytest.mark.parametrize("d", range(1, 10))
 def test_encoder_passes_pinned(d, monkeypatch):
-    # one encoder pass for the whole field at d <= 4 and one per 81 lanes
-    # at d = 5..9, in a cold chi table, a naive_count and a char_sum_order
+    # one encoder pass for the whole field at d <= 7 and one per 3^7 lanes
+    # at d = 8..9, in a cold chi table, a naive_count and a char_sum_order
     # with b2 != 0 (cross terms in every row): a count the machine does not
     # move, which a sweep of one pass per row fails
     encode, calls = field._encode_row, []
@@ -662,7 +713,7 @@ def test_encoder_passes_pinned(d, monkeypatch):
         return encode(d, packed)
 
     monkeypatch.setattr(field, "_encode_row", counting)
-    passes = 1 if d <= 4 else 3 ** (d - 4)
+    passes = 1 if d <= 7 else 3 ** (d - 7)
     ctx = FieldContext(d, _default_modulus(d))
     ctx.chi_table()
     assert len(calls) == passes
@@ -896,14 +947,21 @@ def test_packed_order_is_encoding_order_at_the_degree_cap():
 
 
 def test_row_slots_and_lane_reads_fit_every_degree():
-    # from the constants alone: no row layout is built above the oracle cap
-    for size, fmt in _LANE_FORMATS.items():
-        assert struct.calcsize(fmt) == size  # native sizes, as the lane casts read
+    # from the constants alone: no row layout is built above the oracle cap.
+    # A lane holds its d digits in chunks of five, the chunk product sums
+    # at most 242 into a byte, and a read item holds every encoding.
+    weights = _CHUNK.to_bytes(5, "little")
+    assert weights == bytes([81, 27, 9, 3, 1]) and 2 * sum(weights) == 242
     for d in range(1, DEGREE_CAP + 1):
-        width, read = _lane_widths(d)
-        assert width >= d and width & (width - 1) == 0 and read in _LANE_FORMATS
+        width, item = _lane_widths(d)
+        assert width % 5 == 0 and d <= width < d + 5
+        assert item & (item - 1) == 0 and width // 5 <= item <= 8
         assert 6 + 4 * (d // 2) < 256
-        assert 3**d <= 256**read
+        assert 3**d <= 256**item
+    for d in range(1, 14):
+        assert 3**d <= ORACLE_CAP
+        fmt = _row_layout(d)[6]
+        assert struct.calcsize(fmt) == _lane_widths(d)[1]  # native sizes, as the casts read
 
 
 @pytest.mark.parametrize("d", range(1, 5))
