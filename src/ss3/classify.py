@@ -22,7 +22,7 @@ values.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -72,39 +72,20 @@ class CurveClass:
         }
 
 
+@dataclass(frozen=True, slots=True)
 class IsomorphismWitness:
     """Parameters (u, r) of the change of variables between two curves.
 
     The induced point map sends target-model points to source-model
     points: (x', y') -> (u^2*x' + r, u^3*y'). An immutable value, compared
-    and hashed by (u, r), as a frozen dataclass would be: assigning or
-    deleting u or r raises dataclasses.FrozenInstanceError.
+    and hashed by (u, r).
     """
 
-    __slots__ = ("u", "r")
-
-    def __init__(self, u: FieldElement, r: FieldElement):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "r", r)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not IsomorphismWitness:
-            return NotImplemented
-        return self.u == other.u and self.r == other.r
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.r))
-
-    def __repr__(self) -> str:
-        return f"IsomorphismWitness(u={self.u!r}, r={self.r!r})"
+    u: FieldElement
+    r: FieldElement
 
     def __reduce__(self):
+        # pickled through the constructor, on every supported Python
         return IsomorphismWitness, (self.u, self.r)
 
     def holds_between(self, source: ShortCurve, target: ShortCurve) -> bool:

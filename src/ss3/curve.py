@@ -9,7 +9,7 @@ ordinary (j != 0) and outside this library's counting scope.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import (
@@ -29,42 +29,24 @@ def _common_ctx(*elements: FieldElement) -> FieldContext:
     return ctx
 
 
+@dataclass(frozen=True, slots=True)
 class ShortCurve:
     """y^2 = x^3 + a4*x + a6 over GF(3^d), with a4 != 0.
 
-    An immutable value, compared and hashed by (a4, a6), as a frozen
-    dataclass would be: assigning or deleting a4 or a6 raises
-    dataclasses.FrozenInstanceError.
+    An immutable value, compared and hashed by (a4, a6).
     """
 
-    __slots__ = ("a4", "a6")
+    a4: FieldElement
+    a6: FieldElement
 
-    def __init__(self, a4: FieldElement, a6: FieldElement):
-        if a6.ctx is not a4.ctx:
-            _common_ctx(a4, a6)
-        if a4.is_zero():
+    def __post_init__(self):
+        if self.a6.ctx is not self.a4.ctx:
+            _common_ctx(self.a4, self.a6)
+        if self.a4.is_zero():
             raise InvalidCurve("a4 = 0 makes the discriminant -a4^3 vanish")
-        object.__setattr__(self, "a4", a4)
-        object.__setattr__(self, "a6", a6)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ShortCurve:
-            return NotImplemented
-        return self.a4 == other.a4 and self.a6 == other.a6
-
-    def __hash__(self) -> int:
-        return hash((self.a4, self.a6))
-
-    def __repr__(self) -> str:
-        return f"ShortCurve(a4={self.a4!r}, a6={self.a6!r})"
 
     def __reduce__(self):
+        # pickled through the constructor, on every supported Python
         return ShortCurve, (self.a4, self.a6)
 
     @property

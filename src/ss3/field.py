@@ -52,23 +52,21 @@ d x d matrix each, applied by one big-int product (_FrobeniusMap), and
 _repunit_pow raises to sum_{i<n} 3^(k*i) on them by Itoh-Tsujii, with
 about log2(n) + popcount(n) products and as many maps.
 
-Fields of at most 81 elements also keep five memos (_Memo), each empty
-when the context is built and filled one key at a time on first read:
-the reduction of a packed sum (the _reduce slot, at most 7^d keys, as the
-slots of a + 2*b are at most 6), the powers (v, w, r, t) of a
-PowerChain (the _chain slot, at most q - 1 keys), the one pass of
-x^3 + c2 x^2 + c1 x over every x, to which chi_sum_cubic adds c0 (the
-_cubic_pass slot, keyed by (c2, c1), at most q^2 keys), and one
-FieldElement per value, by its reduced packed int (the _element slot) and
-by its encoding (the _decode slot), at most q keys each. Every
-element-level result is read from the element memo under its packed int:
-+, - and negation under the sum memo's reduction, * under the table
-product, which still calls the _mul slot, and powers, inverses,
-from_int, elements(), the PowerChain roots and the class witnesses
-(from_packed) alike, so a field of at most 81 elements builds each
-element once. Above 81 elements the first two slots hold the general
-functions, _reducer(d) and _power_chain, and the other three None: the
-cubic sum sweeps pass by pass and each result is a new FieldElement.
+Five slots of a context are one-argument functions at every q: the
+reduction of a packed sum (_reduce), the powers (v, w, r, t) of a
+PowerChain (_chain), the passes of x^3 + c2 x^2 + c1 x over the field,
+to which chi_sum_cubic adds c0 (_cubic_pass, keyed by (c2, c1)), the
+FieldElement of a reduced packed int (_element) and that of an
+encoding (_decode). Every element-level result is built by the element
+slot: +, - and negation on the sum slot's reduction, * on the product,
+and powers, inverses, from_int, elements(), the PowerChain roots and the
+class witnesses (from_packed) alike. Fields of at most 81 elements read
+each slot through a memo of its function (_Memo), empty when the
+context is built and filled one key at a time on first read: at most
+7^d sums (the slots of a + 2*b are at most 6), q - 1 chains, q^2 cubic
+keys, whose one pass covers the field, and q elements and encodings. So
+such a field builds each element once; above 81 elements each result is
+a new FieldElement.
 
 Contexts are safe to share across threads. Nothing changes after
 construction but eight structures that fill lazily, each idempotently:
@@ -327,27 +325,23 @@ class FieldElement:
         ctx = self.ctx
         if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        element, packed = ctx._element, ctx._reduce(self.coeffs + other.coeffs)
-        return FieldElement(ctx, packed) if element is None else element[packed]
+        return ctx._element(ctx._reduce(self.coeffs + other.coeffs))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         ctx = self.ctx
         if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        element, packed = ctx._element, ctx._reduce(self.coeffs + 2 * other.coeffs)
-        return FieldElement(ctx, packed) if element is None else element[packed]
+        return ctx._element(ctx._reduce(self.coeffs + 2 * other.coeffs))
 
     def __neg__(self) -> "FieldElement":
         ctx = self.ctx
-        element, packed = ctx._element, ctx._reduce(2 * self.coeffs)
-        return FieldElement(ctx, packed) if element is None else element[packed]
+        return ctx._element(ctx._reduce(2 * self.coeffs))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         ctx = self.ctx
         if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._peer(other)
-        element, packed = ctx._element, ctx._mul(self.coeffs, other.coeffs)
-        return FieldElement(ctx, packed) if element is None else element[packed]
+        return ctx._element(ctx._mul(self.coeffs, other.coeffs))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         other = self._peer(other)
@@ -409,25 +403,22 @@ class FieldContext:
     2-Sylow subgroup, and _dlog maps each back to its j; every PowerChain
     reads its exponent there. _coset_r_inv holds e_k = beta^(-k(odd+1)/2),
     the inverse of r for beta^k, for the cosets k = 0..3 (k = 0 at odd d),
-    which PowerChain.coset_root reads. The sum slot _reduce reduces a
-    packed sum with slots <= 6 mod 3 (FieldElement's +, - and negation)
-    and the chain slot _chain maps a nonzero packed x to the (v, w, r, t)
-    of its PowerChain; they hold the general functions _reducer(d) and
-    _power_chain, which the build itself runs on, and for q <=
-    _LOG_TABLE_LIMIT each is swapped at the end of the build for a memo of
-    its function, empty until first read (_Memo). At those q only, three
-    more slots hold such memos, and above they hold None: the cubic slot
-    _cubic_pass maps packed (c2, c1) to the one pass of x^3 + c2 x^2 +
-    c1 x over every x (_cubic_passes) that chi_sum_cubic reads, the
-    element slot _element maps a reduced packed int to the one
-    FieldElement of its value (zero, one and minus_one for 0, 1 and 2),
-    which every element-level operation returns, and the decode slot
-    _decode maps an encoding to that same element for from_int. Each
-    operator tests the element slot once and, on None, builds the result
-    as it always has. Two more slots fill later: the chi table on first
-    use, and each class representative with the LinearizedMap of its a4
-    (4 classes on 2 maps at odd d, 6 on 4 at even d) when classify first
-    needs it.
+    which PowerChain.coset_root reads. Five slots hold one-argument
+    functions at every q, which the build itself runs on: the sum slot
+    _reduce reduces a packed sum with slots <= 6 mod 3 (_reducer(d)), the
+    chain slot _chain maps a nonzero packed x to the (v, w, r, t) of its
+    PowerChain (_power_chain), the cubic slot _cubic_pass maps packed
+    (c2, c1) to the passes of x^3 + c2 x^2 + c1 x over the field
+    (_cubic_passes) that chi_sum_cubic reads, the element slot _element
+    maps a reduced packed int to a FieldElement of that value, which every
+    element-level operation returns, and the decode slot _decode maps an
+    encoding to the element slot's element. For q <= _LOG_TABLE_LIMIT one
+    loop at the end of the build swaps each for a memo of its function,
+    empty until first read (_Memo); the cubic memo keeps its one pass in a
+    tuple, and the element memo keeps zero, one and minus_one for 0, 1
+    and 2. Two more slots fill later: the chi table on first use, and each
+    class representative with the LinearizedMap of its a4 (4 classes on 2
+    maps at odd d, 6 on 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -475,9 +466,9 @@ class FieldContext:
         self._mul = _packed_mul(d, modulus)  # packed product mod the modulus
         self._reduce = _reducer(d)  # packed sum mod 3
         self._chain = self._power_chain  # x -> (v, w, r, t) of its PowerChain
-        self._cubic_pass = None  # (c2, c1) -> the pass of x^3 + c2 x^2 + c1 x, at q <= 81
-        self._element = None  # packed -> its one FieldElement, at q <= 81
-        self._decode = None  # encoding -> that FieldElement, at q <= 81
+        self._cubic_pass = lambda key: _cubic_passes(self, *key)  # (c2, c1) -> the passes
+        self._element = functools.partial(FieldElement, self)  # packed -> its FieldElement
+        self._decode = lambda enc: self._element(self._packed(enc))  # encoding -> that element
         self._frobenius = self._build_frobenius()  # k -> x -> x^(3^k), packed
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -493,7 +484,7 @@ class FieldContext:
         exps = [(q - 1) // p for p in sorted(set(self.q_minus_1_factors)) if p > 2]
         mul = self._mul
         self._nonsquare = None
-        for x in map(self.from_int, range(2, q)):
+        for x in map(self._decode, range(2, q)):
             if mul(x.coeffs, self._euler_power(x.coeffs)) == 1:
                 continue
             if self._nonsquare is None:
@@ -533,14 +524,12 @@ class FieldContext:
             quartic = FieldElement(self, sylow[size // 4])
             self.tau = min(quartic, -quartic, key=attrgetter("coeffs"))
         if q <= _LOG_TABLE_LIMIT:  # after the build, so the memos start empty
-            self._reduce = _Memo(self._reduce).__getitem__
-            self._chain = _Memo(self._chain).__getitem__
-            self._cubic_pass = _Memo(lambda key: next(_cubic_passes(self, *key, 0))).__getitem__
-            named = (self.zero, self.one, self.minus_one)  # packed 0, 1 and 2
-            self._element = element = _Memo(
-                lambda a: named[a] if a < 3 else FieldElement(self, a)
-            )
-            self._decode = _Memo(lambda enc: element[self._packed(enc)])
+            named = (self.zero, self.one, self.minus_one)
+            element, passes = self._element, self._cubic_pass
+            self._element = lambda a: named[a] if a < 3 else element(a)  # packed 0, 1 and 2
+            self._cubic_pass = lambda key: tuple(passes(key))  # a stored generator reads once
+            for slot in ("_reduce", "_chain", "_cubic_pass", "_element", "_decode"):
+                setattr(self, slot, _Memo(getattr(self, slot)).__getitem__)
 
     def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
         # g_k = t^(3^k) is the image of t under x -> x^(3^k), and
@@ -654,19 +643,21 @@ class FieldContext:
         return from_packed(self, int.from_bytes(bytes(coeffs), "little"))
 
     def from_int(self, enc: int) -> FieldElement:
+        """The element of an encoding, read by operator.index: ParseError for a non-integer."""
+        try:
+            enc = index(enc)
+        except TypeError:
+            raise ParseError(f"encoding must be an integer, got {enc!r}") from None
         if not 0 <= enc < self.q:
             raise ParseError(f"encoding {enc} out of range [0, {self.q})")
-        if self._decode is None:
-            return FieldElement(self, self._packed(enc))
-        return self._decode[index(enc)]  # index refuses a float, which would match its int's key
+        return self._decode(enc)
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in encoding order."""
         # product varies its last slot fastest; big-endian puts it at t^0
         element = self._element  # read once: a from_packed call per element slows cube_table
         for digits in itertools.product(b"\x00\x01\x02", repeat=self.d):
-            packed = int.from_bytes(bytes(digits), "big")
-            yield FieldElement(self, packed) if element is None else element[packed]
+            yield element(int.from_bytes(bytes(digits), "big"))
 
     def random_element(self, rng) -> FieldElement:
         return self.from_int(rng.randrange(self.q))
@@ -733,8 +724,7 @@ def from_packed(ctx: FieldContext, a: int) -> FieldElement:
     At q <= 81 this is the one object the context keeps for the value (its
     element memo); above, a new FieldElement.
     """
-    element = ctx._element
-    return FieldElement(ctx, a) if element is None else element[a]
+    return ctx._element(a)
 
 
 class _FrobeniusMap:
@@ -961,43 +951,42 @@ def _sweep_rows(
         yield packed
 
 
-def _cubic_passes(ctx: FieldContext, c2: int, c1: int, c0: int) -> Iterator[int]:
-    """The packed passes of f(x) = x^3 + c2 x^2 + c1 x + c0 over the field (_sweep_rows).
+def _cubic_passes(ctx: FieldContext, c2: int, c1: int) -> Iterator[int]:
+    """The packed passes of g(x) = x^3 + c2 x^2 + c1 x over the field (_sweep_rows).
 
-    Cubing is additive in characteristic 3, so f(h + l) = f(h) + (f(l) -
-    c0) + 2*c2*h*l: products run per half, not per element, and the cross
-    term is the sum over the low digits l_j of l_j times 2*c2*h*t^j. The
+    Cubing is additive in characteristic 3, so g(h + l) = g(h) + g(l) +
+    2*c2*h*l: products run per half, not per element, and the cross term
+    is the sum over the low digits l_j of l_j times 2*c2*h*t^j. The
     coefficients are packed and reduced.
     """
     mul = ctx._mul
     # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
-    # accepts and which f(h) keeps, as _sweep_rows allows.
-    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]  # f(l) - c0
+    # accepts; the heads, low parts and cross terms come out reduced.
+    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]
     cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
-    return _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h) + c0, low_parts, cross)
+    return _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h), low_parts, cross)
 
 
 def chi_sum_cubic(ctx: FieldContext, c2: FieldElement, c1: FieldElement, c0: FieldElement) -> int:
     """q + 1 + sum of chi(f(x)) over the field, f(x) = x^3 + c2 x^2 + c1 x + c0.
 
-    The passes of f come from _cubic_passes, and each is encoded by one
-    _encode_row and read from the chi table through one _picker. At q <=
-    81 one pass covers the field, and its part f(x) - c0 over every x is
-    read from the context's cubic memo under (c2, c1), built by the same
-    sweep on its first read: a call then adds c0 * ONES to it, with no
-    product, and still reads chi at all q values.
+    The passes of f(x) - c0 come from the context's cubic slot under (c2,
+    c1) (_cubic_passes; a memo at q <= 81, where one pass covers the
+    field). Each takes c0 * ONES with no product, its slots then <= 6 + 4k,
+    and is encoded by one _encode_row and read from the chi table through
+    one _picker.
 
     Raises:
         OracleTooLarge: for q above ORACLE_CAP.
     """
-    d, c2, c1, c0 = ctx.d, c2.coeffs, c1.coeffs, c0.coeffs
+    d, c0 = ctx.d, c0.coeffs
     table = ctx.chi_table()  # checks the oracle cap
-    if ctx.q <= _LOG_TABLE_LIMIT:
-        passes = [ctx._cubic_pass((c2, c1)) + c0 * _row_layout(d)[0]]  # slots <= 6 + 4k
-    else:
-        passes = _cubic_passes(ctx, c2, c1, c0)
+    shift = c0 * _row_layout(d)[0]
     # the table holds chi + 1, so its q reads sum to q + the sum of chi
-    return 1 + sum(sum(_picker(_encode_row(d, packed))(table)) for packed in passes)
+    return 1 + sum(
+        sum(_picker(_encode_row(d, packed + shift))(table))
+        for packed in ctx._cubic_pass((c2.coeffs, c1.coeffs))
+    )
 
 
 def chi_sum_fiber(ctx: FieldContext, a: int) -> int:
@@ -1048,17 +1037,29 @@ def _default_modulus(d: int) -> tuple[int, ...]:
     raise DegreeOutOfRange(f"no irreducible polynomial of degree {d} found")
 
 
-@functools.lru_cache(maxsize=None)
+_contexts: dict[tuple[int, Optional[tuple[int, ...]]], FieldContext] = {}
+
+
 def _build_context(d: int, modulus: Optional[tuple[int, ...]]) -> FieldContext:
     # the only context cache: a warm call repeats neither the modulus search
-    # nor the irreducibility check, and cache_clear() makes the next one cold.
-    # None resolves to the default modulus and stores the context of that
-    # key, so the default modulus named or not gives one context.
-    if modulus is None:
-        return _build_context(d, _default_modulus(d))
-    if not is_irreducible(modulus):
-        raise ModulusReducible(f"modulus {list(modulus)} is reducible over F3")
-    return FieldContext(d, modulus)
+    # nor the irreducibility test, and cache_clear() makes the next one cold.
+    # None resolves to the default modulus, which its search has tested, and
+    # the context is stored under that key too, so the default modulus named
+    # or not gives one context; an override is tested on its cold call only.
+    if (d, modulus) not in _contexts:
+        if modulus is None:
+            found = _default_modulus(d)
+        elif is_irreducible(modulus):
+            found = modulus
+        else:
+            raise ModulusReducible(f"modulus {list(modulus)} is reducible over F3")
+        if (d, found) not in _contexts:
+            _contexts[d, found] = FieldContext(d, found)
+        _contexts[d, modulus] = _contexts[d, found]
+    return _contexts[d, modulus]
+
+
+_build_context.cache_clear = _contexts.clear
 
 
 def make_context(

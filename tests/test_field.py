@@ -296,6 +296,30 @@ def test_modulus_search_runs_once_per_cold_build(monkeypatch):
     assert calls == [31, 31]
 
 
+@pytest.mark.parametrize("d", [1, 2, 4, 5, 16, 31])
+def test_irreducibility_is_tested_once_per_modulus(d, monkeypatch):
+    # a cold default build tests irreducibility inside the modulus search
+    # only, an override on its cold call only, and a warm call not at all;
+    # cache_clear() makes the next call cold again
+    dense, test, tested = _dense_modulus(d), field.is_irreducible, []
+    monkeypatch.setattr(field, "is_irreducible", lambda m: tested.append(tuple(m)) or test(m))
+    field._default_modulus(d)
+    searched = tested[:]  # the candidates the search tests, the default modulus last
+    field._build_context.cache_clear()
+    tested.clear()
+    ctx = make_context(d)
+    assert tested == searched and searched[-1] == ctx.modulus
+    assert make_context(d) is ctx and make_context(d, ctx.modulus) is ctx
+    assert make_context(d, list(ctx.modulus)) is ctx and tested == searched
+    tested.clear()
+    other = make_context(d, dense)
+    assert tested == [dense] and other is not ctx
+    assert make_context(d, dense) is other and tested == [dense]
+    field._build_context.cache_clear()
+    tested.clear()
+    assert make_context(d) is not ctx and tested == searched
+
+
 @pytest.mark.parametrize("d", range(1, 32))
 def test_default_modulus_named_or_not_is_one_context(d):
     # make_context caches the context of the default modulus under that
@@ -739,46 +763,52 @@ def test_logs_store_unreduced_keys(d):
     assert len(log) == 5**d
 
 
+_SLOTS = ("_reduce", "_chain", "_cubic_pass", "_element", "_decode")
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_sum_and_chain_memos_equal_their_functions(d):
-    # at d <= 4 the _reduce and _chain slots read memos of the general
-    # functions, empty after the build and equal to them on every key: each
-    # packed sum with slots <= 6 and each nonzero x; above, the slots are
-    # the general functions themselves
+    # each of the five slots returns what its function returns, at every d:
+    # the sum slot on packed sums with slots <= 6, the chain slot on every
+    # nonzero x, the cubic slot's passes on (c2, c1), the element slot on
+    # every reduced packed int and the decode slot on every encoding. At
+    # d <= 4 each slot reads a memo of its function, empty after the build
+    # and holding each key read once; above, the slots are the functions
     ctx = FieldContext(d, _default_modulus(d))
+    memos = [getattr(ctx, slot).__self__ for slot in _SLOTS] if d <= 4 else []
+    assert [type(memo) for memo in memos] == [field._Memo] * len(memos)
+    assert [len(memo) for memo in memos] == [0] * len(memos)
     if d > 4:
-        assert ctx._reduce is field._reducer(d)
-        assert ctx._chain == ctx._power_chain
-        assert ctx._cubic_pass is None
-        rng = random.Random(d)
-        for a in (_packed(rng.choices(range(7), k=d)) for _ in range(500)):
-            assert ctx._reduce(a) == field._mod3(a, d)
-        return
-    sum_memo, chain_memo = ctx._reduce.__self__, ctx._chain.__self__
-    assert type(sum_memo) is type(chain_memo) is field._Memo
-    assert (len(sum_memo), len(chain_memo)) == (0, 0)
-    assert (sum_memo.fn, chain_memo.fn) == (field._reducer(d), ctx._power_chain)
-    for a in map(_packed, itertools.product(range(7), repeat=d)):
+        assert (ctx._reduce, ctx._chain) == (field._reducer(d), ctx._power_chain)
+    rng = random.Random(d)
+    digits = list(itertools.product(range(3), repeat=d))
+    sums = itertools.product(range(7), repeat=d)
+    if d > 4:
+        sums = (rng.choices(range(7), k=d) for _ in range(500))
+    for a in map(_packed, sums):
         assert ctx._reduce(a) == field._mod3(a, d)
-    for x in ctx.elements():
-        if x:
-            assert ctx._chain(x.coeffs) == ctx._power_chain(x.coeffs)
-    assert (len(sum_memo), len(chain_memo)) == (7**d, ctx.q - 1)
-
-
-def _memo_free_cubic_sum(ctx, c2, c1, c0):
-    """chi_sum_cubic as the sweep takes it above 81 elements: c0 in every head, no memo."""
-    table = ctx.chi_table()
-    passes = field._cubic_passes(ctx, c2.coeffs, c1.coeffs, c0.coeffs)
-    return 1 + sum(sum(field._picker(_encode_row(ctx.d, p))(table)) for p in passes)
+    reduced = list(map(_packed, digits))
+    for a in reduced[1:]:
+        assert ctx._chain(a) == ctx._power_chain(a)
+    keys = [(0, 0), (0, reduced[-1])] + [tuple(rng.sample(reduced, 2)) for _ in range(8)]
+    for key in keys:
+        assert tuple(ctx._cubic_pass(key)) == tuple(field._cubic_passes(ctx, *key))
+    for a in reduced:
+        assert ctx._element(a) == FieldElement(ctx, a) and ctx._element(a).coeffs == a
+    for enc in range(ctx.q):
+        packed = _packed(enc // 3**i % 3 for i in range(d))
+        assert ctx._decode(enc) == FieldElement(ctx, packed)
+    if memos:
+        assert [len(memo) for memo in memos] == [7**d, ctx.q - 1, len(set(keys)), ctx.q, ctx.q]
 
 
 @pytest.mark.parametrize("d", range(1, 5))
 def test_cubic_memo_reads_equal_a_fresh_context(d):
-    # at d <= 4 the a6-free pass of x^3 + c2 x^2 + c1 x over every x is a
-    # memo under (c2, c1), empty after the build; once filled, every
-    # chi_sum_cubic equals the memo-free sweep on a fresh context, for every
-    # c0: all (c2, c1) at d <= 2, 9 x 9 of them (0 among them) above
+    # at d <= 4 the a6-free pass of x^3 + c2 x^2 + c1 x over every x is
+    # kept in a memo under (c2, c1), empty after the build; once filled,
+    # every chi_sum_cubic equals the character sum over the elements of a
+    # fresh context, for every c0: all (c2, c1) at d <= 2, 9 x 9 of them
+    # (0 among them) above
     ctx, fresh = (FieldContext(d, _default_modulus(d)) for _ in range(2))
     memo = ctx._cubic_pass.__self__
     assert type(memo) is field._Memo and len(memo) == 0
@@ -787,23 +817,30 @@ def test_cubic_memo_reads_equal_a_fresh_context(d):
     keys = [(c2, c1) for c2 in coeffs for c1 in coeffs]
     for c2, c1 in keys:
         field.chi_sum_cubic(ctx, c2, c1, ctx.zero)  # the first read fills the memo
-    assert len(memo) == len(keys)
-    for (c2, c1), c0 in itertools.product(keys, elements):
-        assert field.chi_sum_cubic(ctx, c2, c1, c0) == _memo_free_cubic_sum(fresh, c2, c1, c0)
+    assert len(memo) == len(keys) and all(len(passes) == 1 for passes in memo.values())
+    table, mul = fresh.chi_table(), fresh._mul
+    for c2, c1 in keys:
+        g = [mul(mul(x + c2.coeffs, x) + c1.coeffs, x) for x in (y.coeffs for y in elements)]
+        for c0 in elements:
+            want = fresh.q + 1 + sum(table[fresh._encode(v + c0.coeffs)] - 1 for v in g)
+            assert field.chi_sum_cubic(ctx, c2, c1, c0) == want
     assert len(memo) == len(keys) and len(fresh._cubic_pass.__self__) == 0
 
 
 def test_memos_fill_consistently_across_threads():
     # threads racing on one fresh context's memos each store what the key
-    # alone determines, so every read equals the general function
+    # alone determines, so every read equals the slot's function
     ctx = FieldContext(4, _default_modulus(4))
     nonzero = [x.coeffs for x in ctx.elements() if x]
     sums = list(map(_packed, itertools.product(range(7), repeat=4)))
     expected_sums = [field._mod3(a, 4) for a in sums]
     expected_chains = [ctx._power_chain(x) for x in nonzero]
     cubics = [(c2, c1) for c2 in nonzero[:3] + [0] for c1 in nonzero + [0]]
-    expected_cubics = [next(field._cubic_passes(ctx, c2, c1, 0)) for c2, c1 in cubics]
+    expected_cubics = [tuple(field._cubic_passes(ctx, c2, c1)) for c2, c1 in cubics]
     packed = [0] + nonzero  # the reduced keys, in encoding order
+    memos = [getattr(ctx, slot).__self__ for slot in _SLOTS]
+    for memo in memos:
+        memo.clear()  # elements() filled the element memo
     wrong = []
 
     def read(offset):
@@ -821,9 +858,9 @@ def test_memos_fill_consistently_across_threads():
         # a race may build two objects for one value: equal values, not identity
         for i in range(ctx.q):
             enc = (i + offset) % ctx.q
-            if ctx._element[packed[enc]].coeffs != packed[enc]:
+            if ctx._element(packed[enc]).coeffs != packed[enc]:
                 wrong.append(packed[enc])
-            if ctx._decode[enc] != FieldElement(ctx, packed[enc]):
+            if ctx._decode(enc) != FieldElement(ctx, packed[enc]):
                 wrong.append(enc)
 
     interval = sys.getswitchinterval()
@@ -838,9 +875,7 @@ def test_memos_fill_consistently_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert (len(ctx._reduce.__self__), len(ctx._chain.__self__)) == (7**4, ctx.q - 1)
-    assert len(ctx._cubic_pass.__self__) == len(cubics)
-    assert len(ctx._element) == len(ctx._decode) == ctx.q
+    assert [len(memo) for memo in memos] == [7**4, ctx.q - 1, len(cubics), ctx.q, ctx.q]
 
 
 # ----------------------------------------------------------------------
@@ -870,25 +905,40 @@ def _element_results(ctx, x, y):
     return results
 
 
-@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("d", range(1, 7))
 def test_results_are_the_element_memos_objects(d):
-    # at d <= 4 every element-level result is the one object the element
-    # memo keeps for its value; a single thread never builds a second one
+    # every element-level result equals the packed reference. At d <= 4 it
+    # is the one object the element memo keeps for its value, zero, one and
+    # minus_one among them, and a single thread never builds a second one;
+    # above 81 elements nothing is interned and each result is a new object
     ctx = FieldContext(d, _default_modulus(d))
-    memo = ctx._element
-    elements = list(ctx.elements())
-    assert all(x is memo[x.coeffs] for x in elements)
-    assert ctx.zero is memo[0] and ctx.one is memo[1] and ctx.minus_one is memo[2]
-    rng = random.Random(d)
+    interned, rng = d <= 4, random.Random(d)
+    if interned:
+        memo = ctx._element.__self__
+        elements = list(ctx.elements())
+        assert all(x is memo[x.coeffs] for x in elements)
+        assert ctx.zero is memo[0] and ctx.one is memo[1] and ctx.minus_one is memo[2]
+        ys = elements if d <= 2 else [ctx.zero, ctx.one] + rng.sample(elements, 6)
+        pairs = [(x, y) for x in elements for y in ys]
+    else:
+        pairs = [(ctx.random_element(rng), ctx.random_nonzero(rng)) for _ in range(200)]
     drawn = [ctx.random_element(rng) for _ in range(50)] + [ctx.random_nonzero(rng) for _ in range(50)]
-    assert all(x is memo[x.coeffs] for x in drawn)
-    ys = elements if d <= 2 else [ctx.zero, ctx.one] + rng.sample(elements, 6)
-    for x in elements:
-        for y in ys:
-            for name, result in _element_results(ctx, x, y).items():
-                if result is not None:
-                    assert result is memo[result.coeffs], (name, x, y)
-    assert len(memo) == len(ctx._decode) == ctx.q
+    assert all((x is ctx._element(x.coeffs)) == interned for x in drawn)
+    for x, y in pairs:
+        a, b = x.coeffs, y.coeffs
+        assert (x + y).coeffs == field._mod3(a + b, d)
+        assert (x - y).coeffs == field._mod3(a + 2 * b, d)
+        assert (-x).coeffs == field._mod3(2 * a, d)
+        assert (x * y).coeffs == ctx._mul(a, b)
+        assert (x**7).coeffs == ctx._pow(a, 7)
+        assert (ctx.from_int(x.encoding()) is x) == interned
+        assert (field.from_packed(ctx, a) is field.from_packed(ctx, a)) == interned
+        for name, result in _element_results(ctx, x, y).items():
+            if result is not None:
+                assert result == FieldElement(ctx, result.coeffs), name
+                assert (result is ctx._element(result.coeffs)) == interned, (name, x, y)
+    if interned:
+        assert len(memo) == len(ctx._decode.__self__) == ctx.q
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -896,34 +946,12 @@ def test_a_fresh_context_holds_its_element_memos_empty(d):
     # the element and decode memos fill lazily, like the sum, chain and
     # cubic memos: nothing is built with the context
     ctx = FieldContext(d, _default_modulus(d))
-    assert type(ctx._element) is type(ctx._decode) is field._Memo
-    assert (len(ctx._element), len(ctx._decode)) == (0, 0)
+    element, decode = ctx._element.__self__, ctx._decode.__self__
+    assert type(element) is type(decode) is field._Memo
+    assert (len(element), len(decode)) == (0, 0)
     x = ctx.from_int(ctx.q - 1)
-    assert (len(ctx._element), len(ctx._decode)) == (1, 1)
-    assert ctx._decode[ctx.q - 1] is x is ctx._element[x.coeffs]
-
-
-@pytest.mark.parametrize("d", [5, 6])
-def test_above_81_elements_nothing_is_interned(d):
-    # above 81 elements both slots are None and each result is a new
-    # element, equal to the packed reference
-    ctx = make_context(d)
-    assert ctx._element is None and ctx._decode is None
-    rng = random.Random(d)
-    for _ in range(200):
-        x, y = ctx.random_element(rng), ctx.random_nonzero(rng)
-        a, b = x.coeffs, y.coeffs
-        assert (x + y).coeffs == field._mod3(a + b, d)
-        assert (x - y).coeffs == field._mod3(a + 2 * b, d)
-        assert (-x).coeffs == field._mod3(2 * a, d)
-        assert (x * y).coeffs == ctx._mul(a, b)
-        assert (x**7).coeffs == ctx._pow(a, 7)
-        assert (x / y * y).coeffs == a
-        assert ctx.from_int(x.encoding()).coeffs == a and ctx.from_int(x.encoding()) is not x
-        assert field.from_packed(ctx, a) is not field.from_packed(ctx, a)
-        for name, result in _element_results(ctx, x, y).items():
-            if result is not None:
-                assert result == FieldElement(ctx, result.coeffs), name
+    assert (len(element), len(decode)) == (1, 1)
+    assert decode[ctx.q - 1] is x is element[x.coeffs]
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -1577,6 +1605,17 @@ def test_from_int_checks_the_range():
     for enc in (-1, 9, 3**5):
         with pytest.raises(ParseError):
             ctx.from_int(enc)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_from_int_refuses_a_non_integer_at_every_degree(d):
+    # the encoding is read by operator.index before the range check, as
+    # element and the modulus override read theirs: a float, which would
+    # pass the range check, or a string is a ParseError at every degree
+    ctx = make_context(d)
+    for value in (2.0, "3"):
+        with pytest.raises(ParseError, match="^encoding must be an integer, got "):
+            ctx.from_int(value)
 
 
 @given(st.integers(1, 8), st.data())

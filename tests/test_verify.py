@@ -371,14 +371,17 @@ def test_memos_stay_within_their_key_spaces(monkeypatch):
     assert verify_mod.run_verification(4, samples=200, seed=0).passed
     for d in range(1, 5):
         ctx = make_context(d)
-        sums, chains = ctx._reduce.__self__, ctx._chain.__self__
-        cubics = ctx._cubic_pass.__self__
+        sums, chains, cubics, elements, decodes = (
+            getattr(ctx, slot).__self__
+            for slot in ("_reduce", "_chain", "_cubic_pass", "_element", "_decode")
+        )
+        assert all(type(memo) is field._Memo for memo in (sums, chains, cubics, elements, decodes))
         assert 0 < len(sums) <= 7**d and 0 < len(chains) <= ctx.q - 1, d
         assert 0 < len(cubics) <= ctx.q - 1, d
         assert all(max(a.to_bytes(d, "little")) <= 6 for a in sums), d
         assert all(0 < x < 256**d and max(x.to_bytes(d, "little")) <= 2 for x in chains), d
         assert all(c2 == 0 and 0 < c1 < 256**d for c2, c1 in cubics), d
-        elements, decodes = ctx._element, ctx._decode
+        assert all(len(passes) == 1 for passes in cubics.values()), d
         assert 0 < len(elements) <= ctx.q and 0 < len(decodes) <= ctx.q, d
         assert all(x.coeffs == a and max(a.to_bytes(d, "little")) <= 2 for a, x in elements.items()), d
         assert all(x.encoding() == enc and x is elements[x.coeffs] for enc, x in decodes.items()), d
