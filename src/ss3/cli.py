@@ -2,7 +2,8 @@
 
 Commands: field-info, classify, count, enumerate, verify, export.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(including a file that cannot be written).
+(including a file that cannot be written), 141 (128 + SIGPIPE) when the
+reader of stdout has gone.
 JSON output is compact; tables are plain ASCII. Elements are accepted as
 base-3 integer encodings or comma-separated coefficient lists and always
 printed in coefficient-list form.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -228,7 +230,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SS3Error, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -4,16 +4,16 @@ Each suite emits one PASS/FAIL line per degree; a FAIL line names the
 first offending input so failures are reproducible from the report alone.
 Every suite runs at every degree, whatever failed before it.
 
-The work is a fixed list of tasks, one per (suite, degree), except that
-oracle-sampled and then witness-soundness draw from one seeded rng and so
-form one task. The tasks are spread over the CPUs in the process's affinity
-mask: longest first by a fixed cost estimate, each to the share with the
-least estimated work so far (Graham's LPT rule). The calling process runs
-the first share; each other share runs in a child made by os.fork(), which
-pickles its lines back through a pipe. The lines are sorted by suite and
-degree, so reports are byte-identical across runs for a fixed (d_max,
-samples, seed), whatever the number of CPUs. With one CPU (`taskset -c 0`),
-without os.fork, or beside a second thread (a fork beside live threads can
+The work is a fixed list of tasks, one per (suite, degree), each drawing
+from its own rng seeded by (seed, suite, degree) alone. The tasks are
+spread over the CPUs in the process's affinity mask: longest first by a
+fixed cost estimate, each to the share with the least estimated work so
+far (Graham's LPT rule). The calling process runs the first share; each
+other share runs in a child made by os.fork(), which pickles its lines
+back through a pipe. The lines are sorted by suite and degree, so reports
+are byte-identical across runs for a fixed (d_max, samples, seed),
+whatever the number of CPUs. With one CPU (`taskset -c 0`), without
+os.fork, or beside a second thread (a fork beside live threads can
 deadlock), every task runs in the calling process.
 
 A task that raises stops there; the other tasks still run. A child sends
@@ -21,9 +21,9 @@ its lines only when no task of its share raised; otherwise it exits
 non-zero and sends nothing. After its own share, the calling process runs
 every share that did not come back: its fork failed, a task raised, or the
 child died. That share never ran in the calling process, so it runs there
-as on a single CPU, down to the seeded rng. Every exception is thus raised
-in the calling process, with its attributes and traceback, and the one of
-the earliest (suite, degree) wins, whatever the number of CPUs.
+as on a single CPU. Every exception is thus raised in the calling process,
+with its attributes and traceback, and the one of the earliest (suite,
+degree) wins, whatever the number of CPUs.
 Every child is reaped before run_verification returns or raises; one still
 running when the calling process raised is killed first.
 """
@@ -34,7 +34,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field as dataclass_field
-from typing import BinaryIO, Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional
 
 from .classify import canonicalize, isomorphic, quadratic_twist
 from .count import count_supersingular, list_classes, s_brute, s_closed
@@ -51,20 +51,10 @@ from .field import DEGREE_CAP, FieldContext, check_oracle_cap, make_context, sma
 EXHAUSTIVE_MAX_D = 4
 FIBER_SUM_MAX_D = 8
 
-SUITES = (
-    "fiber-sums",
-    "oracle-exhaustive",
-    "oracle-sampled",
-    "class-census",
-    "twist-sums",
-    "witness-soundness",
-)
-
-Checks = Callable[[FieldContext], Iterator[Optional[str]]]
-# (index into SUITES, d, checks, passed): the arguments of one _suite_line
-Unit = tuple[int, int, Checks, Callable[[int, int], str]]
-# (cost estimate, units run in order)
-Task = tuple[int, list[Unit]]
+Checks = Iterator[Optional[str]]
+# (cost estimate, (index into SUITES, d, samples, seed)): one (suite,
+# degree) unit and the arguments of its _suite_line
+Task = tuple[int, tuple[int, int, int, int]]
 Line = tuple[int, int, str]
 Error = tuple[int, int, Exception]
 
@@ -104,23 +94,6 @@ def _trace_in_spectrum(d: int, trace: int) -> bool:
     return trace in (0, root, -root, 2 * root, -2 * root)
 
 
-def _suite_line(
-    suite: str, d: int, checks: Checks, passed: Callable[[int, int], str]
-) -> str:
-    """The PASS or FAIL line of one suite at one degree.
-
-    checks(ctx) yields None per passing check, or the text naming the first
-    offending input; the suite stops drawing from it there. passed(d, n)
-    words the PASS line after n passing checks.
-    """
-    n = 0
-    for failure in checks(make_context(d)):
-        if failure is not None:
-            return f"FAIL {suite} d={d} {failure}"
-        n += 1
-    return f"PASS {suite} d={d} {passed(d, n)}"
-
-
 def _check_curve(e: ShortCurve) -> Optional[str]:
     got = count_supersingular(e)
     want = naive_count(e)
@@ -131,17 +104,15 @@ def _check_curve(e: ShortCurve) -> Optional[str]:
     return None
 
 
-def _exhaustive_oracle(ctx: FieldContext) -> Iterator[Optional[str]]:
+def _exhaustive_oracle(ctx: FieldContext, rng: random.Random, samples: int) -> Checks:
     return (_check_curve(e) for e in all_short_curves(ctx))
 
 
-def _sampled_oracle(
-    ctx: FieldContext, rng: random.Random, samples: int
-) -> Iterator[Optional[str]]:
+def _sampled_oracle(ctx: FieldContext, rng: random.Random, samples: int) -> Checks:
     return (_check_curve(random_supersingular_curve(ctx, rng)) for _ in range(samples))
 
 
-def _fiber_sums(ctx: FieldContext) -> Iterator[Optional[str]]:
+def _fiber_sums(ctx: FieldContext, rng: random.Random, samples: int) -> Checks:
     for a in (0, 1, -1):
         closed, brute = s_closed(ctx.d, a), s_brute(ctx, a)
         yield None if closed == brute else f"a={a} closed={closed} brute={brute}"
@@ -151,7 +122,7 @@ def _census_size(d: int) -> int:
     return 4 if d % 2 else 6
 
 
-def _class_census(ctx: FieldContext) -> Iterator[Optional[str]]:
+def _class_census(ctx: FieldContext, rng: random.Random, samples: int) -> Checks:
     entries = list_classes(ctx)
     if len(entries) != _census_size(ctx.d):
         yield f"classes={len(entries)} expected={_census_size(ctx.d)}"
@@ -176,7 +147,7 @@ def _census_passed(d: int, n: int) -> str:
     return f"classes={_census_size(d)} partition={n if d <= EXHAUSTIVE_MAX_D else 'skipped'}"
 
 
-def _twist_sums(ctx: FieldContext) -> Iterator[Optional[str]]:
+def _twist_sums(ctx: FieldContext, rng: random.Random, samples: int) -> Checks:
     g = smallest_nonsquare(ctx)
     target = 2 * ctx.q + 2
     for e in all_short_curves(ctx):
@@ -198,9 +169,7 @@ def _random_isomorphic_pair(
     return e, ShortCurve(a4p, a6p)
 
 
-def _witness_soundness(
-    ctx: FieldContext, rng: random.Random, samples: int
-) -> Iterator[Optional[str]]:
+def _witness_soundness(ctx: FieldContext, rng: random.Random, samples: int) -> Checks:
     for _ in range(samples):
         e1, e2 = _random_isomorphic_pair(ctx, rng)
         w = isomorphic(e1, e2)
@@ -218,41 +187,69 @@ def _witness_soundness(
                 yield None
 
 
-def _tasks(d_max: int, samples: int, seed: int) -> list[Task]:
-    """Every task of a run, with its cost estimate.
+class Suite(NamedTuple):
+    """One row of SUITES: the suite runs at each d in first..min(d_max, last).
 
-    A cost unit is about one curve of an exhaustive suite, which checks
-    9^d curves at d; a twist sum costs about half of one, a witness pair
-    about 10, a sampled curve 2^d / 8 and a fiber-sum degree 3^d / 64
-    (timed at d <= 8). Only the order of the estimates matters. So an
-    oracle-exhaustive curve keeps its unit, although since its a6-free
-    pass is memoised at d <= 4 it costs about half a census curve (91-93
-    against 188-195 ms for the d = 4 tasks, in one warm process).
+    check(ctx, rng, samples) yields None per passing check, or the text
+    naming the first offending input; the suite stops drawing from it
+    there. passed(d, n) words the PASS line after n passing checks, and
+    cost(d, samples) estimates the work of one degree.
     """
-    rng = random.Random(seed)
-    small = range(1, min(d_max, EXHAUSTIVE_MAX_D) + 1)
-    sampled = range(EXHAUSTIVE_MAX_D + 1, d_max + 1)
-    checks, curves = (lambda d, n: f"checks={n}"), (lambda d, n: f"curves={n}")
-    tasks: list[Task] = [
-        (1 + 3**d // 64, [(0, d, _fiber_sums, checks)])
-        for d in range(1, min(d_max, FIBER_SUM_MAX_D) + 1)
+
+    name: str
+    first: int
+    last: int
+    check: Callable[[FieldContext, random.Random, int], Checks]
+    passed: Callable[[int, int], str]
+    cost: Callable[[int, int], int]
+
+
+# A cost unit is about one curve of oracle-exhaustive, which checks 9^d
+# curves at d: about 10 us, 65 ms at d = 4 in one warm process. A census
+# curve costs about 2, a twist-sums curve 1, a witness pair 14, a sampled
+# curve 8 + 3^d / 64 (timed at d <= 13) and a fiber-sum degree 1 + 3^d / 64.
+# Only the order of the estimates matters.
+SUITES = (
+    Suite("fiber-sums", 1, FIBER_SUM_MAX_D, _fiber_sums,
+          lambda d, n: f"checks={n}", lambda d, samples: 1 + 3**d // 64),
+    Suite("oracle-exhaustive", 1, EXHAUSTIVE_MAX_D, _exhaustive_oracle,
+          lambda d, n: f"curves={n}", lambda d, samples: 9**d),
+    Suite("oracle-sampled", EXHAUSTIVE_MAX_D + 1, DEGREE_CAP, _sampled_oracle,
+          lambda d, n: f"curves={n}", lambda d, samples: samples * (8 + 3**d // 64)),
+    Suite("class-census", 1, DEGREE_CAP, _class_census,
+          _census_passed, lambda d, samples: 2 * 9**d if d <= EXHAUSTIVE_MAX_D else 20),
+    Suite("twist-sums", 1, EXHAUSTIVE_MAX_D, _twist_sums,
+          lambda d, n: f"checks={n}", lambda d, samples: 9**d),
+    Suite("witness-soundness", 1, EXHAUSTIVE_MAX_D, _witness_soundness,
+          lambda d, n: f"pairs={n}", lambda d, samples: 14 * samples),
+)
+
+
+def _rng(seed: int, suite: str, d: int) -> random.Random:
+    """The rng of one (suite, degree) unit. CPython hashes a str seed with
+    SHA-512, so its draws are the same in every process and under every
+    PYTHONHASHSEED."""
+    return random.Random(f"{seed}/{suite}/{d}")
+
+
+def _suite_line(index: int, d: int, samples: int, seed: int) -> str:
+    """The PASS or FAIL line of SUITES[index] at degree d."""
+    suite = SUITES[index]
+    n = 0
+    for failure in suite.check(make_context(d), _rng(seed, suite.name, d), samples):
+        if failure is not None:
+            return f"FAIL {suite.name} d={d} {failure}"
+        n += 1
+    return f"PASS {suite.name} d={d} {suite.passed(d, n)}"
+
+
+def _tasks(d_max: int, samples: int, seed: int) -> list[Task]:
+    """Every (suite, degree) unit of a run, with its cost estimate."""
+    return [
+        (suite.cost(d, samples), (index, d, samples, seed))
+        for index, suite in enumerate(SUITES)
+        for d in range(suite.first, min(d_max, suite.last) + 1)
     ]
-    tasks += [(9**d, [(1, d, _exhaustive_oracle, curves)]) for d in small]
-    # oracle-sampled and then witness-soundness draw from one rng: one task
-    tasks.append((
-        samples * (sum(2**d // 8 for d in sampled) + 10 * len(small)),
-        [(2, d, lambda ctx: _sampled_oracle(ctx, rng, samples), curves) for d in sampled]
-        + [
-            (5, d, lambda ctx: _witness_soundness(ctx, rng, samples), lambda d, n: f"pairs={n}")
-            for d in small
-        ],
-    ))
-    tasks += [
-        (9**d if d <= EXHAUSTIVE_MAX_D else 20, [(3, d, _class_census, _census_passed)])
-        for d in range(1, d_max + 1)
-    ]
-    tasks += [(9**d // 2, [(4, d, _twist_sums, checks)]) for d in small]
-    return tasks
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -283,19 +280,14 @@ def _plan(costs: list[int]) -> list[list[int]]:
 
 
 def _run_share(tasks: list[Task]) -> tuple[list[Line], list[Error]]:
-    """The lines of a share's tasks, and the exception each task raised.
-
-    A task runs its units in order and stops at the first that raises.
-    """
+    """The lines of a share's tasks, and the exception each task raised."""
     lines: list[Line] = []
     errors: list[Error] = []
-    for _, units in tasks:
-        for index, d, checks, passed in units:
-            try:
-                lines.append((index, d, _suite_line(SUITES[index], d, checks, passed)))
-            except Exception as exc:  # raised by _run_tasks once every share has run
-                errors.append((index, d, exc))
-                break
+    for _, (index, d, samples, seed) in tasks:
+        try:
+            lines.append((index, d, _suite_line(index, d, samples, seed)))
+        except Exception as exc:  # raised by _run_tasks once every share has run
+            errors.append((index, d, exc))
     return lines, errors
 
 

@@ -304,6 +304,26 @@ def test_python_m_ss3_runs_the_cli():
     assert sum(line.startswith("error:") for line in done.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("unbuffered", [
+    pytest.param("", id="buffered"), pytest.param("1", id="unbuffered"),
+])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the read end is closed before the child writes: buffered, the write
+    # fails at the flush in main; unbuffered, inside the command
+    src = str(Path(ss3.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ss3", "enumerate", "--d", "4"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 # ----------------------------------------------------------------------
 # export
 # ----------------------------------------------------------------------

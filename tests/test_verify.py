@@ -5,7 +5,7 @@ number of CPUs the work is spread over.
 
 Each injected fault breaks one ingredient of one suite and compares the
 complete report, so the wording of each FAIL line, the suites that keep
-passing, and the order in which the suites draw from the shared rng stay
+passing, and the draws of each (suite, degree) from its own seeded rng stay
 fixed.
 
 The CPU count is set by patching os.sched_getaffinity; a test with n CPUs
@@ -16,6 +16,8 @@ is left afterwards.
 import dataclasses
 import errno
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -136,7 +138,7 @@ FAIL oracle-exhaustive d=1 curve=a4=1;a6=0 expected=4 got=7
 FAIL oracle-exhaustive d=2 curve=a4=1,0;a6=0,0 expected=16 got=19
 FAIL oracle-exhaustive d=3 curve=a4=1,0,0;a6=0,0,0 expected=28 got=31
 FAIL oracle-exhaustive d=4 curve=a4=1,0,0,0;a6=0,0,0,0 expected=64 got=67
-FAIL oracle-sampled d=5 curve=a4=2,2,0,1,0;a6=1,0,1,2,1 expected=217 got=220
+FAIL oracle-sampled d=5 curve=a4=1,1,1,1,2;a6=1,0,2,0,0 expected=244 got=247
 PASS class-census d=1 classes=4 partition=6
 PASS class-census d=2 classes=6 partition=72
 PASS class-census d=3 classes=4 partition=702
@@ -253,6 +255,8 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
+    # the three pairs drawn at d = 1 have a4 = -1, between which every (u, r)
+    # with u != 0 is a witness: the shifted r is no fault there
     "witness-relations": (3, _patch("isomorphic", _iso_r_shifted), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
@@ -266,9 +270,9 @@ PASS class-census d=3 classes=4 partition=702
 PASS twist-sums d=1 checks=6
 PASS twist-sums d=2 checks=72
 PASS twist-sums d=3 checks=702
-FAIL witness-soundness d=1 pair a4=1;a6=2 ~ a4=1;a6=1 relations violated
-FAIL witness-soundness d=2 pair a4=1,2;a6=0,2 ~ a4=1,2;a6=1,0 relations violated
-FAIL witness-soundness d=3 pair a4=0,0,2;a6=1,1,2 ~ a4=0,2,2;a6=1,1,0 relations violated
+PASS witness-soundness d=1 pairs=3
+FAIL witness-soundness d=2 pair a4=1,1;a6=1,2 ~ a4=2,2;a6=0,0 relations violated
+FAIL witness-soundness d=3 pair a4=2,1,1;a6=2,0,0 ~ a4=1,1,0;a6=0,2,2 relations violated
 """),
     "witness-unrecognized": (3, _patch("isomorphic", _iso_never), """\
 PASS fiber-sums d=1 checks=3
@@ -283,9 +287,9 @@ PASS class-census d=3 classes=4 partition=702
 PASS twist-sums d=1 checks=6
 PASS twist-sums d=2 checks=72
 PASS twist-sums d=3 checks=702
-FAIL witness-soundness d=1 pair a4=1;a6=2 ~ a4=1;a6=1 not recognized
-FAIL witness-soundness d=2 pair a4=2,0;a6=1,2 ~ a4=1,0;a6=1,2 not recognized
-FAIL witness-soundness d=3 pair a4=0,1,2;a6=0,1,1 ~ a4=2,2,2;a6=0,1,2 not recognized
+FAIL witness-soundness d=1 pair a4=2;a6=2 ~ a4=2;a6=2 not recognized
+FAIL witness-soundness d=2 pair a4=1,1;a6=1,2 ~ a4=2,2;a6=0,0 not recognized
+FAIL witness-soundness d=3 pair a4=2,1,1;a6=2,0,0 ~ a4=1,1,0;a6=0,2,2 not recognized
 """),
     "witness-point-map": (3, _patch("random_point", _point_off_curve), """\
 PASS fiber-sums d=1 checks=3
@@ -300,9 +304,9 @@ PASS class-census d=3 classes=4 partition=702
 PASS twist-sums d=1 checks=6
 PASS twist-sums d=2 checks=72
 PASS twist-sums d=3 checks=702
-FAIL witness-soundness d=1 point map left the curve a4=1;a6=2
-FAIL witness-soundness d=2 point map left the curve a4=2,2;a6=1,2
-FAIL witness-soundness d=3 point map left the curve a4=1,0,0;a6=2,2,2
+FAIL witness-soundness d=1 point map left the curve a4=2;a6=0
+FAIL witness-soundness d=2 point map left the curve a4=1,1;a6=1,2
+FAIL witness-soundness d=3 point map left the curve a4=2,1,1;a6=2,0,0
 """),
 }
 
@@ -406,36 +410,68 @@ def test_golden_report_on_two_cpus(monkeypatch):
     _no_child_left()
 
 
+def _index(suite):
+    return [row.name for row in verify_mod.SUITES].index(suite)
+
+
+def test_unit_rng_draws_the_same_in_every_process():
+    # a str seed is hashed with SHA-512, not with hash(), so a fresh
+    # interpreter under any PYTHONHASHSEED draws the pinned value
+    want = 1417591548973910552
+    assert verify_mod._rng(1, "oracle-sampled", 5).getrandbits(64) == want
+    src = str(Path(verify_mod.__file__).resolve().parents[1])
+    code = "from ss3.verify import _rng; print(_rng(1, 'oracle-sampled', 5).getrandbits(64))"
+    for hash_seed in ("0", "7"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, f"{want}\n")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_unit_line_depends_only_on_seed_suite_and_degree(cpus, monkeypatch):
+    # witness-soundness d = 3 run alone gives its line in the whole report,
+    # although on one CPU d = 1 and 2 draw before it in the same process
+    d_max, patch, lines = FAULTS["witness-relations"]
+    patch(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    alone = verify_mod._suite_line(_index("witness-soundness"), 3, 3, 1)
+    assert alone.startswith("FAIL witness-soundness d=3 ") and alone in lines.splitlines()
+    assert alone in verify_mod.run_verification(d_max, samples=3, seed=1).lines
+    _no_child_left()
+
+
 def _share_of(suite, d, d_max, samples):
     """Which share of _plan runs the unit (suite, d): 0 is the calling process."""
     tasks = verify_mod._tasks(d_max, samples, 0)
-    key = (verify_mod.SUITES.index(suite), d)
+    key = (_index(suite), d)
     for k, share in enumerate(verify_mod._plan([cost for cost, _ in tasks])):
-        if any(unit[:2] == key for i in share for unit in tasks[i][1]):
+        if any(tasks[i][1][:2] == key for i in share):
             return k
     raise AssertionError(f"no task runs {suite} d={d}")
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_earliest_exception_in_report_order_wins(cpus, monkeypatch):
-    # oracle-exhaustive raises at d = 2, in the child on 2 CPUs, and at d = 4,
-    # in the calling process, whose error is recorded first; the child's
-    # share runs again in the calling process, so the error keeps its j,
-    # which does not pickle, and its traceback
+    # oracle-exhaustive raises at d = 2, in the child on 2 CPUs, and
+    # oracle-sampled at d = 5, in the calling process, whose error is
+    # recorded first; the child's share runs again in the calling process,
+    # so the error keeps its j, which does not pickle, and its traceback
     _cpus(monkeypatch, cpus)
     if cpus == 2:
-        assert _share_of("oracle-exhaustive", 2, 4, 3) == 1
-        assert _share_of("oracle-exhaustive", 4, 4, 3) == 0
+        assert _share_of("oracle-exhaustive", 2, 5, 3) == 1
+        assert _share_of("oracle-sampled", 5, 5, 3) == 0
     real = verify_mod._check_curve
 
     def check_curve(e):
-        if e.ctx.d in (2, 4):
+        if e.ctx.d in (2, 5):
             raise NotSupersingularError(j=e.a4, message=f"refused at d={e.ctx.d}")
         return real(e)
 
     monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
     with pytest.raises(NotSupersingularError) as caught:
-        verify_mod.run_verification(4, samples=3, seed=0)
+        verify_mod.run_verification(5, samples=3, seed=0)
     assert type(caught.value) is NotSupersingularError
     assert str(caught.value) == "refused at d=2 (j = 1,0)"
     assert caught.value.j == make_context(2).element([1, 0])
@@ -472,39 +508,39 @@ class _Interrupt(BaseException):
 
 def test_exception_in_calling_process_kills_and_reaps_children(monkeypatch):
     _cpus(monkeypatch, 2)
-    assert _share_of("oracle-exhaustive", 4, 4, 3) == 0
+    assert _share_of("oracle-sampled", 5, 5, 3) == 0
     parent, real = os.getpid(), verify_mod._check_curve
 
     def check_curve(e):
-        if os.getpid() == parent and e.ctx.d == 4:
+        if os.getpid() == parent and e.ctx.d == 5:
             raise _Interrupt
         return real(e)
 
     monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
     with pytest.raises(_Interrupt):
-        verify_mod.run_verification(4, samples=3, seed=0)
+        verify_mod.run_verification(5, samples=3, seed=0)
     _no_child_left()
 
 
 def test_share_of_a_dead_child_runs_in_process(monkeypatch):
-    # on 2 CPUs the child runs the rng task and dies in it; the calling
-    # process runs that share again from its own unconsumed rng, so the
-    # report, with its sampled FAIL line, is the one of 1 CPU
-    d_max, patch, _ = FAULTS["count-order"]
+    # on 2 CPUs the child runs witness-soundness d = 2 and dies in its
+    # share; the calling process runs that share again, the unit from its
+    # own rng, so the report, with its sampled FAIL line, is the one of 1 CPU
+    d_max, patch, _ = FAULTS["witness-relations"]
     patch(monkeypatch)
     _cpus(monkeypatch, 1)
     want = verify_mod.run_verification(d_max, samples=3, seed=1).text()
-    assert "FAIL oracle-sampled d=5 curve=" in want
+    assert "FAIL witness-soundness d=2 pair " in want
     _cpus(monkeypatch, 2)
-    assert _share_of("oracle-sampled", 5, d_max, 3) == 1
-    parent, real = os.getpid(), verify_mod._check_curve
+    assert _share_of("witness-soundness", 2, d_max, 3) == 1
+    parent, real = os.getpid(), verify_mod.isomorphic
 
-    def check_curve(e):
+    def isomorphic(e1, e2):
         if os.getpid() != parent:
             os._exit(3)
-        return real(e)
+        return real(e1, e2)
 
-    monkeypatch.setattr(verify_mod, "_check_curve", check_curve)
+    monkeypatch.setattr(verify_mod, "isomorphic", isomorphic)
     assert verify_mod.run_verification(d_max, samples=3, seed=1).text() == want
     _no_child_left()
 
