@@ -235,7 +235,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return status
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit: let that write go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except (SS3Error, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

