@@ -34,13 +34,18 @@ t^0..t^(k-1) and the high one on t^k..t^(d-1), k = d // 2
 (_digit_halves). The halves share no digit, so x encodes as enc(h) +
 enc(l). A row, the elements of one h over every l, is built from a few
 products, and one packed big int holds a pass of consecutive rows,
-min(q, max(3^7, 3^k)) lanes of 5 * ceil(d / 5) bytes (_sweep_rows):
-the whole field at d <= 7 and q / 3^7 passes at d = 8..13. One
-_encode_row call encodes a pass by one product, which sums each chunk
-of five digits of a lane into one byte. The chi table holds chi + 1 by
-encoding and is built from the squares by the same sweep; the cubic sum
-(chi_sum_cubic) reads it one pass at a time and the trace-fiber sum
-(chi_sum_fiber) one row at a time (_picker).
+min(q, max(3^7, 3^k)) lanes of 5, 10 and 20 bytes at d <= 5, 10 and 20
+(_lane_widths; _sweep_rows): the whole field at d <= 7 and q / 3^7
+passes at d = 8..13. One _encode_row call reads the chunk codes of a
+pass, each lane's base-243 digits read in base 256 (_chunk_code), by one
+product, which sums each chunk of five digits of a lane into one byte,
+one slice and one memoryview cast. The chi table holds chi + 1 by chunk
+code and is built from the squares by the same sweep over h = 0 and one
+of each pair +-h. The cubic sum (chi_sum_cubic) reads it one pass at a
+time, each half taking x^3 from the context's kept cubes of the halves,
+so a short curve costs one product per half element; the trace-fiber
+sum (chi_sum_fiber) reads it one row at a time, from code(h) at the
+codes of the lows (_half_codes, _picker).
 
 The long exponents are made of base-3 repunits at every d. One Euler
 power z = x^((q-3)/2) gives chi, as Euler's criterion z*x, x^-1 = z^2*x
@@ -69,10 +74,11 @@ such a field builds each element once; above 81 elements each result is
 a new FieldElement.
 
 Contexts are safe to share across threads. Nothing changes after
-construction but eight structures that fill lazily, each idempotently:
-the character table; the representatives' slot, which holds each class
-representative beside the LinearizedMap of its a4 (classify fills it);
-and, at d <= 4, the log table, which stores the log of an unreduced key
+construction but nine structures that fill lazily, each idempotently:
+the character table; the cubes of the digit halves; the
+representatives' slot, which holds each class representative beside
+the LinearizedMap of its a4 (classify fills it); and, at d <= 4, the
+log table, which stores the log of an unreduced key
 on its first read (a _Memo, at most 5^d keys), and the sum, chain,
 cubic, element and decode memos. Each stores a value that its key alone
 determines, so threads that race on any of them store equal values, and
@@ -416,9 +422,10 @@ class FieldContext:
     loop at the end of the build swaps each for a memo of its function,
     empty until first read (_Memo); the cubic memo keeps its one pass in a
     tuple, and the element memo keeps zero, one and minus_one for 0, 1
-    and 2. Two more slots fill later: the chi table on first use, and each
-    class representative with the LinearizedMap of its a4 (4 classes on 2
-    maps at odd d, 6 on 4 at even d) when classify first needs it.
+    and 2. Three more slots fill later: the chi table and the cubes of the
+    digit halves (_half_cubes) on first use, and each class
+    representative with the LinearizedMap of its a4 (4 classes on 2 maps
+    at odd d, 6 on 4 at even d) when classify first needs it.
 
     Attributes:
         d: extension degree.
@@ -451,6 +458,7 @@ class FieldContext:
         "_frobenius",
         "_trace_weights",
         "_chi_table",
+        "_cubes",
         "_representatives",
         "_nonsquare",
         "_coset_r_inv",
@@ -474,6 +482,7 @@ class FieldContext:
         self.one = FieldElement(self, 1)
         self.minus_one = FieldElement(self, 2)
         self._chi_table: Optional[bytearray] = None
+        self._cubes: Optional[tuple[list[int], list[int]]] = None  # (low cubes, high cubes)
         self._representatives: dict = {}  # class -> (its curve, the map of its a4)
         self._trace_weights = self._build_trace_weights()
         self.q_minus_1_factors = tuple(factorize_q_minus_1(d))
@@ -668,12 +677,18 @@ class FieldContext:
     # -- cached tables ---------------------------------------------------
 
     def chi_table(self) -> bytearray:
-        """Table of chi(x) + 1 indexed by encoding, for the brute-force oracles.
+        """Table of chi(x) + 1 indexed by chunk code, for the brute-force oracles.
 
-        Built on first use by marking the squares x^2 over the split sweep
-        (_sweep_rows): with x = h + l, x^2 = h^2 + l^2 + sum_j l_j * 2h*t^j,
-        so it costs 3^k + (k + 1) * 3^(d-k) multiplications, k = d // 2.
-        Every call checks the oracle cap.
+        x sits at _chunk_code(encoding of x), so the table has
+        _chunk_code(q - 1) + 1 entries: q at d <= 5, up to 5% more at
+        d = 6..10 and up to 11% more at d = 11..13. An entry that is no
+        element's code stays 0 and is never read. Built on first use by
+        marking the squares x^2 over the split sweep (_sweep_rows) of
+        h = 0 and one of each pair +-h of nonzero high halves, the one
+        whose top nonzero digit is 1: (-x)^2 = x^2, so the rows of -h
+        would mark nothing new. With x = h + l, x^2 = h^2 + l^2 +
+        sum_j l_j * 2h*t^j, so it costs 3^k + (k + 1) * (3^(d-k) + 1) / 2
+        multiplications, k = d // 2. Every call checks the oracle cap.
 
         Raises:
             OracleTooLarge: for q above the oracle cap.
@@ -681,15 +696,32 @@ class FieldContext:
         check_oracle_cap(self.q)
         table = self._chi_table
         if table is None:
-            table = bytearray(self.q)  # chi + 1 = 0 until marked as a square
-            mul, mark, two = self._mul, table.__setitem__, itertools.repeat(2)
-            low_squares = [mul(x, x) for x in _digit_halves(self.d)[0]]
-            cross = [2 << 8 * j for j in range(self.d // 2)]
-            for packed in _sweep_rows(self, lambda h: mul(h, h), low_squares, cross):
-                collections.deque(map(mark, _encode_row(self.d, packed), two), maxlen=0)
-            table[0] = 1
+            d, mul = self.d, self._mul
+            table = bytearray(_chunk_code(self.q - 1) + 1)  # chi + 1 = 0 until marked
+            mark, two = table.__setitem__, itertools.repeat(2)
+            lows, highs = _digit_halves(d)
+            # encodings j * 3^k with 3^i <= j < 2 * 3^i: top nonzero digit 1
+            half = highs[:1] + [h for i in range(d - d // 2) for h in highs[3**i:2 * 3**i]]
+            heads, low_parts = [mul(h, h) for h in half], [mul(x, x) for x in lows]
+            cross = [2 << 8 * j for j in range(d // 2)]
+            for packed in _sweep_rows(self, half, heads, low_parts, cross):
+                collections.deque(map(mark, _encode_row(d, packed), two), maxlen=0)
+            table[0] = 1  # 0, which the lanes past a short last pass also mark
             self._chi_table = table
         return table
+
+    def _half_cubes(self) -> tuple[list[int], list[int]]:
+        """The packed cubes of the low and high digit halves, as _digit_halves orders them.
+
+        Built on first use with the context's product, two per half
+        element, 2 * (3^k + 3^(d-k)) in all; the cubic passes read them.
+        """
+        cubes = self._cubes
+        if cubes is None:
+            mul = self._mul
+            cubes = tuple([mul(mul(x, x), x) for x in half] for half in _digit_halves(self.d))
+            self._cubes = cubes
+        return cubes
 
     def cube_table(self) -> Optional[list[int]]:
         """Encoding-indexed list of packed x^3, for q <= 3^8 only (else None).
@@ -825,29 +857,55 @@ def _digit_halves(d: int) -> tuple[list[int], list[int]]:
 
 
 # A row packs the elements h + l of one high half h over the 3^k lows l
-# (k = d // 2), the one of low index i in lane i, L = 5 * ceil(d / 5)
-# bytes from byte i * L, and a pass packs consecutive rows, row r from
-# lane r * 3^k. _sweep_rows sums into a lane a value with slots <= 4, a
-# low part with slots <= 2 and k cross terms with slots <= 4, so a slot
-# holds at most 6 + 4k <= 66 < 256 for d <= 31 and no lane carries into
-# the next.
+# (k = d // 2), the one of low index i in lane i, L bytes from byte i * L
+# (_lane_widths), and a pass packs consecutive rows, row r from lane
+# r * 3^k. _sweep_rows sums into a lane a head and a low part with slots
+# <= 2 and k cross terms with slots <= 4, so with c0 (chi_sum_cubic) a
+# slot holds at most 6 + 4k <= 66 < 256 for d <= 31 and no lane carries
+# into the next.
 # The fewest lanes of a pass, short of the whole field: one pass at d <= 7.
 _PASS_LANES = 3**7
 # x * _CHUNK, for x with slots in {0, 1, 2}, holds in byte 5m + 4 the
 # base-243 value sum_{i<5} 3^i * x_(5m+i) of bytes 5m..5m+4 of x: a byte
 # sums at most 2 * (1 + 3 + 9 + 27 + 81) = 242, so nothing carries.
 _CHUNK = sum(3**i << 8 * (4 - i) for i in range(5))
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _lane_widths(d: int) -> tuple[int, int]:
-    """Bytes per lane (L, five per chunk of five digits) and bytes per read item.
+    """Bytes per lane and bytes per chunk code.
 
-    An item holds a lane's encoding, below 3^d <= 243^c for c = L / 5
-    chunks, in c bytes rounded up to a power of two: one byte at d <= 5,
-    two at d <= 10, four at d <= 20 and eight above.
+    A lane's d digits fall in c = ceil(d / 5) chunks of five, and its code
+    (_chunk_code) holds one byte per chunk in c bytes rounded up to a
+    power of two: one at d <= 5, two at d <= 10, four at d <= 20 and eight
+    above. A lane has five bytes per code byte, so the chunk bytes of a
+    pass, every fifth one, hold one code per lane.
     """
-    chunks = -(-d // 5)
-    return 5 * chunks, 1 << (chunks - 1).bit_length()
+    item = 1 << (-(-d // 5) - 1).bit_length()
+    return 5 * item, item
+
+
+def _chunk_code(enc: int) -> int:
+    """The chunk code of an encoding: its base-243 digits read in base 256.
+
+    Base-243 digit m of an encoding is chunk m, the base-3 value of digits
+    5m..5m+4. _encode_row reads a lane's code as one item holding chunk m
+    in its byte m, and the chi table is indexed by code. Halves that share
+    no digit share no chunk sum above 242, so the code of h + l is
+    code(h) + code(l) (_half_codes). At d <= 5 the code is the encoding.
+    """
+    code, shift = 0, 0
+    while enc:
+        enc, chunk = divmod(enc, 243)
+        code, shift = code | chunk << shift, shift + 8
+    return code
+
+
+@functools.lru_cache(maxsize=None)
+def _half_codes(d: int) -> tuple[list[int], list[int]]:
+    """The chunk codes of the low and high digit halves, as _digit_halves orders them."""
+    n = 3 ** (d // 2)
+    return [_chunk_code(i) for i in range(n)], [_chunk_code(j * n) for j in range(3**d // n)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -858,9 +916,8 @@ def _row_layout(d: int) -> tuple:
     whole field: every row at d <= 7, then 27, 9 and 3 rows at d = 8..9,
     10..11 and 12..13. ONES holds 1 in every lane of one pass and DIGIT_j,
     for j < k, digit j of i in lane i of one row. SIZE is the bytes of one
-    pass, and FORMAT and STEP cast and order the items of _encode_row: an
-    unsigned int of ITEM bytes, in lane order from the pass's bytes in
-    native order.
+    pass, LANE those of one lane, and FORMAT casts the codes of
+    _encode_row: an unsigned int of one code's bytes.
     """
     lane, item = _lane_widths(d)
     n = 3 ** (d // 2)
@@ -872,36 +929,32 @@ def _row_layout(d: int) -> tuple:
 
     ones = lanes([1] * (rows * n))
     digits = tuple(lanes(i // 3**j % 3 for i in range(n)) for j in range(d // 2))
-    fmt, step = "BHIQ"[item.bit_length() - 1], 1 if sys.byteorder == "little" else -1
-    return ones, digits, rows, size, lane, item, fmt, step
+    return ones, digits, rows, size, lane, "BHIQ"[item.bit_length() - 1]
 
 
 def _encode_row(d: int, packed: int) -> Sequence[int]:
-    """The encodings of a packed degree-d pass's lanes, in lane order.
+    """The chunk codes of a packed degree-d pass's lanes, in lane order.
 
     Slots may be unreduced (up to 6 + 4k): one translate reduces them mod 3.
-    One product by _CHUNK then puts base-243 digit m of each lane's
-    encoding in byte 5m + 4 of the lane, and one strided slice per chunk
-    reads those digits. At d <= 5 the one slice holds the encodings; above,
-    the chunks, highest first, are summed by Horner in items of ITEM bytes
-    (_row_layout), read through one memoryview cast. Two encoders were
-    measured and lost on a shared 2-CPU machine: power-of-two lanes
-    encoded by log2 of their width mask rounds, on passes of 81 lanes,
-    made a d = 9 naive_count 4.2 ms against 2.3; and one slice and
-    translate per digit, summed by Horner, took 48-50 ms against 36 for
-    naive_count over every d = 4 curve, and 4-10% more at d = 9.
+    One product by _CHUNK then puts chunk m of each lane in byte 5m + 4 of
+    the lane, so every fifth byte of the product holds each lane's chunks,
+    lowest first, in one item of its code's width (_lane_widths): one
+    slice and one memoryview cast read the codes. The product's bytes are
+    taken in native order, so the cast reads chunk m at 256^m on either
+    byte order; on a big-endian host that reverses the lanes, and the view
+    is reversed back. Three encoders were measured and lost on a shared
+    2-CPU machine: power-of-two lanes encoded by log2 of their width mask
+    rounds, on passes of 81 lanes, made a d = 9 naive_count 4.2 ms
+    against 2.3; one slice and translate per digit, summed by Horner, took
+    48-50 ms against 36 for naive_count over every d = 4 curve, and 4-10%
+    more at d = 9; and the encodings themselves, one slice per chunk
+    summed by Horner, took 119 us per d = 9 pass against 111 for these
+    codes.
     """
-    _, _, _, size, lane, item, fmt, step = _row_layout(d)
+    _, _, _, size, _, fmt = _row_layout(d)
     x = int.from_bytes(packed.to_bytes(size, "little").translate(_MOD3), "little")
-    chunks = (x * _CHUNK).to_bytes(size + 4, "little")
-    if lane == 5:
-        return chunks[4::5]
-    count = size // lane
-    spread, value = bytearray(count * item), 0
-    for start in range(lane - 1, 3, -5):  # byte 5m + 4 of every lane, m = c - 1 .. 0
-        spread[::item] = chunks[start::lane]
-        value = value * 243 + int.from_bytes(spread, "little")
-    return memoryview(value.to_bytes(count * item, sys.byteorder)).cast(fmt)[::step]
+    codes = memoryview((x * _CHUNK).to_bytes(size + 4, sys.byteorder)[4::5]).cast(fmt)
+    return codes if _LITTLE_ENDIAN else codes[::-1]
 
 
 def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
@@ -917,34 +970,42 @@ def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
 
 
 def _sweep_rows(
-    ctx: FieldContext, head: Callable[[int], int], low_parts: Sequence[int], cross: Sequence[int]
+    ctx: FieldContext,
+    highs: Sequence[int],
+    heads: Sequence[int],
+    low_parts: Sequence[int],
+    cross: Sequence[int],
 ) -> Iterator[int]:
-    """Packed passes of head(h) + low_parts[i] + sum_j l_j * cross[j] * h.
+    """Packed passes of heads[r] + low_parts[i] + sum_j l_j * cross[j] * highs[r].
 
-    The rows of the high halves h run in encoding order over the lows l
-    (digits l_j, encoding i) in lane order, and each pass packs ROWS
-    consecutive rows (_row_layout), so the lanes of the passes run in
-    encoding order of h + l. cross has at most k terms. head(h) may leave
-    slots <= 4, the low parts and cross terms must be reduced. Each row
-    costs len(cross) products, plus whatever head(h) makes, and the caller
-    encodes each pass with one _encode_row. A pass is built from bytes:
-    each head repeated over its row's lanes, and each row's cross terms,
-    the sum of mul(cross[j], h) * DIGIT_j, joined in row order, so its
-    cost is linear in its rows. Two variants were measured and lost on
-    passes of 3^7 lanes, timing a cold d = 8 chi_table on a shared 2-CPU
-    machine: summing every row's term j shifted to the row's first lane,
-    which is quadratic in the rows, took 2.2 ms against 1.5, and joining
-    the rows of each term j apart took 1.6-1.75 ms.
+    Row r holds highs[r] + l over the lows l (digits l_j, encoding i) in
+    lane order, and each pass packs ROWS consecutive rows (_row_layout),
+    the last one fewer when ROWS does not divide len(highs); over every
+    high half in encoding order, the lanes of the passes run in encoding
+    order of h + l. cross has at most k terms. The heads and low parts may
+    leave slots <= 4: one translate of their joined lanes reduces each
+    list. The cross terms must be reduced. Each row costs len(cross)
+    products, and the caller encodes each pass with one _encode_row. A
+    pass is built from bytes: each head repeated over its row's lanes, and
+    each row's cross terms, the sum of mul(cross[j], h) * DIGIT_j, joined
+    in row order, so its cost is linear in its rows. Two variants were
+    measured and lost on passes of 3^7 lanes, timing a cold d = 8
+    chi_table on a shared 2-CPU machine: summing every row's term j
+    shifted to the row's first lane, which is quadratic in the rows, took
+    2.2 ms against 1.5, and joining the rows of each term j apart took
+    1.6-1.75 ms.
     """
     d, mul, from_bytes = ctx.d, ctx._mul, int.from_bytes
-    _, digits, rows, _, lane = _row_layout(d)[:5]
-    low_row = b"".join(v.to_bytes(lane, "little") for v in low_parts)
-    low, highs = from_bytes(low_row * rows, "little"), _digit_halves(d)[1]
+    _, digits, rows, _, lane, _ = _row_layout(d)
+    low_row = b"".join([v.to_bytes(lane, "little") for v in low_parts]).translate(_MOD3)
+    head_lanes = b"".join([v.to_bytes(lane, "little") for v in heads]).translate(_MOD3)
     n, row_size = len(low_parts), len(low_row)
-    terms = list(zip(cross, digits))
-    for group in zip(*[iter(highs)] * rows):
-        heads = b"".join([head(h).to_bytes(lane, "little") * n for h in group])
-        packed = from_bytes(heads, "little") + low
+    low, terms = from_bytes(low_row * rows, "little"), list(zip(cross, digits))
+    for start in range(0, len(highs), rows):
+        group = highs[start:start + rows]
+        lanes = range(start * lane, (start + len(group)) * lane, lane)
+        packed = from_bytes(b"".join([head_lanes[i:i + lane] * n for i in lanes]), "little")
+        packed += low if len(group) == rows else from_bytes(low_row * len(group), "little")
         if terms:
             crossed = [sum([mul(b, h) * digit for b, digit in terms]) for h in group]
             packed += from_bytes(b"".join([c.to_bytes(row_size, "little") for c in crossed]), "little")
@@ -956,15 +1017,20 @@ def _cubic_passes(ctx: FieldContext, c2: int, c1: int) -> Iterator[int]:
 
     Cubing is additive in characteristic 3, so g(h + l) = g(h) + g(l) +
     2*c2*h*l: products run per half, not per element, and the cross term
-    is the sum over the low digits l_j of l_j times 2*c2*h*t^j. The
-    coefficients are packed and reduced.
+    is the sum over the low digits l_j of l_j times 2*c2*h*t^j. Each half
+    takes g(x) = x^3 + x * (c2 x + c1) with x^3 from the context's kept
+    cubes (_half_cubes): one product, c1 * x, when c2 = 0, as for every
+    short curve, and two otherwise. The coefficients are packed and
+    reduced.
     """
-    mul = ctx._mul
-    # Horner on packed ints; each sum stays unreduced (slots <= 4), which _mul
-    # accepts; the heads, low parts and cross terms come out reduced.
-    low_parts = [mul(mul(x + c2, x) + c1, x) for x in _digit_halves(ctx.d)[0]]
+    mul, halves = ctx._mul, _digit_halves(ctx.d)
+    # c2 * x + c1 stays unreduced (slots <= 4), which _mul accepts
+    low_parts, heads = (
+        [x3 + mul(mul(c2, x) + c1 if c2 else c1, x) for x, x3 in zip(half, cubes)]
+        for half, cubes in zip(halves, ctx._half_cubes())
+    )
     cross = [mul(c2 + c2, 1 << 8 * j) for j in range(ctx.d // 2)] if c2 else []
-    return _sweep_rows(ctx, lambda h: mul(mul(h + c2, h) + c1, h), low_parts, cross)
+    return _sweep_rows(ctx, halves[1], heads, low_parts, cross)
 
 
 def chi_sum_cubic(ctx: FieldContext, c2: FieldElement, c1: FieldElement, c0: FieldElement) -> int:
@@ -993,23 +1059,25 @@ def chi_sum_fiber(ctx: FieldContext, a: int) -> int:
     """Sum of chi(x) over the trace fiber Tr(x) = a, a in {0, 1, -1}.
 
     The trace is F3-linear, so h + l is in the fiber iff Tr(l) = a -
-    Tr(h): the row of h is one slice of the chi table, and the fiber picks
-    one trace class of its lows. No product is made: each half's trace is
-    read from the packed int as trace does.
+    Tr(h), and the chunk code of h + l is code(h) + code(l): the row of h
+    is the slice of the chi table from code(h), and the fiber picks one
+    trace class of its lows by their codes (_half_codes). No product is
+    made: each half's trace is read from the packed int as trace does.
 
     Raises:
         OracleTooLarge: for q above ORACLE_CAP.
     """
     table = ctx.chi_table()  # checks the oracle cap
     lows, highs = _digit_halves(ctx.d)
+    low_codes, high_codes = _half_codes(ctx.d)
     weights, shift = ctx._trace_weights, 8 * (ctx.d - 1)
-    n, by_trace = len(lows), ([], [], [])  # low encodings, by trace mod 3
-    for enc, x in enumerate(lows):
-        by_trace[(x * weights >> shift & 255) % 3].append(enc)
-    picks = [_picker(encs) for encs in by_trace]
+    span, by_trace = low_codes[-1] + 1, ([], [], [])  # low codes, by trace mod 3
+    for code, x in zip(low_codes, lows):
+        by_trace[(x * weights >> shift & 255) % 3].append(code)
+    picks = [_picker(codes) for codes in by_trace]
     total = 0
-    for j, h in enumerate(highs):  # highs[j] encodes as j * 3^k
-        values = picks[(a - (h * weights >> shift & 255)) % 3](table[j * n:j * n + n])
+    for code, h in zip(high_codes, highs):
+        values = picks[(a - (h * weights >> shift & 255)) % 3](table[code:code + span])
         total += sum(values) - len(values)  # the table holds chi + 1
     return total
 

@@ -93,6 +93,12 @@ def literal_count(e):
     return 1 + sum(squares[x3 + e.a4 * x + e.a6] for x, x3 in cubes)
 
 
+def literal_cubic_count(ctx, a2, a4, a6):
+    """1 + sum over x of #{y : y^2 = x^3 + a2*x^2 + a4*x + a6}, q steps: a1 = a3 = 0."""
+    squares, cubes = _literal_tables(ctx)
+    return 1 + sum(squares[x3 + a2 * x * x + a4 * x + a6] for x, x3 in cubes)
+
+
 def literal_general_count(g):
     """1 + #{(x, y) : y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6}, q^2 pairs."""
     ctx = g.ctx

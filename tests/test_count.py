@@ -375,9 +375,10 @@ def test_char_sum_order_matches_enumeration():
 def test_char_sum_order_multiplication_count_pinned():
     # the split sweep at d = 8, k = 4 with b2 != 0: 2 products per low half
     # (2 * 3^4), k products 2*b2*t^j once, and per high half 2 for f(h) plus
-    # k for 2*b2*h*t^j (6 * 3^4)
+    # k for 2*b2*h*t^j (6 * 3^4); the cubes of the halves are kept on the
+    # context, so they are built first, as the chi table is
     ctx = make_context(8)
-    ctx.chi_table()
+    ctx.chi_table(), ctx._half_cubes()
     a = [ctx.zero, ctx.one, ctx.zero, ctx.zero, ctx.one]  # y^2 = x^3 + x^2 + 1
     red = reduce_curve(GeneralCurve(*a))
     assert red.b2 == ctx.one

@@ -14,7 +14,7 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_muls
+from conftest import count_muls, literal_count, literal_cubic_count, literal_general_count
 from ss3 import (
     ContextMismatch,
     DegreeOutOfRange,
@@ -25,6 +25,8 @@ from ss3 import (
     ModulusReducible,
     ParseError,
     ShortCurve,
+    SingularCurve,
+    canonicalize,
     chi,
     context_to_json,
     decode_element,
@@ -39,7 +41,7 @@ from ss3 import (
     trace,
 )
 from ss3 import field
-from ss3.count import char_sum_order
+from ss3.count import char_sum_order, count_supersingular
 from ss3 import factor
 from ss3.factor import factorize, factorize_q_minus_1
 from ss3.field import (
@@ -49,6 +51,7 @@ from ss3.field import (
     PowerChain,
     _FrobeniusMap,
     _barrett_mul,
+    _chunk_code,
     _default_modulus,
     _encode_row,
     _lane_widths,
@@ -645,10 +648,10 @@ def test_chi_table_matches_squares(d):
     ctx = make_context(d)
     squares = {(x * x).coeffs for x in ctx.elements()}
     table = ctx.chi_table()
-    assert len(table) == ctx.q and table[0] - 1 == 0
+    assert len(table) == _chunk_code(ctx.q - 1) + 1 and table[0] - 1 == 0
     for x in ctx.elements():
         if x:
-            assert table[x.encoding()] - 1 == (1 if x.coeffs in squares else -1)
+            assert table[_chunk_code(x.encoding())] - 1 == (1 if x.coeffs in squares else -1)
 
 
 @pytest.mark.parametrize("d", range(5, 14))
@@ -662,11 +665,11 @@ def test_chi_table_matches_squares_on_wide_lanes(d):
 
 
 def _squares_table(ctx):
-    """chi + 1 by encoding, from the even powers of beta on packed ints."""
-    table, mul, beta = bytearray(ctx.q), ctx._mul, ctx.beta.coeffs
+    """chi + 1 by chunk code, from the even powers of beta on packed ints."""
+    table, mul, beta = bytearray(_chunk_code(ctx.q - 1) + 1), ctx._mul, ctx.beta.coeffs
     step, x = mul(beta, beta), 1
     for _ in range((ctx.q - 1) // 2):
-        table[ctx._encode(x)] = 2
+        table[_chunk_code(ctx._encode(x))] = 2
         x = mul(x, step)
     table[0] = 1
     return table
@@ -674,27 +677,29 @@ def _squares_table(ctx):
 
 @pytest.mark.parametrize("d", [9, 13])
 def test_oracle_sweeps_hold_a_few_passes(d):
-    # a cold chi table and a naive_count hold, beside the table's q bytes,
-    # at most 16 passes' bytes at their peak (0.35 MB at d = 9, 0.52 MB at
+    # a cold chi table and a naive_count hold, beside the table's bytes, at
+    # most 16 passes' bytes at their peak (0.35 MB at d = 9, 0.70 MB at
     # d = 13): the sweep keeps one pass at a time, whatever q is. The
-    # layout and the halves are cached per degree, so they are built first.
+    # layout and the halves are cached per degree and the cubes per
+    # context, so they are built first.
     ctx = FieldContext(d, _default_modulus(d))
     curve = ShortCurve(ctx.one, ctx.beta)
     pass_bytes = _row_layout(d)[3]
-    field._digit_halves(d)
+    field._digit_halves(d), ctx._half_cubes()
     tracemalloc.start()
     try:
-        ctx.chi_table()
+        table = ctx.chi_table()
         naive_count(curve)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ctx.q + 16 * pass_bytes
+    assert peak <= len(table) + 16 * pass_bytes
 
 
-@pytest.mark.parametrize("d, products", [(4, 36), (8, 486), (9, 1296)])
+@pytest.mark.parametrize("d, products", [(4, 24), (8, 286), (9, 691)])
 def test_chi_table_multiplication_count_pinned(d, products):
-    # 3^k low squares, then per high half h^2 and the k cross terms 2*h*t^j
+    # 3^k + (k + 1) * (3^(d-k) + 1) / 2: 3^k low squares, then h^2 and the k
+    # cross terms 2*h*t^j for h = 0 and one of each pair +-h of nonzero highs
     ctx = FieldContext(d, _default_modulus(d))
     with count_muls(ctx) as calls:
         ctx.chi_table()
@@ -704,15 +709,16 @@ def test_chi_table_multiplication_count_pinned(d, products):
 @pytest.mark.parametrize("d", [*range(1, 14), 17])
 def test_encode_row_matches_encode(d):
     # one whole pass of random slots up to the bound 6 + 4k, each lane
-    # holding the bound at least once, on 5-byte lanes (one chunk of five
-    # digits) at d <= 5, 10-byte lanes at d <= 10 and 15-byte lanes up to
-    # the oracle cap: the whole field at d <= 7 and 3^7 lanes up to d = 13.
-    # Above the cap, d = 17 reads 20-byte lanes into 4-byte items on a
-    # pass of one row of 3^8 lanes.
+    # holding the bound at least once, read as the chunk codes of the
+    # lanes' encodings: 5-byte lanes (one chunk of five digits, the code
+    # the encoding) at d <= 5, 10-byte lanes at d <= 10 and 20-byte lanes
+    # up to the oracle cap, the whole field at d <= 7 and 3^7 lanes up to
+    # d = 13. Above the cap, d = 17 reads 20-byte lanes into 4-byte codes
+    # on a pass of one row of 3^8 lanes.
     k, rng = d // 2, random.Random(d)
     top = 6 + 4 * k
     width = _lane_widths(d)[0]
-    assert width == 5 * -(-d // 5)
+    assert width == (5 if d <= 5 else 10 if d <= 10 else 20)
     size = _row_layout(d)[2] * 3**k  # lanes of one pass
     assert size == max(3**k, min(3**d, 3**7))
     lanes = [
@@ -720,16 +726,18 @@ def test_encode_row_matches_encode(d):
         for i in range(size)
     ]
     packed = int.from_bytes(b"".join(lane.ljust(width, b"\0") for lane in lanes), "little")
-    expected = [make_context(d)._encode(int.from_bytes(lane, "little")) for lane in lanes]
+    ctx = make_context(d)
+    expected = [_chunk_code(ctx._encode(int.from_bytes(lane, "little"))) for lane in lanes]
     assert list(_encode_row(d, packed)) == expected
 
 
 @pytest.mark.parametrize("d", range(1, 10))
 def test_encoder_passes_pinned(d, monkeypatch):
     # one encoder pass for the whole field at d <= 7 and one per 3^7 lanes
-    # at d = 8..9, in a cold chi table, a naive_count and a char_sum_order
-    # with b2 != 0 (cross terms in every row): a count the machine does not
-    # move, which a sweep of one pass per row fails
+    # at d = 8..9 in a naive_count and a char_sum_order with b2 != 0 (cross
+    # terms in every row); a cold chi table sweeps (3^(d-k) + 1) / 2 rows,
+    # one pass at d <= 7 and 2 and 5 at d = 8 and 9, the last one short: a
+    # count the machine does not move, which a sweep of one pass per row fails
     encode, calls = field._encode_row, []
 
     def counting(d, packed):
@@ -738,15 +746,16 @@ def test_encoder_passes_pinned(d, monkeypatch):
 
     monkeypatch.setattr(field, "_encode_row", counting)
     passes = 1 if d <= 7 else 3 ** (d - 7)
+    squares = {8: 2, 9: 5}.get(d, 1)
     ctx = FieldContext(d, _default_modulus(d))
     ctx.chi_table()
-    assert len(calls) == passes
+    assert len(calls) == squares
     naive_count(ShortCurve(ctx.one, ctx.one))
-    assert len(calls) == 2 * passes
+    assert len(calls) == squares + passes
     red = reduce_curve(GeneralCurve(ctx.zero, ctx.one, ctx.zero, ctx.zero, ctx.one))
     assert red.b2 == ctx.one
     char_sum_order(red)
-    assert calls == [d] * 3 * passes
+    assert calls == [d] * (squares + 2 * passes)
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -976,19 +985,20 @@ def test_packed_order_is_encoding_order_at_the_degree_cap():
 
 def test_row_slots_and_lane_reads_fit_every_degree():
     # from the constants alone: no row layout is built above the oracle cap.
-    # A lane holds its d digits in chunks of five, the chunk product sums
-    # at most 242 into a byte, and a read item holds every encoding.
+    # A lane holds its d digits in chunks of five, five bytes per byte of
+    # its code, the chunk product sums at most 242 into a byte, and a code
+    # item holds every chunk.
     weights = _CHUNK.to_bytes(5, "little")
     assert weights == bytes([81, 27, 9, 3, 1]) and 2 * sum(weights) == 242
     for d in range(1, DEGREE_CAP + 1):
         width, item = _lane_widths(d)
-        assert width % 5 == 0 and d <= width < d + 5
-        assert item & (item - 1) == 0 and width // 5 <= item <= 8
+        assert width == 5 * item and d <= width
+        assert item & (item - 1) == 0 and -(-d // 5) <= item < 2 * -(-d // 5) and item <= 8
         assert 6 + 4 * (d // 2) < 256
-        assert 3**d <= 256**item
+        assert _chunk_code(3**d - 1) < 256**item
     for d in range(1, 14):
         assert 3**d <= ORACLE_CAP
-        fmt = _row_layout(d)[6]
+        fmt = _row_layout(d)[5]
         assert struct.calcsize(fmt) == _lane_widths(d)[1]  # native sizes, as the casts read
 
 
@@ -1002,6 +1012,70 @@ def test_chi_ignores_a_planted_table(d):
     for x in ctx.elements():
         if x:
             assert chi(x) == (1 if x.coeffs in squares else -1)
+
+
+@pytest.mark.parametrize("d", range(1, 14))
+def test_kept_cubes_are_the_cubes_of_the_halves(d):
+    # the cubes the cubic passes read are the product's x * x * x of every
+    # low and high half, under the default modulus and a dense one (Barrett
+    # above d = 4), and a context builds them once
+    for modulus in (_default_modulus(d), _dense_modulus(d)):
+        ctx = FieldContext(d, modulus)
+        assert ctx._cubes is None
+        cubes, mul = ctx._half_cubes(), ctx._mul
+        for half, kept in zip(field._digit_halves(d), cubes):
+            assert kept == [mul(mul(x, x), x) for x in half]
+        assert ctx._half_cubes() is cubes
+
+
+def _cubic_model(ctx, rng):
+    """y^2 = x^3 + a2*x^2 + a4*x + a6 with a2 and a4 nonzero: a nonsingular draw."""
+    while True:
+        a2, a4, a6 = ctx.random_nonzero(rng), ctx.random_nonzero(rng), ctx.random_element(rng)
+        try:
+            return GeneralCurve(ctx.zero, a2, ctx.zero, a4, a6)
+        except SingularCurve:
+            continue
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_oracles_match_literal_counts_under_a_dense_modulus(d):
+    # both branches of the cubic passes on the kept cubes: c2 = 0, one
+    # product per half (naive_count), and c2 != 0, two per half and the
+    # cross terms (char_sum_order of a model with a2 != 0). The literal
+    # general count visits q^2 pairs, so above d = 3 the literal count of
+    # y^2 = rhs(x) over the q values of x stands in for it; at d <= 3 both
+    # agree
+    ctx, rng = make_context(d, _dense_modulus(d)), random.Random(f"dense-{d}")
+    for _ in range(2):
+        g = _cubic_model(ctx, rng)
+        e = ShortCurve(g.a4, g.a6)
+        assert naive_count(e) == literal_count(e)
+        red = reduce_curve(g)
+        assert red.b2 == g.a2
+        literal = literal_cubic_count(ctx, g.a2, g.a4, g.a6)
+        if d <= 3:
+            assert literal == literal_general_count(g)
+        assert char_sum_order(red).order == literal
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_only_the_oracles_read_the_kept_cubes(d):
+    # the closed forms and the classification never read the cubes of the
+    # halves: planting zeros in their place leaves x^3 + a4*x + a6 linear
+    # in every naive_count, which then reads q + 1, and moves nothing else
+    clean, planted = (FieldContext(d, _default_modulus(d)) for _ in range(2))
+    planted._cubes = tuple([0] * len(half) for half in field._digit_halves(d))
+    rng, moved = random.Random(d), 0
+    for _ in range(12):
+        a4, a6 = clean.random_nonzero(rng).coeffs, clean.random_element(rng).coeffs
+        e, f = (ShortCurve(FieldElement(c, a4), FieldElement(c, a6)) for c in (clean, planted))
+        order = count_supersingular(e).order
+        assert naive_count(e) == order and naive_count(f) == planted.q + 1
+        assert count_supersingular(f).order == order
+        assert canonicalize(f) == canonicalize(e)
+        moved += order != planted.q + 1
+    assert moved
 
 
 @pytest.mark.parametrize("d", range(4, 9))

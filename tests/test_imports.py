@@ -49,8 +49,11 @@ def test_census_lives_in_count():
 
 
 # the brute-force sweep helpers and the context slots they run on
-SWEEP_HELPERS = {"_digit_halves", "_picker", "_sweep_rows", "_row_layout", "_encode_row"}
-PRIVATE_SLOTS = {"_mul", "_trace_weights", "_chi_table"}
+SWEEP_HELPERS = {
+    "_digit_halves", "_half_codes", "_chunk_code", "_picker", "_sweep_rows", "_row_layout",
+    "_encode_row", "_cubic_passes",
+}
+PRIVATE_SLOTS = {"_mul", "_trace_weights", "_chi_table", "_cubes", "_half_cubes"}
 
 
 def test_only_field_touches_the_sweeps():
