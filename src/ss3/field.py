@@ -9,11 +9,8 @@ reduced mod the modulus by one of two kernels, chosen once per modulus
 polynomial is short and sparse, as in every default modulus, and
 polynomial Barrett reduction otherwise. A product may take one operand
 unreduced (slots <= 4); its slots then hold at most 8d <= 248, which is
-why d is capped at 31 (DEGREE_CAP). Fields of at most 81 elements
-(d <= 4) swap the product and the Frobenius maps for lookups once the
-constants' scan has found beta: a product is one read of log and antilog
-tables and a Frobenius map one dict read (_table_kernels). Callers reach
-every kernel through the same slots.
+why d is capped at 31 (DEGREE_CAP). Callers reach every kernel through
+the context's slots, which at q <= 81 read memos of the same kernels.
 
 A FieldContext fixes the modulus together with the constants the
 classification machinery needs: a primitive root beta, a trace-one element
@@ -65,25 +62,27 @@ FieldElement of a reduced packed int (_element) and that of an
 encoding (_decode). Every element-level result is built by the element
 slot: +, - and negation on the sum slot's reduction, * on the product,
 and powers, inverses, from_int, elements(), the PowerChain roots and the
-class witnesses (from_packed) alike. Fields of at most 81 elements read
-each slot through a memo of its function (_Memo), empty when the
-context is built and filled one key at a time on first read: at most
-7^d sums (the slots of a + 2*b are at most 6), q - 1 chains, q^2 cubic
-keys, whose one pass covers the field, and q elements and encodings. So
-such a field builds each element once; above 81 elements each result is
-a new FieldElement.
+class witnesses (from_packed) alike. Fields of at most 81 elements have
+one rule: the product, each Frobenius map and each of the five slots
+reads a memo of its function (_Memo), empty when the context is built
+and filled one key at a time on first read. Its keys are bounded by
+what callers pass: at most 2 * 5^d * q operand pairs (a, b) for the
+product, kept in rows by a, one operand reduced and the other with
+slots <= 4, q reduced elements per map, 7^d sums (the slots of a + 2*b
+are at most 6), q - 1 chains, q^2 cubic keys, whose one pass covers the
+field, and q elements and encodings. So such a field builds each element once; above 81
+elements each result is a new FieldElement.
 
 Contexts are safe to share across threads. Nothing changes after
-construction but nine structures that fill lazily, each idempotently:
-the character table; the cubes of the digit halves; the
-representatives' slot, which holds each class representative beside
-the LinearizedMap of its a4 (classify fills it); and, at d <= 4, the
-log table, which stores the log of an unreduced key
-on its first read (a _Memo, at most 5^d keys), and the sum, chain,
-cubic, element and decode memos. Each stores a value that its key alone
-determines, so threads that race on any of them store equal values, and
-whichever one is stored is correct; two racing threads may each build an
-element for one value, equal but not the same object.
+construction but structures that fill lazily, each idempotently: the
+character table; the cubes of the digit halves; the representatives'
+slot, which holds each class representative beside the LinearizedMap of
+its a4 (classify fills it); and, at d <= 4, the memos of the product,
+of each Frobenius map and of the five slots. Each stores a value that
+its key alone determines, so threads that race on any of them store
+equal values, and whichever one is stored is correct; two racing
+threads may each build an element for one value, equal but not the
+same object.
 
 A context pickles as its key (d, modulus) and unpickles to the cached
 context of make_context, and an element as its context and packed int,
@@ -116,9 +115,9 @@ from .factor import factorize_q_minus_1
 # products by t^d mod m of weight w <= 5: its slots hold at most
 # 2 + 4w + 8w^2 <= 222 (_fold_mul), whatever d is.
 DEGREE_CAP = 31
-# Fields of at most this many elements (d <= 4) multiply by log and antilog
-# tables and apply their Frobenius maps by lookup (_table_kernels).
-_LOG_TABLE_LIMIT = 3**4
+# Fields of at most this many elements (d <= 4) read the product, the
+# Frobenius maps and the five one-argument slots through memos (_Memo).
+_MEMO_LIMIT = 3**4
 # The most elements a brute-force oracle enumerates.
 ORACLE_CAP = 3**13
 _CUBE_TABLE_LIMIT = 3**8
@@ -401,10 +400,7 @@ class FieldContext:
     d - 1 to the packed map x -> x^(3^k) (_FrobeniusMap); it is built with
     the context, before the scan that finds its constants, and _repunit_pow
     reads it. The product slot _mul holds the kernel _packed_mul picks for
-    the modulus, the sparse fold or Barrett. For q <= _LOG_TABLE_LIMIT
-    both slots are replaced by lookups on the powers of beta right after
-    the scan (_table_kernels), so the beta chain, the tables below and the
-    chi table run on them. With q - 1 = 2^s * odd,
+    the modulus, the sparse fold or Barrett. With q - 1 = 2^s * odd,
     _sylow holds g^j for j < 2^s, packed, where g = beta^odd generates the
     2-Sylow subgroup, and _dlog maps each back to its j; every PowerChain
     reads its exponent there. _coset_r_inv holds e_k = beta^(-k(odd+1)/2),
@@ -418,14 +414,18 @@ class FieldContext:
     (_cubic_passes) that chi_sum_cubic reads, the element slot _element
     maps a reduced packed int to a FieldElement of that value, which every
     element-level operation returns, and the decode slot _decode maps an
-    encoding to the element slot's element. For q <= _LOG_TABLE_LIMIT one
-    loop at the end of the build swaps each for a memo of its function,
-    empty until first read (_Memo); the cubic memo keeps its one pass in a
-    tuple, and the element memo keeps zero, one and minus_one for 0, 1
-    and 2. Three more slots fill later: the chi table and the cubes of the
-    digit halves (_half_cubes) on first use, and each class
-    representative with the LinearizedMap of its a4 (4 classes on 2 maps
-    at odd d, 6 on 4 at even d) when classify first needs it.
+    encoding to the element slot's element. For q <= _MEMO_LIMIT the
+    whole build runs on these kernels and functions, and then one block
+    at its end swaps each for a memo of it, empty until first read
+    (_Memo): the product reads its memo by the operand pair, one row per
+    first operand (_Memo.pair), and each Frobenius map and each of the five
+    slots by its one argument. The
+    cubic memo keeps its one pass in a tuple, and the element memo keeps
+    zero, one and minus_one for 0, 1 and 2. Three more slots fill later:
+    the chi table and the cubes of the digit halves (_half_cubes) on first
+    use, and each class representative with the LinearizedMap of its a4
+    (4 classes on 2 maps at odd d, 6 on 4 at even d) when classify first
+    needs it.
 
     Attributes:
         d: extension degree.
@@ -501,9 +501,6 @@ class FieldContext:
             if all(self._pow(x.coeffs, e) != 1 for e in exps):
                 break
         self.beta = x
-        if q <= _LOG_TABLE_LIMIT:  # everything below runs on the tables
-            self._mul, self._frobenius = _table_kernels(d, x.coeffs, mul, self._frobenius)
-            mul = self._mul
         # The chain of beta has t = beta^odd = g and j = 1. The labels II,
         # IIIa and IIIb are cosets relative to beta, which j mod 4 reads
         # only because g is a power of beta.
@@ -532,13 +529,15 @@ class FieldContext:
             self._coset_r_inv = (1, e1, e2, mul(e2, e1))
             quartic = FieldElement(self, sylow[size // 4])
             self.tau = min(quartic, -quartic, key=attrgetter("coeffs"))
-        if q <= _LOG_TABLE_LIMIT:  # after the build, so the memos start empty
+        if q <= _MEMO_LIMIT:  # after the build, so the memos start empty
             named = (self.zero, self.one, self.minus_one)
             element, passes = self._element, self._cubic_pass
             self._element = lambda a: named[a] if a < 3 else element(a)  # packed 0, 1 and 2
             self._cubic_pass = lambda key: tuple(passes(key))  # a stored generator reads once
             for slot in ("_reduce", "_chain", "_cubic_pass", "_element", "_decode"):
                 setattr(self, slot, _Memo(getattr(self, slot)).__getitem__)
+            self._mul = _Memo(lambda a: _Memo(functools.partial(mul, a))).pair
+            self._frobenius = {k: _Memo(f).__getitem__ for k, f in self._frobenius.items()}
 
     def _build_frobenius(self) -> dict[int, "_FrobeniusMap"]:
         # g_k = t^(3^k) is the image of t under x -> x^(3^k), and
@@ -664,7 +663,7 @@ class FieldContext:
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in encoding order."""
         # product varies its last slot fastest; big-endian puts it at t^0
-        element = self._element  # read once: a from_packed call per element slows cube_table
+        element = self._element
         for digits in itertools.product(b"\x00\x01\x02", repeat=self.d):
             yield element(int.from_bytes(bytes(digits), "big"))
 
@@ -726,11 +725,15 @@ class FieldContext:
     def cube_table(self) -> Optional[list[int]]:
         """Encoding-indexed list of packed x^3, for q <= 3^8 only (else None).
 
-        The library no longer reads it; perfbench still calls it.
+        Cubing is additive in characteristic 3, so (h + l)^3 = h^3 + l^3
+        over the kept cubes of the digit halves (_half_cubes): one sum per
+        element and no product of its own. The library no longer reads it;
+        perfbench still calls it.
         """
         if self.q > _CUBE_TABLE_LIMIT:
             return None
-        return [self._pow(x.coeffs, 3) for x in self.elements()]
+        reduce, (low, high) = self._reduce, self._half_cubes()
+        return [reduce(h3 + l3) for h3 in high for l3 in low]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldContext):
@@ -789,10 +792,13 @@ class _FrobeniusMap:
 
 
 class _Memo(dict):
-    """The values of a one-argument function, each computed and stored on its first read.
+    """The values of a function, each computed and stored on its first read.
 
-    A context reads one through its __getitem__, which calls the function
-    for a missing key only.
+    A context reads a one-argument function's memo through its
+    __getitem__, which calls the function for a missing key only. The
+    product's memo holds one row per first operand a, itself the memo of
+    b -> a * b, and is read through pair: two int-keyed reads, no tuple
+    per call.
     """
 
     __slots__ = ("fn",)
@@ -804,42 +810,8 @@ class _Memo(dict):
         value = self[key] = self.fn(key)
         return value
 
-
-def _table_kernels(
-    d: int, beta: int, mul: Callable[[int, int], int], keys: Iterable[int]
-) -> tuple[Callable[[int, int], int], dict[int, Callable[[int], int]]]:
-    """The product and the map x -> x^(3^k) of each k in keys by lookup, for q <= 81.
-
-    exp[i] = beta^i costs (q-3)/2 products mul, and the second half of exp
-    is the first one negated, as beta^((q-1)/2) = -1. 0 has log 2(q-1) and
-    exp is padded with zeros up to 4(q-1), so the product is
-    exp[log a + log b] with no branch, and it takes the operands the
-    packed product takes: log holds the q reduced keys after the build,
-    and an unreduced key (slots <= 4) reads its reduction's log, stored
-    under it on that first read. The map of k sends exp[i] to
-    exp[i * 3^k mod (q-1)] and 0 to 0; it reads reduced elements only,
-    which every caller of the maps passes.
-    """
-    q1 = 3**d - 1
-    exp = [1]
-    for _ in range(q1 // 2 - 1):
-        exp.append(mul(exp[-1], beta))
-    exp += [_mod3(2 * a, d) for a in exp]
-    log = _Memo(lambda a: log[_mod3(a, d)])
-    log.update(zip(exp, range(q1)))
-    log[0] = 2 * q1
-    frobenius = {}
-    for k in keys:
-        step = 3**k % q1
-        image = {a: exp[i * step % q1] for i, a in enumerate(exp)}
-        image[0] = 0
-        frobenius[k] = image.__getitem__
-    exp = exp * 2 + [0] * (2 * q1 + 1)
-
-    def table_mul(a: int, b: int) -> int:
-        return exp[log[a] + log[b]]
-
-    return table_mul, frobenius
+    def pair(self, a: int, b: int) -> int:
+        return self[a][b]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,5 @@
 """GF(3^d) arithmetic, characters, roots, and the linearized solver."""
 
-import inspect
 import itertools
 import operator
 import pickle
@@ -758,20 +757,6 @@ def test_encoder_passes_pinned(d, monkeypatch):
     assert calls == [d] * (squares + 2 * passes)
 
 
-@pytest.mark.parametrize("d", range(1, 5))
-def test_logs_store_unreduced_keys(d):
-    # the log table holds the q reduced keys after the build; an unreduced
-    # key (slots <= 4) reads its reduction's log, and is stored on that read
-    ctx = FieldContext(d, _default_modulus(d))
-    log = inspect.getclosurevars(ctx._mul).nonlocals["log"]
-    assert len(log) == ctx.q
-    for a in map(_packed, itertools.product(range(5), repeat=d)):
-        reduced = field._mod3(a, d)
-        assert log[a] == log[reduced]
-        assert a in log
-    assert len(log) == 5**d
-
-
 _SLOTS = ("_reduce", "_chain", "_cubic_pass", "_element", "_decode")
 
 
@@ -780,14 +765,23 @@ def test_sum_and_chain_memos_equal_their_functions(d):
     # each of the five slots returns what its function returns, at every d:
     # the sum slot on packed sums with slots <= 6, the chain slot on every
     # nonzero x, the cubic slot's passes on (c2, c1), the element slot on
-    # every reduced packed int and the decode slot on every encoding. At
-    # d <= 4 each slot reads a memo of its function, empty after the build
-    # and holding each key read once; above, the slots are the functions
+    # every reduced packed int and the decode slot on every encoding; and
+    # the product and each Frobenius map return what the packed kernels
+    # return, the product on every operand with slots <= 4 against every
+    # element, both ways round. At d <= 4 each of them reads a memo of its
+    # function, empty after the build and holding each key read once (the
+    # product's keys are operand pairs); above, they are the functions
     ctx = FieldContext(d, _default_modulus(d))
-    memos = [getattr(ctx, slot).__self__ for slot in _SLOTS] if d <= 4 else []
-    assert [type(memo) for memo in memos] == [field._Memo] * len(memos)
-    assert [len(memo) for memo in memos] == [0] * len(memos)
-    if d > 4:
+    small = d <= 4
+    memos = [getattr(ctx, slot).__self__ for slot in _SLOTS] if small else []
+    maps = {k: f.__self__ for k, f in ctx._frobenius.items()} if small else {}
+    products = [ctx._mul.__self__] if small else []
+    assert [type(memo) for memo in memos + products] == [field._Memo] * len(memos + products)
+    assert [len(memo) for memo in memos + products] == [0] * len(memos + products)
+    assert all(type(memo) is field._Memo and not memo for memo in maps.values())
+    assert all(isinstance(memo.fn, _FrobeniusMap) for memo in maps.values())
+    assert all(isinstance(f, _FrobeniusMap) for f in ctx._frobenius.values()) == (not small)
+    if not small:
         assert (ctx._reduce, ctx._chain) == (field._reducer(d), ctx._power_chain)
     rng = random.Random(d)
     digits = list(itertools.product(range(3), repeat=d))
@@ -809,6 +803,30 @@ def test_sum_and_chain_memos_equal_their_functions(d):
         assert ctx._decode(enc) == FieldElement(ctx, packed)
     if memos:
         assert [len(memo) for memo in memos] == [7**d, ctx.q - 1, len(set(keys)), ctx.q, ctx.q]
+    # the maps read reduced elements, which is all their callers pass
+    mul = _packed_mul(d, ctx.modulus)
+    for k, frobenius in ctx._frobenius.items():
+        g = mul(1, 1 << 8)  # t, reduced
+        for _ in range(k):
+            g = mul(mul(g, g), g)
+        image = _FrobeniusMap(d, g, mul)
+        for _ in range(2):
+            assert [frobenius(x) for x in reduced] == [image(x) for x in reduced], k
+        assert len(maps.get(k, reduced)) == ctx.q
+    operands = list(map(_packed, itertools.product(range(5), repeat=d)))
+    if not small:
+        operands = [_packed(rng.choices(range(5), k=d)) for _ in range(200)]
+    for _ in range(2):
+        for a in operands:
+            for b in reduced if small else rng.sample(reduced, 20):
+                want = mul(a, b)
+                assert ctx._mul(a, b) == want and ctx._mul(b, a) == want, (a, b)
+    if products:
+        # pairs with one operand reduced and the other with slots <= 4, in
+        # one row per first operand
+        rows = products[0]
+        assert all(type(row) is field._Memo for row in rows.values())
+        assert sum(map(len, rows.values())) == 2 * len(operands) * ctx.q - ctx.q**2
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -838,7 +856,8 @@ def test_cubic_memo_reads_equal_a_fresh_context(d):
 
 def test_memos_fill_consistently_across_threads():
     # threads racing on one fresh context's memos each store what the key
-    # alone determines, so every read equals the slot's function
+    # alone determines, so every read equals the slot's function, and the
+    # product's and the maps' reads equal the packed kernels
     ctx = FieldContext(4, _default_modulus(4))
     nonzero = [x.coeffs for x in ctx.elements() if x]
     sums = list(map(_packed, itertools.product(range(7), repeat=4)))
@@ -847,9 +866,13 @@ def test_memos_fill_consistently_across_threads():
     cubics = [(c2, c1) for c2 in nonzero[:3] + [0] for c1 in nonzero + [0]]
     expected_cubics = [tuple(field._cubic_passes(ctx, c2, c1)) for c2, c1 in cubics]
     packed = [0] + nonzero  # the reduced keys, in encoding order
+    mul, pairs = _packed_mul(4, ctx.modulus), [(a, b) for a in packed for b in packed]
+    expected_products = [mul(a, b) for a, b in pairs]
+    kernels = [ctx._mul.__self__] + [f.__self__ for f in ctx._frobenius.values()]
+    expected_maps = {k: list(map(f.__self__.fn, packed)) for k, f in ctx._frobenius.items()}
     memos = [getattr(ctx, slot).__self__ for slot in _SLOTS]
-    for memo in memos:
-        memo.clear()  # elements() filled the element memo
+    for memo in memos + kernels:
+        memo.clear()  # elements() filled the element memo, the chains the product's
     wrong = []
 
     def read(offset):
@@ -871,6 +894,13 @@ def test_memos_fill_consistently_across_threads():
                 wrong.append(packed[enc])
             if ctx._decode(enc) != FieldElement(ctx, packed[enc]):
                 wrong.append(enc)
+        for i in range(len(pairs)):
+            a, b = pairs[(i + offset) % len(pairs)]
+            if ctx._mul(a, b) != expected_products[(i + offset) % len(pairs)]:
+                wrong.append((a, b))
+        for k, images in expected_maps.items():
+            if list(map(ctx._frobenius[k], packed)) != images:
+                wrong.append(k)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -885,6 +915,10 @@ def test_memos_fill_consistently_across_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
     assert [len(memo) for memo in memos] == [7**4, ctx.q - 1, len(cubics), ctx.q, ctx.q]
+    # the cubic passes with c2 != 0 add pairs with an unreduced operand
+    products = {(a, b): value for a, row in kernels[0].items() for b, value in row.items()}
+    assert all(value == mul(a, b) for (a, b), value in products.items())
+    assert len(products) >= ctx.q**2 and [len(m) for m in kernels[1:]] == [ctx.q] * 2
 
 
 # ----------------------------------------------------------------------
@@ -1026,6 +1060,18 @@ def test_kept_cubes_are_the_cubes_of_the_halves(d):
         for half, kept in zip(field._digit_halves(d), cubes):
             assert kept == [mul(mul(x, x), x) for x in half]
         assert ctx._half_cubes() is cubes
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_cube_table_is_the_cubes_in_encoding_order(d):
+    # x * x * x of every element in encoding order, under the default
+    # modulus and a dense one, up to q = 3^8; None above
+    for modulus in (_default_modulus(d), _dense_modulus(d)):
+        ctx = FieldContext(d, modulus)
+        if d > 8:
+            assert ctx.cube_table() is None
+            continue
+        assert ctx.cube_table() == [(x * x * x).coeffs for x in ctx.elements()]
 
 
 def _cubic_model(ctx, rng):
@@ -1192,7 +1238,8 @@ def _frobenius_cases(ctx):
 @pytest.mark.parametrize("d", range(1, 32))
 def test_frobenius_maps_match_pow(d):
     # every map the context builds is x -> x^(3^k), on the default and a
-    # dense modulus; 0 maps to 0. Lookups at d <= 4, packed matrices above
+    # dense modulus; 0 maps to 0. Memos of packed matrices at d <= 4, the
+    # matrices themselves above
     for modulus in (_default_modulus(d), _dense_modulus(d)):
         ctx = make_context(d, modulus)
         assert sorted(ctx._frobenius) == [1] + [2**j for j in range(1, d) if 2**j < d - 1]
@@ -1204,12 +1251,13 @@ def test_frobenius_maps_match_pow(d):
 
 
 @pytest.mark.parametrize("d", range(1, 5))
-def test_table_kernels_match_barrett_and_matrix_maps(d):
-    # at d <= 4 the context multiplies and maps by lookup, and _pow runs on
-    # the same tables, so these are checked against the packed kernels:
-    # the product equals a fresh Barrett product on every element times
-    # every operand with slots <= 4 (every element among them), and each
-    # map equals the _FrobeniusMap of t^(3^k) on every element
+def test_memo_kernels_match_barrett_and_matrix_maps(d):
+    # at d <= 4 the context multiplies and maps through memos, and _pow
+    # runs on the same memos, so these are checked against kernels built
+    # apart from the context: the product equals a fresh Barrett product
+    # on every element times every operand with slots <= 4 (every element
+    # among them), and each map equals the _FrobeniusMap of t^(3^k) on
+    # every element
     for modulus in (_default_modulus(d), _dense_modulus(d)):
         ctx = make_context(d, modulus)
         barrett = _barrett_mul(d, modulus)

@@ -369,10 +369,11 @@ def test_memos_stay_within_their_key_spaces(monkeypatch):
     # reduced elements only (at most q - 1) and its cubic memo with the
     # (0, a4) of naive_count only (at most q - 1), and its element and
     # decode memos with reduced elements and encodings only (at most q
-    # each); on one CPU every suite runs in this process, so its memos are
-    # the ones the whole run filled. Earlier tests fill the cached contexts
-    # too (char_sum_order puts c2 != 0 in the cubic memo), so the run starts
-    # on fresh ones.
+    # each), and its product memo with pairs of reduced elements only (at
+    # most q^2, in rows by the first operand); on one CPU every suite runs
+    # in this process, so its memos are the ones the whole run filled.
+    # Earlier tests fill the cached contexts too (char_sum_order puts
+    # c2 != 0 in the cubic memo), so the run starts on fresh ones.
     field._build_context.cache_clear()
     _cpus(monkeypatch, 1)
     assert verify_mod.run_verification(4, samples=200, seed=0).passed
@@ -392,6 +393,10 @@ def test_memos_stay_within_their_key_spaces(monkeypatch):
         assert 0 < len(elements) <= ctx.q and 0 < len(decodes) <= ctx.q, d
         assert all(x.coeffs == a and max(a.to_bytes(d, "little")) <= 2 for a, x in elements.items()), d
         assert all(x.encoding() == enc and x is elements[x.coeffs] for enc, x in decodes.items()), d
+        rows = ctx._mul.__self__  # one row per first operand
+        products = [(a, b) for a, row in rows.items() for b in row]
+        assert type(rows) is field._Memo and 0 < len(products) <= ctx.q**2, d
+        assert all(max(x.to_bytes(d, "little")) <= 2 for pair in products for x in pair), d
 
 
 @pytest.mark.parametrize("seed", [0, 7])
